@@ -50,11 +50,6 @@
 // results bit-identical to an eager every-machine loop.
 // -record-assignments adds the per-arrival machine assignment log to
 // the JSON result (off by default — it costs O(arrivals) memory).
-// -shards N splits the run into N striped sub-fleets fed by striped
-// sub-streams executing concurrently; only order-independent
-// placements (rr, least) qualify, the lifecycle flags are
-// incompatible, and results are deterministic but intentionally
-// distinct from the unsharded run (see DESIGN.md).
 //
 // -events, -mtbf and -autoscale (each implies cluster mode) add the
 // machine lifecycle layer: -events schedules joins/drains/failures
@@ -100,8 +95,7 @@
 // cluster run the same way: the run pauses at the next arrival
 // boundary, writes the final checkpoint, emits the partial result, and
 // exits 130 (a second signal kills immediately). Each of these flags
-// implies cluster mode; none is compatible with -sweep/-spec-sweep or
-// -shards.
+// implies cluster mode; none is compatible with -sweep/-spec-sweep.
 //
 // -cpuprofile/-memprofile write pprof profiles of the run, so perf
 // investigations start from a profile instead of a guess.
@@ -282,7 +276,6 @@ func main() {
 		machines      = flag.Int("machines", 1, "cluster size: spread arrivals across this many machines")
 		mix           = flag.String("machine-mix", "", "heterogeneous fleet spec: <count>x<ways>way[<cores>c],... e.g. 2x11way,2x7way (implies cluster mode)")
 		placement     = flag.String("placement", "", "cluster placement policy: rr | least | fair (implies cluster mode)")
-		shards        = flag.Int("shards", 0, "split the cluster into N striped sub-fleets advanced concurrently (order-independent placements rr/least only; implies cluster mode)")
 		recordAssign  = flag.Bool("record-assignments", false, "include the per-arrival machine assignment log in the JSON result (costs O(arrivals) memory)")
 		events        = flag.String("events", "", "fleet lifecycle schedule: kind:t=<s>[,m=<idx>];... e.g. drain:t=5,m=1;fail:t=7,m=0;join:t=9 (implies cluster mode)")
 		mtbf          = flag.Float64("mtbf", 0, "mean time between random machine failures, simulated seconds (0 = none; implies cluster mode)")
@@ -348,11 +341,8 @@ func main() {
 	if ckf.active() && (*sweep != "" || *specSweep != "") {
 		fail(fmt.Errorf("-checkpoint/-resume/-stop-after apply to a single cluster run, not a sweep"))
 	}
-	if ckf.active() && *shards > 1 {
-		fail(fmt.Errorf("-checkpoint/-resume/-stop-after are incompatible with -shards (a sharded run has no single pause point)"))
-	}
 	clustered := *machines > 1 || *placement != "" || *mix != "" ||
-		*events != "" || *mtbf > 0 || *autoscale != "" || *shards > 1 || ckf.active()
+		*events != "" || *mtbf > 0 || *autoscale != "" || ckf.active()
 	if *placement == "" {
 		*placement = "rr"
 	}
@@ -522,7 +512,7 @@ func main() {
 			writeJSON(*jsonOut, sweepJSON{Scale: cfg.Scale, ChurnData: d})
 		}
 	case clustered:
-		runCluster(cfg, w, *polName, *placement, fleetSize, *mix, scn, scnSeed, *jsonOut, lifecycle, *shards, *recordAssign, ckf)
+		runCluster(cfg, w, *polName, *placement, fleetSize, *mix, scn, scnSeed, *jsonOut, lifecycle, *recordAssign, ckf)
 	case scn != nil:
 		runOpen(cfg, w, *polName, scn, scnSeed, *jsonOut)
 	default:
@@ -634,11 +624,11 @@ func runOpen(cfg harness.Config, w workloads.Workload, polName string, scn *scen
 	writeJSON(jsonOut, openJSON{Workload: w.Name, Policy: polName, Scale: cfg.Scale, Seed: seed, OpenResult: res})
 }
 
-func runCluster(cfg harness.Config, w workloads.Workload, polName, placement string, machines int, mix string, scn *scenario.Open, seed int64, jsonOut string, lc lifecycleConfig, shards int, recordAssignments bool, ckf checkpointFlags) {
+func runCluster(cfg harness.Config, w workloads.Workload, polName, placement string, machines int, mix string, scn *scenario.Open, seed int64, jsonOut string, lc lifecycleConfig, recordAssignments bool, ckf checkpointFlags) {
 	pl, err := cluster.NewPlacement(placement, cfg.Plat)
 	exitOn(err)
 	ccfg := cluster.Config{Sim: cfg.SimConfig(), Machines: machines, Placement: pl,
-		Shards: shards, RecordAssignments: recordAssignments, StopAfter: ckf.stopAfter}
+		RecordAssignments: recordAssignments, StopAfter: ckf.stopAfter}
 	if ckf.path != "" {
 		ccfg.Checkpoint = &cluster.CheckpointConfig{Path: ckf.path, Every: ckf.every}
 	}
@@ -650,24 +640,21 @@ func runCluster(cfg harness.Config, w workloads.Workload, polName, placement str
 	// SIGINT/SIGTERM interrupt the run cooperatively: the fleet pauses at
 	// the next arrival boundary, the final checkpoint (if configured) is
 	// written, and the partial result is emitted. A second signal kills
-	// immediately. Sharded runs have no single pause point and keep the
-	// default signal disposition.
+	// immediately.
 	var signaled atomic.Bool
-	if shards <= 1 {
-		cancel := &sim.CancelFlag{}
-		ccfg.Cancel = cancel
-		sigc := make(chan os.Signal, 2)
-		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-		defer signal.Stop(sigc)
-		go func() {
-			<-sigc
-			signaled.Store(true)
-			fmt.Fprintln(os.Stderr, "lfoc-sim: interrupt — pausing at the next arrival boundary (send again to kill)")
-			cancel.Cancel()
-			<-sigc
-			os.Exit(130)
-		}()
-	}
+	cancel := &sim.CancelFlag{}
+	ccfg.Cancel = cancel
+	sigc := make(chan os.Signal, 2)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+	go func() {
+		<-sigc
+		signaled.Store(true)
+		fmt.Fprintln(os.Stderr, "lfoc-sim: interrupt — pausing at the next arrival boundary (send again to kill)")
+		cancel.Cancel()
+		<-sigc
+		os.Exit(130)
+	}()
 	if mix != "" {
 		ccfg.Fleet, err = cluster.ParseMachineMix(mix, ccfg.Sim)
 		exitOn(err)
@@ -703,9 +690,6 @@ func runCluster(cfg harness.Config, w workloads.Workload, polName, placement str
 	fleet := fmt.Sprintf("%d", res.Machines)
 	if mix != "" {
 		fleet = fmt.Sprintf("%d (%s)", res.Machines, cluster.MixNames(sims))
-	}
-	if res.Shards > 1 {
-		fleet += fmt.Sprintf("   shards: %d", res.Shards)
 	}
 	fmt.Printf("scenario: %s   policy: %s   placement: %s   machines: %s   scale: 1/%d   seed: %d\n\n",
 		res.Scenario, polName, res.Placement, fleet, cfg.Scale, seed)

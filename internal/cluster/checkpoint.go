@@ -1,8 +1,8 @@
 // Checkpoint/resume: the serialized coordinate of a paused cluster run.
 //
 // A checkpoint is taken only at an arrival-boundary pause point — the
-// top of the per-arrival loop (or of the lifecycle engine's merged
-// event/arrival loop), before anything at that instant was processed.
+// top of the engine's merged event/arrival loop, before anything at
+// that instant was processed.
 // The payload composes the per-machine sim.MachineSnapshots with the
 // cluster layer's own coordinate: the next trace-arrival index, the
 // per-machine placement counts, the placement policy's state, and (for
@@ -192,8 +192,9 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 }
 
 // captureCheckpoint assembles the payload at an arrival-boundary pause
-// point. eng is nil for lifecycle-free runs.
-func captureCheckpoint(cfg *Config, scnName string, pool *fleetPool, nextArrival int, placed, assignments []int, eng *engine) (*checkpointPayload, error) {
+// point. The lifecycle section is written only when the layer is active.
+func captureCheckpoint(eng *engine) (*checkpointPayload, error) {
+	cfg := eng.cfg
 	ps, ok := cfg.Placement.(PlacementSnapshotter)
 	if !ok { // validated up-front; defensive here
 		return nil, &sim.SnapshotUnsupportedError{What: fmt.Sprintf("placement policy %T", cfg.Placement)}
@@ -203,22 +204,22 @@ func captureCheckpoint(cfg *Config, scnName string, pool *fleetPool, nextArrival
 		return nil, fmt.Errorf("cluster: snapshot placement: %w", err)
 	}
 	p := &checkpointPayload{
-		Scenario:       scnName,
+		Scenario:       eng.scn.Name(),
 		Placement:      cfg.Placement.Name(),
-		NextArrival:    nextArrival,
-		Placed:         append([]int(nil), placed...),
-		Assignments:    append([]int(nil), assignments...),
+		NextArrival:    eng.ai,
+		Placed:         append([]int(nil), eng.placed...),
+		Assignments:    append([]int(nil), eng.assignmentLog()...),
 		PlacementState: pstate,
-		Machines:       make([]*sim.MachineSnapshot, len(pool.machines)),
+		Machines:       make([]*sim.MachineSnapshot, len(eng.pool.machines)),
 	}
-	for i, m := range pool.machines {
+	for i, m := range eng.pool.machines {
 		snap, err := m.Snapshot()
 		if err != nil {
 			return nil, fmt.Errorf("cluster: machine %d: %w", i, err)
 		}
 		p.Machines[i] = snap
 	}
-	if eng != nil {
+	if eng.active {
 		p.Lifecycle = eng.snapshot()
 	}
 	return p, nil

@@ -35,11 +35,10 @@
 // worker count and GOMAXPROCS setting. When the trace is exhausted the
 // machines drain through the same pool.
 //
-// For placement policies that declare order-independence
-// (ShardablePlacement: round-robin, least-loaded), Config.Shards
-// additionally splits the arrival stream and the fleet into disjoint
-// sub-fleets that run concurrently with no synchronization at all —
-// see shard.go.
+// There is one arrival loop: the lifecycle engine's (lifecycle.go). A
+// run without lifecycle events is that engine with an empty timeline,
+// and Lifecycle.active() alone decides whether the lifecycle sections
+// of the result and the checkpoint are emitted.
 package cluster
 
 import (
@@ -84,9 +83,9 @@ type Config struct {
 	Workers int
 	// Lifecycle, when set and carrying events (scheduled, MTBF or
 	// autoscale), runs the machine lifecycle layer: a deterministic
-	// event timeline interleaved with the arrival stream. Nil or empty
-	// is guaranteed zero-cost — Run takes the historical path and
-	// produces byte-identical results.
+	// event timeline interleaved with the arrival stream. Nil or
+	// event-free runs the same loop over an empty timeline; the result
+	// and checkpoint then carry no lifecycle sections.
 	Lifecycle *Lifecycle
 	// RecordAssignments keeps the full per-arrival placement log in
 	// Result.Assignments. Off by default: the log is O(arrivals) memory
@@ -95,18 +94,6 @@ type Config struct {
 	// (MachineResult.Arrivals) cover the common accounting. Turn it on
 	// to replay machines solo via workloads.SplitArrivals.
 	RecordAssignments bool
-	// Shards, when > 1, splits the arrival stream and the fleet into
-	// Shards disjoint striped sub-fleets (machine i and arrival j belong
-	// to shard i%Shards resp. j%Shards) that run concurrently with no
-	// cross-shard synchronization. Placement then happens per shard, so
-	// the Placement policy must declare order-independence by
-	// implementing ShardablePlacement (round-robin and least-loaded do;
-	// fairness-aware placement is order-sensitive and stays
-	// serial-exact). Sharded results are deterministic at any worker
-	// count but differ from the unsharded run by construction (each
-	// shard places against its own sub-fleet only). Incompatible with
-	// Lifecycle.
-	Shards int
 
 	// Checkpoint, when set, writes the run's coordinate to
 	// Checkpoint.Path — periodically (Checkpoint.Every simulated
@@ -114,8 +101,7 @@ type Config struct {
 	// placement policy implementing PlacementSnapshotter and per-machine
 	// partitioning policies implementing sim.PolicySnapshotter; both are
 	// validated up-front with a typed *sim.SnapshotUnsupportedError.
-	// Incompatible with Shards and with lifecycle events carrying
-	// per-event join configs.
+	// Incompatible with lifecycle events carrying per-event join configs.
 	Checkpoint *CheckpointConfig
 	// Resume, when set, restores the run from a decoded checkpoint (see
 	// ReadCheckpoint) instead of starting fresh. The scenario, fleet
@@ -134,18 +120,17 @@ type Config struct {
 	// with Interrupted set, exactly as StopAfter does.
 	Cancel *sim.CancelFlag
 
-	// Testing knobs (internal tests only). eagerAdvance restores the
-	// legacy every-machine-every-arrival advancement loop — the
-	// reference the lazy fleet event queue is differentially tested
-	// against. statsSink, when set, receives the advancement counters
-	// after the run.
+	// Testing knobs (internal tests only). eagerAdvance puts the fleet
+	// queue in its every-machine-every-arrival mode — the reference the
+	// lazy queue is differentially tested against. statsSink, when set,
+	// receives the advancement counters after the run.
 	eagerAdvance bool
 	statsSink    *fleetStats
 }
 
 // fleetStats counts the fleet-advancement work a run performed — the
 // evidence behind the fleet event queue's headline claim (advancing
-// ~10× fewer machine-steps per arrival than the eager loop on sparse
+// ~10× fewer machine-steps per arrival than the eager mode on sparse
 // fleets). Internal: reachable only through Config.statsSink.
 type fleetStats struct {
 	// Advances counts machine advancement calls (AdvanceTo jobs
@@ -249,8 +234,6 @@ type Result struct {
 	// Recorded only when Config.RecordAssignments is set (it is
 	// O(arrivals) memory); nil — and omitted from JSON — otherwise.
 	Assignments []int `json:"assignments,omitempty"`
-	// Shards echoes Config.Shards for sharded runs (0 otherwise).
-	Shards int `json:"shards,omitempty"`
 	// PerMachine holds each machine's result, in index order.
 	PerMachine []MachineResult `json:"per_machine"`
 	// Series is the cluster-wide windowed series: per-machine windows
@@ -318,12 +301,6 @@ func Run(cfg Config, scn *scenario.Open, newPolicy func(machine int) (sim.Dynami
 			return nil, fmt.Errorf("cluster: negative checkpoint interval %g", cfg.Checkpoint.Every)
 		}
 	}
-	if cfg.Shards > 1 {
-		if ckptActive || cfg.StopAfter > 0 || cfg.Cancel != nil {
-			return nil, fmt.Errorf("cluster: sharded runs support neither checkpointing nor cooperative interruption")
-		}
-		return runSharded(cfg, scn, sims, newPolicy)
-	}
 	if ckptActive {
 		// Reject non-snapshottable configurations up-front, before any
 		// machine simulates: a run that cannot write its first checkpoint
@@ -349,7 +326,6 @@ func Run(cfg Config, scn *scenario.Open, newPolicy func(machine int) (sim.Dynami
 	if cfg.Resume != nil {
 		resume = &cfg.Resume.payload
 	}
-	startArrival := 0
 	var machines []*sim.OpenMachine
 	var placed []int
 	var states []MachineState
@@ -401,7 +377,6 @@ func Run(cfg Config, scn *scenario.Open, newPolicy func(machine int) (sim.Dynami
 		if err := cfg.Placement.(PlacementSnapshotter).PlacementRestore(resume.PlacementState); err != nil {
 			return nil, err
 		}
-		startArrival = resume.NextArrival
 		// Placement-visible states refresh at the first synchronization
 		// (the restored fleet queue makes every machine due immediately).
 		states = make([]MachineState, n)
@@ -439,176 +414,34 @@ func Run(cfg Config, scn *scenario.Open, newPolicy func(machine int) (sim.Dynami
 	}
 
 	pool := newFleetPool(machines, states, cfg.Workers)
+	pool.q.all = cfg.eagerAdvance
 	defer pool.close()
 	defer pool.reportStats(cfg.statsSink)
 
-	// The fleet event queue drives lazy advancement (the default); with
-	// the eagerAdvance knob it stays nil and every synchronization
-	// instant advances the whole fleet — the bit-identical reference
-	// path the differential tests compare against.
-	var q *fleetQueue
-	if !cfg.eagerAdvance {
-		q = newFleetQueue(len(machines))
-		pool.horizons = q.horizon
+	eng := newEngine(&cfg, scn, sims, pool, placed, len(arrivals))
+	if err := eng.schedule(arrivals); err != nil {
+		return nil, err
 	}
-
-	// Lifecycle path: the engine interleaves the event timeline with
-	// the arrival stream. Gated so a lifecycle-free run pays nothing
-	// and takes the exact historical loop below.
-	if cfg.Lifecycle.active() {
-		eng, err := newEngine(&cfg, cfg.Lifecycle, scn, sims, pool, placed, len(arrivals))
-		if err != nil {
+	if resume != nil {
+		if err := eng.resume(resume, arrivals); err != nil {
 			return nil, err
-		}
-		eng.q = q
-		eng.cancel = cfg.Cancel
-		eng.stopAfter = cfg.StopAfter
-		eng.ai = startArrival
-		if cfg.Checkpoint != nil {
-			eng.ckptEvery = cfg.Checkpoint.Every
-			eng.save = func() error {
-				p, err := captureCheckpoint(&cfg, scn.Name(), pool, eng.ai, eng.placed, eng.assignments, eng)
-				if err != nil {
-					return err
-				}
-				return writeCheckpointPayload(cfg.Checkpoint.Path, p)
-			}
-		}
-		if err := eng.schedule(arrivals); err != nil {
-			return nil, err
-		}
-		if resume != nil {
-			if err := eng.restore(resume.Lifecycle); err != nil {
-				return nil, err
-			}
-			if eng.assignments != nil && len(resume.Assignments) == len(eng.assignments) {
-				copy(eng.assignments, resume.Assignments)
-			}
-		}
-		if err := eng.run(arrivals); err != nil {
-			return nil, err
-		}
-		interrupted := eng.interrupted
-		if !interrupted {
-			if q != nil {
-				if err := pool.alignClocks(eng.lastSync); err != nil {
-					if !errors.Is(err, sim.ErrCanceled) {
-						return nil, err
-					}
-					interrupted = true
-				}
-			}
-		}
-		if !interrupted {
-			if err := pool.drain(); err != nil {
-				if !errors.Is(err, sim.ErrCanceled) {
-					return nil, err
-				}
-				interrupted = true
-			}
-		}
-		if interrupted && eng.save != nil {
-			if err := eng.save(); err != nil {
-				return nil, err
-			}
-		}
-		res, err := buildResult(cfg, scn, pool.machines, eng.placed, eng.assignments, eng)
-		if err != nil {
-			return nil, err
-		}
-		res.Interrupted = interrupted
-		return res, nil
-	}
-
-	// Main loop: catch up the machines whose event horizon has passed
-	// (in parallel — machines share nothing between placement points),
-	// place against the synchronized states, inject serially. Machines
-	// beyond their horizon keep stale state entries whose content is
-	// provably identical to what an advance would refresh, so placement
-	// sees exactly the eager fleet view.
-	var assignments []int
-	if cfg.RecordAssignments {
-		if resume != nil && len(resume.Assignments) > 0 {
-			assignments = append([]int(nil), resume.Assignments...)
-		} else {
-			assignments = make([]int, 0, len(arrivals))
 		}
 	}
-	saveCkpt := func(nextArrival int) error {
-		p, err := captureCheckpoint(&cfg, scn.Name(), pool, nextArrival, placed, assignments, nil)
-		if err != nil {
-			return err
-		}
-		return writeCheckpointPayload(cfg.Checkpoint.Path, p)
-	}
-	lastCkpt := 0.0
-	if startArrival > 0 {
-		lastCkpt = arrivals[startArrival-1].Time
-	}
-	interrupted := false
-	ai := startArrival
-	for ; ai < len(arrivals); ai++ {
-		arr := arrivals[ai]
-		// The loop top — before anything at this instant is processed —
-		// is the checkpointable coordinate: pause checks and periodic
-		// checkpoints both live here.
-		if cfg.Cancel.Canceled() || (cfg.StopAfter > 0 && arr.Time >= cfg.StopAfter) {
-			interrupted = true
-			break
-		}
-		if cfg.Checkpoint != nil && cfg.Checkpoint.Every > 0 && arr.Time >= lastCkpt+cfg.Checkpoint.Every {
-			if err := saveCkpt(ai); err != nil {
-				return nil, err
-			}
-			lastCkpt = arr.Time
-		}
-		if q != nil {
-			err = pool.advanceDue(q, arr.Time)
-		} else {
-			err = pool.advanceTo(arr.Time)
-		}
-		if err != nil {
-			if errors.Is(err, sim.ErrCanceled) {
-				// Machines paused at tick boundaries mid-advance; the
-				// arrival-loop coordinate has not moved, so the resumed
-				// run re-issues this advance and catches them up.
-				interrupted = true
-				break
-			}
-			return nil, err
-		}
-		idx := cfg.Placement.Place(arr.Spec, arr.Time, states)
-		if err := checkPlaced(cfg.Placement.Name(), idx, nMachines, nil); err != nil {
-			return nil, err
-		}
-		if err := machines[idx].Inject(arr); err != nil {
-			return nil, fmt.Errorf("cluster: machine %d: %w", idx, err)
-		}
-		if q != nil {
-			// The injected arrival is the machine's next event: make it
-			// due no later than its delivery so the admission happens at
-			// the same pause point the eager loop would use.
-			q.touch(idx, arr.Time)
-		}
-		if assignments != nil {
-			assignments = append(assignments, idx)
-		}
-		placed[idx]++
+	if err := eng.run(arrivals); err != nil {
+		return nil, err
 	}
 
 	// Drain through the same pool: machines are fully independent past
-	// placement. The lazy path first aligns every clock to the last
-	// synchronization instant, where the eager barrier left them.
-	if !interrupted && q != nil && len(arrivals) > 0 {
-		if err := pool.alignClocks(arrivals[len(arrivals)-1].Time); err != nil {
-			if !errors.Is(err, sim.ErrCanceled) {
-				return nil, err
-			}
-			interrupted = true
-		}
-	}
+	// placement. Every clock is first aligned to the last
+	// synchronization instant, where an eager per-instant barrier would
+	// have left it.
+	interrupted := eng.interrupted
 	if !interrupted {
-		if err := pool.drain(); err != nil {
+		err := pool.alignClocks(eng.lastSync)
+		if err == nil {
+			err = pool.drain()
+		}
+		if err != nil {
 			if !errors.Is(err, sim.ErrCanceled) {
 				return nil, err
 			}
@@ -616,11 +449,11 @@ func Run(cfg Config, scn *scenario.Open, newPolicy func(machine int) (sim.Dynami
 		}
 	}
 	if interrupted && cfg.Checkpoint != nil {
-		if err := saveCkpt(ai); err != nil {
+		if err := eng.checkpoint(); err != nil {
 			return nil, err
 		}
 	}
-	res, err := buildResult(cfg, scn, machines, placed, assignments, nil)
+	res, err := buildResult(cfg, scn, eng)
 	if err != nil {
 		return nil, err
 	}
@@ -667,10 +500,10 @@ type fleetJob struct {
 // fleetPool advances a fleet over a persistent bounded worker pool (the
 // harness mapRows pattern, kept alive across arrivals so the per-arrival
 // fan-out does not re-spawn goroutines). Worker i only ever touches
-// machines[j] and states[j] for the jobs it receives, and jobs within a
-// batch have distinct indices, so the fan-out is race-free and cannot
-// perturb any machine's trajectory: results are bit-identical to the
-// serial loop for every worker count.
+// machines[j], states[j], errs[j] and next[j] for the jobs it receives,
+// and jobs within a batch have distinct indices, so the fan-out is
+// race-free and cannot perturb any machine's trajectory: results are
+// bit-identical to the serial loop for every worker count.
 type fleetPool struct {
 	machines []*sim.OpenMachine
 	states   []MachineState
@@ -678,11 +511,12 @@ type fleetPool struct {
 	jobs     chan fleetJob
 	batch    sync.WaitGroup // in-flight jobs of the current batch
 	workers  sync.WaitGroup // worker lifetimes, for close()
-	// horizons, when non-nil, is the fleet event queue's horizon slice:
-	// every advance job stores the machine's recomputed
-	// NextEventHorizon into its own slot (distinct indices per batch,
-	// so race-free); the serial caller then restores the heap invariant.
-	horizons []float64
+	// q is the fleet event queue: it decides which machines each
+	// synchronization instant advances. next is its side slice: every
+	// job stores its machine's recomputed NextEventHorizon there, and
+	// the serial caller applies the batch to q afterwards.
+	q        *fleetQueue
+	next     []float64
 	dueBuf   []int        // collectDue scratch, reused across instants
 	advances atomic.Int64 // advance jobs executed (lazy-savings metric)
 	syncs    int64        // synchronization instants served (serial)
@@ -696,6 +530,8 @@ func newFleetPool(machines []*sim.OpenMachine, states []MachineState, workers in
 		machines: machines,
 		states:   states,
 		errs:     make([]error, len(machines)),
+		q:        newFleetQueue(len(machines)),
+		next:     make([]float64, len(machines)),
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -732,37 +568,35 @@ func newFleetPool(machines []*sim.OpenMachine, states []MachineState, workers in
 // job's error slot and run returns normally, so the worker loop still
 // reaches batch.Done() and the pool unwinds without deadlock. The run
 // then fails with that error through the ordinary dispatch path.
+//
+// A job that ends in an error leaves its machine's horizon at -Inf —
+// due at every instant. A horizon may be stale low, never stale high.
 func (p *fleetPool) run(j fleetJob) {
+	p.next[j.idx] = math.Inf(-1)
 	defer func() {
 		if r := recover(); r != nil {
 			p.errs[j.idx] = &RunPanicError{Machine: j.idx, Value: r, Stack: debug.Stack()}
 		}
 	}()
 	m := p.machines[j.idx]
-	if m.Halted() {
-		if p.horizons != nil {
-			p.horizons[j.idx] = math.Inf(1)
+	switch {
+	case m.Halted():
+	case j.drain:
+		if err := m.Drain(); err != nil {
+			p.errs[j.idx] = err
+			return
 		}
-		return
-	}
-	if j.drain {
-		p.errs[j.idx] = m.Drain()
-		if p.horizons != nil {
-			p.horizons[j.idx] = math.Inf(1)
+	default:
+		if !j.silent {
+			p.advances.Add(1)
 		}
-		return
+		if err := m.AdvanceTo(j.t); err != nil {
+			p.errs[j.idx] = err
+			return
+		}
+		p.refreshState(j.idx)
 	}
-	if !j.silent {
-		p.advances.Add(1)
-	}
-	if err := m.AdvanceTo(j.t); err != nil {
-		p.errs[j.idx] = err
-		return
-	}
-	p.refreshState(j.idx)
-	if p.horizons != nil {
-		p.horizons[j.idx] = m.NextEventHorizon()
-	}
+	p.next[j.idx] = m.NextEventHorizon()
 }
 
 // refreshState re-reads one machine's placement-visible state. The
@@ -777,13 +611,16 @@ func (p *fleetPool) refreshState(idx int) {
 	s.Phases = m.ActivePhases(s.Phases[:0])
 }
 
-// grow appends a joining machine to the pool. Serial-only, like halts:
-// the lifecycle engine grows the fleet between batches, and the next
-// dispatch picks the new machine up.
+// grow appends a joining machine to the pool and its fleet queue.
+// Serial-only, like halts: the lifecycle engine grows the fleet between
+// batches, and the next dispatch picks the new machine up. The joiner
+// must already be at the current instant, so its horizon is current.
 func (p *fleetPool) grow(m *sim.OpenMachine, state MachineState) {
 	p.machines = append(p.machines, m)
 	p.states = append(p.states, state)
 	p.errs = append(p.errs, nil)
+	p.next = append(p.next, 0)
+	p.q.grow(m.NextEventHorizon())
 }
 
 // dispatch runs one job per machine (inline when the pool is serial) and
@@ -851,21 +688,15 @@ func (p *fleetPool) batchErr(due []int) error {
 	return nil
 }
 
-// advanceTo advances every machine to time t and refreshes its
-// placement-visible state — the eager reference path.
-func (p *fleetPool) advanceTo(t float64) error {
-	p.syncs++
-	return p.dispatch(func(i int) fleetJob { return fleetJob{idx: i, t: t} })
-}
-
 // advanceDue advances only the machines whose event horizon has passed
 // t (per the fleet event queue), recomputes their horizons on the
-// workers and restores the heap serially. Machines left alone are
-// provably unchanged below their horizon, so the fleet state placement
-// reads next is exactly what advanceTo would have produced.
-func (p *fleetPool) advanceDue(q *fleetQueue, t float64) error {
+// workers and applies them to the queue serially. Machines left alone
+// are provably unchanged below their horizon, so the fleet state
+// placement reads next is exactly what advancing every machine would
+// have produced.
+func (p *fleetPool) advanceDue(t float64) error {
 	p.syncs++
-	p.dueBuf = q.collectDue(t, p.dueBuf[:0])
+	p.dueBuf = p.q.collectDue(t, p.dueBuf[:0])
 	due := p.dueBuf
 	if len(due) == 0 {
 		return nil
@@ -881,9 +712,7 @@ func (p *fleetPool) advanceDue(q *fleetQueue, t float64) error {
 		}
 		p.batch.Wait()
 	}
-	for _, i := range due {
-		q.fix(i)
-	}
+	p.q.updateAll(due, p.next)
 	return p.batchErr(due)
 }
 
@@ -892,11 +721,9 @@ func (p *fleetPool) advanceDue(q *fleetQueue, t float64) error {
 // at t (drain/fail victims before resident extraction, migration
 // destinations before resident injection). Extra pause points are free:
 // the kernel's pause-point invariance keeps the trajectory identical.
-func (p *fleetPool) advanceOne(q *fleetQueue, idx int, t float64) error {
+func (p *fleetPool) advanceOne(idx int, t float64) error {
 	p.run(fleetJob{idx: idx, t: t})
-	if q != nil {
-		q.fix(idx)
-	}
+	p.q.update(idx, p.next[idx])
 	return p.batchErr([]int{idx})
 }
 
@@ -911,12 +738,13 @@ func (p *fleetPool) reportStats(sink *fleetStats) {
 }
 
 // alignClocks advances every machine to the run's final
-// synchronization instant — the last pause point the eager loop's
-// per-arrival barrier would have left each idle machine at. The lazy
-// path calls it once before draining so final clocks (and the last
-// partial metrics window) are bit-identical to the eager reference.
-// One fleet-wide barrier amortized over the whole run, excluded from
-// the per-arrival advancement statistics.
+// synchronization instant — the last pause point an eager per-instant
+// barrier would have left each idle machine at. Run calls it once
+// before draining so final clocks (and the last partial metrics
+// window) are bit-identical to the eager reference. One fleet-wide
+// barrier amortized over the whole run, excluded from the
+// per-arrival advancement statistics; the recomputed horizons are
+// never applied, since only the drain follows.
 func (p *fleetPool) alignClocks(t float64) error {
 	return p.dispatch(func(i int) fleetJob { return fleetJob{idx: i, t: t, silent: true} })
 }
@@ -935,15 +763,16 @@ func (p *fleetPool) close() {
 	}
 }
 
-// buildResult assembles the cluster result. eng is the lifecycle
-// engine when the run had one (nil otherwise — every lifecycle field
-// stays empty and the JSON shape is unchanged).
-func buildResult(cfg Config, scn *scenario.Open, machines []*sim.OpenMachine, placed, assignments []int, eng *engine) (*Result, error) {
+// buildResult assembles the cluster result from the engine's final
+// state. Lifecycle fields are filled only when the lifecycle layer is
+// active, so a lifecycle-free result keeps its JSON shape.
+func buildResult(cfg Config, scn *scenario.Open, eng *engine) (*Result, error) {
+	machines := eng.pool.machines
 	res := &Result{
 		Scenario:    scn.Name(),
 		Placement:   cfg.Placement.Name(),
 		Machines:    len(machines),
-		Assignments: assignments,
+		Assignments: eng.assignmentLog(),
 		PerMachine:  make([]MachineResult, len(machines)),
 	}
 	series := make([]*metrics.WindowedSeries, len(machines))
@@ -957,11 +786,11 @@ func buildResult(cfg Config, scn *scenario.Open, machines []*sim.OpenMachine, pl
 			Platform: plat.Name,
 			Cores:    plat.Cores,
 			Ways:     plat.Ways,
-			Arrivals: placed[i],
+			Arrivals: eng.placed[i],
 			Wait:     waitStats(open),
 			Open:     open,
 		}
-		if eng != nil {
+		if eng.active {
 			mr := &res.PerMachine[i]
 			switch {
 			case eng.up[i]:
@@ -1008,7 +837,7 @@ func buildResult(cfg Config, scn *scenario.Open, machines []*sim.OpenMachine, pl
 		res.MeanSlowdown = mean
 		res.MeanWait = waitSum / float64(res.Departed)
 	}
-	if eng != nil {
+	if eng.active {
 		res.Remaining += len(eng.parked)
 		res.Lifecycle = eng.finish(res.SimSeconds)
 	}

@@ -25,13 +25,19 @@ import "math"
 //     followed by touch/update before the next collectDue.
 //
 // All heap operations are serial; only the horizon recomputation after
-// an advance happens on the worker pool (distinct indices, then fixed
-// up serially), so the structure is deterministic at any worker count.
+// an advance happens on the worker pool, into a side slice the serial
+// caller then applies one key at a time (updateAll), so the structure
+// is deterministic at any worker count.
+//
+// With all set, collectDue reports every machine at every instant: the
+// eager every-machine-every-arrival reference the lazy queue is
+// differentially tested against (internal tests only).
 type fleetQueue struct {
 	horizon []float64
 	heap    []int
 	pos     []int
 	stack   []int // collectDue descent scratch
+	all     bool
 }
 
 // newFleetQueue builds the queue with every machine due at time zero:
@@ -99,18 +105,23 @@ func (q *fleetQueue) down(k int) {
 }
 
 // update sets machine idx's horizon and restores the heap invariant.
+// The heap must be valid apart from idx: a sift repairs one changed key.
 func (q *fleetQueue) update(idx int, h float64) {
 	q.horizon[idx] = h
-	q.fix(idx)
+	q.up(q.pos[idx])
+	q.down(q.pos[idx])
 }
 
-// fix restores the heap invariant after horizon[idx] was rewritten in
-// place (the worker pool stores recomputed horizons directly into the
-// shared slice; the serial caller then fixes each touched entry).
-func (q *fleetQueue) fix(idx int) {
-	k := q.pos[idx]
-	q.up(k)
-	q.down(q.pos[idx])
+// updateAll applies a batch of recomputed horizons, horizon[i] =
+// next[i] for every i in keys, one update at a time so each sift starts
+// from a valid heap. Rewriting several keys in place and sifting them
+// afterwards is not equivalent: a sift assumes every other entry
+// already satisfies the invariant, and a broken heap makes collectDue
+// prune subtrees that still hold due machines.
+func (q *fleetQueue) updateAll(keys []int, next []float64) {
+	for _, i := range keys {
+		q.update(i, next[i])
+	}
 }
 
 // touch lowers machine idx's horizon to at most t — the caller mutated
@@ -136,8 +147,14 @@ func (q *fleetQueue) grow(h float64) {
 // it. It descends the heap without popping — a subtree whose root is
 // beyond t cannot contain a due machine, so the walk visits O(due)
 // nodes — and leaves the heap untouched: the caller advances the due
-// machines, rewrites their horizons and calls fix on each.
+// machines and hands their recomputed horizons to updateAll.
 func (q *fleetQueue) collectDue(t float64, dst []int) []int {
+	if q.all {
+		for i := range q.horizon {
+			dst = append(dst, i)
+		}
+		return dst
+	}
 	if len(q.heap) == 0 || math.IsInf(t, -1) {
 		return dst
 	}

@@ -1,8 +1,8 @@
 package cluster
 
 // Differential tests for the lazy fleet event queue: the heap-driven
-// advancement path must be bit-identical to the retired eager loop
-// (kept behind Config.eagerAdvance for exactly this comparison) across
+// advancement path must be bit-identical to the queue's every-machine
+// mode (Config.eagerAdvance, kept for exactly this comparison) across
 // placements, worker counts, heterogeneous fleets and lifecycle
 // schedules — and must do strictly less machine-advancement work on
 // sparse fleets. CI runs this package under -race, which also
@@ -228,93 +228,5 @@ func TestNextEventHorizonConservative(t *testing.T) {
 		if got := m.NextEventHorizon(); got > arr.Time {
 			t.Fatalf("horizon %g ignores pending injected arrival at t=%g", got, arr.Time)
 		}
-	}
-}
-
-// Sharded runs are deterministic (identical across repetitions and
-// worker settings), conserve applications, and report the shard count.
-func TestShardedDeterminism(t *testing.T) {
-	plat := machine.Small(8, 4)
-	mk := func(placement Policy) Config {
-		return Config{
-			Sim: lazySimConfig(plat), Machines: 8,
-			Placement: placement, Shards: 4, RecordAssignments: true,
-		}
-	}
-	run := func(placement Policy) *Result {
-		cfg := mk(placement)
-		sims, err := cfg.MachineConfigs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(cfg, lazyScenario(t, 10, 2, 21), stockPolicyFactory(sims))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	for _, name := range []string{"rr", "least"} {
-		t.Run(name, func(t *testing.T) {
-			mkPol := func() Policy {
-				if name == "rr" {
-					return NewRoundRobin()
-				}
-				return NewLeastLoaded()
-			}
-			a, b := run(mkPol()), run(mkPol())
-			if !reflect.DeepEqual(a, b) {
-				t.Error("sharded run is not deterministic across repetitions")
-			}
-			if a.Shards != 4 {
-				t.Errorf("Shards %d, want 4", a.Shards)
-			}
-			placedTotal := 0
-			for _, m := range a.PerMachine {
-				placedTotal += m.Arrivals
-			}
-			if a.Departed+a.Remaining != placedTotal {
-				t.Errorf("departed %d + remaining %d != %d placed", a.Departed, a.Remaining, placedTotal)
-			}
-			for i, g := range a.Assignments {
-				if g < 0 || g >= 8 {
-					t.Fatalf("arrival %d assigned to %d, out of fleet range", i, g)
-				}
-				if g%4 != i%4 {
-					t.Errorf("arrival %d (shard %d) assigned to machine %d (shard %d)", i, i%4, g, g%4)
-				}
-			}
-		})
-	}
-}
-
-// Sharding refuses configurations it cannot execute faithfully:
-// order-dependent placements, the lifecycle layer, and more shards
-// than machines.
-func TestShardedRejections(t *testing.T) {
-	plat := machine.Small(8, 4)
-	base := Config{Sim: lazySimConfig(plat), Machines: 4, Placement: NewRoundRobin(), Shards: 2}
-	try := func(mutate func(*Config)) error {
-		cfg := base
-		mutate(&cfg)
-		sims, err := cfg.MachineConfigs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = Run(cfg, lazyScenario(t, 6, 1, 2), stockPolicyFactory(sims))
-		return err
-	}
-	if err := try(func(cfg *Config) { cfg.Placement = NewFairnessAware(plat) }); err == nil {
-		t.Error("sharded run accepted the order-dependent fairness-aware placement")
-	}
-	if err := try(func(cfg *Config) {
-		cfg.Lifecycle = &Lifecycle{Events: []Event{{Time: 0.5, Kind: MachineFail, Machine: 0}}}
-	}); err == nil {
-		t.Error("sharded run accepted a lifecycle schedule")
-	}
-	if err := try(func(cfg *Config) { cfg.Shards = 5 }); err == nil {
-		t.Error("5 shards over 4 machines accepted")
-	}
-	if err := try(func(cfg *Config) {}); err != nil {
-		t.Errorf("valid sharded configuration rejected: %v", err)
 	}
 }

@@ -92,9 +92,9 @@ type Autoscale struct {
 }
 
 // Lifecycle configures the cluster's machine lifecycle layer. A nil (or
-// event-free) Lifecycle is guaranteed zero-cost: cluster.Run takes
-// exactly the historical per-arrival path and produces byte-identical
-// results.
+// event-free) Lifecycle runs the engine over an empty timeline: the
+// result and checkpoint carry no lifecycle sections, byte-identical to
+// a run without the layer.
 type Lifecycle struct {
 	// Events is the scheduled event timeline (any order; the engine
 	// orders by time, ties by list position).
@@ -130,8 +130,9 @@ type Lifecycle struct {
 	JoinPolicy func(machine int, mc sim.Config) (sim.Dynamic, error)
 }
 
-// active reports whether the lifecycle layer can change anything: when
-// false, Run takes the historical per-arrival path untouched.
+// active reports whether the lifecycle layer can change anything. It is
+// the one bit that decides whether results and checkpoints carry the
+// lifecycle sections.
 func (l *Lifecycle) active() bool {
 	return l != nil && (len(l.Events) > 0 || l.MTBF > 0 || l.Autoscale != nil)
 }
@@ -229,14 +230,16 @@ type parkedArrival struct {
 	traceIdx int
 }
 
-// engine is the lifecycle state machine driving a cluster run with an
-// active Lifecycle. Everything it does is serial placement-layer work.
+// engine drives every cluster run: the arrival loop, interleaved with
+// the lifecycle event timeline (empty when the layer is inactive).
+// Everything it does is serial placement-layer work.
 type engine struct {
-	cfg  *Config
-	lc   *Lifecycle
-	scn  *scenario.Open
-	sims []sim.Config
-	pool *fleetPool
+	cfg    *Config
+	lc     *Lifecycle
+	active bool // lc.active(): emit the lifecycle result and checkpoint sections
+	scn    *scenario.Open
+	sims   []sim.Config
+	pool   *fleetPool
 
 	up       []bool
 	nUp      int
@@ -245,15 +248,9 @@ type engine struct {
 	failedAt []bool // down by failure (vs drain), for MachineResult.State
 
 	placed      []int
-	assignments []int // nil unless Config.RecordAssignments
+	assignments []int // nil unless Config.RecordAssignments; see assignmentLog
 	parked      []parkedArrival
 
-	// q is the fleet event queue (nil under the eagerAdvance knob):
-	// synchronization instants advance only due machines, and machines
-	// the engine mutates at t — drain/fail victims before resident
-	// extraction, migration destinations before resident injection —
-	// get a targeted catch-up instead of riding a fleet barrier.
-	q *fleetQueue
 	// lastSync is the latest fleet synchronization instant — where Run
 	// aligns every lazy clock before the final drain.
 	lastSync float64
@@ -269,15 +266,11 @@ type engine struct {
 	staticFired int
 	victimDraws []int
 
-	// Cooperative interruption (all set by Run): cancel and stopAfter
-	// pause the run at the next loop top; save writes a periodic
-	// checkpoint (nil when the run has none configured) every ckptEvery
-	// simulated seconds; interrupted reports how run() ended.
-	cancel      *sim.CancelFlag
-	stopAfter   float64
-	ckptEvery   float64
+	// Cooperative interruption: Config.Cancel and Config.StopAfter pause
+	// the run at the next loop top, and Config.Checkpoint.Every spaces
+	// periodic checkpoints from lastCkpt; interrupted reports how run()
+	// ended.
 	lastCkpt    float64
-	save        func() error
 	interrupted bool
 
 	migration  MigrationPolicy
@@ -291,11 +284,16 @@ type engine struct {
 	candScratch []MachineState
 }
 
-func newEngine(cfg *Config, lc *Lifecycle, scn *scenario.Open, sims []sim.Config, pool *fleetPool, placed []int, nArrivals int) (*engine, error) {
+func newEngine(cfg *Config, scn *scenario.Open, sims []sim.Config, pool *fleetPool, placed []int, nArrivals int) *engine {
+	lc := cfg.Lifecycle
+	if lc == nil {
+		lc = &Lifecycle{}
+	}
 	n := len(pool.machines)
 	e := &engine{
 		cfg:        cfg,
 		lc:         lc,
+		active:     lc.active(),
 		scn:        scn,
 		sims:       sims,
 		pool:       pool,
@@ -324,6 +322,9 @@ func newEngine(cfg *Config, lc *Lifecycle, scn *scenario.Open, sims []sim.Config
 	if e.backoff == 0 {
 		e.backoff = 0.25
 	}
+	if !e.active {
+		return e // no drains, no lifecycle accounting
+	}
 	switch {
 	case lc.Migration != nil:
 		e.migration = lc.Migration
@@ -331,7 +332,7 @@ func newEngine(cfg *Config, lc *Lifecycle, scn *scenario.Open, sims []sim.Config
 		e.migration = NewCostAwareMigration(lc.MigrationCost, sims[0].Plat)
 	}
 	e.trk = newLifeTracker(sims[0].EffectiveMetricsWindow().Seconds(), n, n)
-	return e, nil
+	return e
 }
 
 // schedule seeds the timeline: the declared events, the MTBF failure
@@ -390,8 +391,8 @@ func (e *engine) push(ev *timelineEvent) {
 
 // run interleaves the event timeline with the arrival stream: at each
 // step the earlier of (next event, next arrival) is processed, events
-// first at equal times. With an empty timeline this degenerates to
-// exactly the historical per-arrival loop.
+// first at equal times. With an empty timeline it is the plain
+// per-arrival loop: advance the due machines, place, inject.
 //
 // The loop top is the engine's checkpoint pause point: the next event
 // is only peeked (not popped) before the fleet advances, so a
@@ -409,12 +410,12 @@ func (e *engine) run(arrivals []scenario.Arrival) error {
 		} else {
 			t = arrivals[e.ai].Time
 		}
-		if e.cancel.Canceled() || (e.stopAfter > 0 && t >= e.stopAfter) {
+		if e.cfg.Cancel.Canceled() || (e.cfg.StopAfter > 0 && t >= e.cfg.StopAfter) {
 			e.interrupted = true
 			return nil
 		}
-		if e.save != nil && e.ckptEvery > 0 && t >= e.lastCkpt+e.ckptEvery {
-			if err := e.save(); err != nil {
+		if ck := e.cfg.Checkpoint; ck != nil && ck.Every > 0 && t >= e.lastCkpt+ck.Every {
+			if err := e.checkpoint(); err != nil {
 				return err
 			}
 			e.lastCkpt = t
@@ -426,15 +427,17 @@ func (e *engine) run(arrivals []scenario.Arrival) error {
 			}
 			return err
 		}
-		e.trk.advance(t)
+		if e.active {
+			e.trk.advance(t)
+		}
 		if evNext {
 			ev := heap.Pop(&e.evq).(*timelineEvent)
 			if ev.kind != tlRetry {
 				e.staticFired++
 			}
-			e.cancel.Mask()
+			e.cfg.Cancel.Mask()
 			err := e.handle(ev)
-			e.cancel.Unmask()
+			e.cfg.Cancel.Unmask()
 			if err != nil {
 				return err
 			}
@@ -448,25 +451,51 @@ func (e *engine) run(arrivals []scenario.Arrival) error {
 	return nil
 }
 
-// advance synchronizes the fleet to instant t: due machines only via
-// the fleet event queue, or the whole fleet on the eager reference
-// path. Either way, every up machine's placement-visible state then
-// matches an eager advance bit for bit.
-func (e *engine) advance(t float64) error {
-	e.lastSync = t
-	if e.q != nil {
-		return e.pool.advanceDue(e.q, t)
+// checkpoint writes the run's current coordinate to Config.Checkpoint.
+func (e *engine) checkpoint() error {
+	p, err := captureCheckpoint(e)
+	if err != nil {
+		return err
 	}
-	return e.pool.advanceTo(t)
+	return writeCheckpointPayload(e.cfg.Checkpoint.Path, p)
 }
 
-// catchUp forces one machine to instant t before the engine mutates it
-// out of band; a no-op on the eager path (the fleet barrier already ran).
-func (e *engine) catchUp(idx int, t float64) error {
-	if e.q == nil {
-		return nil
+// advance synchronizes the fleet to instant t: the fleet event queue
+// picks the due machines, and every up machine's placement-visible
+// state then matches an eager advance bit for bit.
+func (e *engine) advance(t float64) error {
+	e.lastSync = t
+	return e.pool.advanceDue(t)
+}
+
+// resume repositions a freshly scheduled engine at a checkpoint's
+// coordinate.
+func (e *engine) resume(p *checkpointPayload, arrivals []scenario.Arrival) error {
+	e.ai = p.NextArrival
+	copy(e.assignments, p.Assignments)
+	if e.active {
+		return e.restore(p.Lifecycle)
 	}
-	return e.pool.advanceOne(e.q, idx, t)
+	// A lifecycle-free checkpoint holds no engine snapshot: its last
+	// synchronization instant, and the reference for the next periodic
+	// checkpoint, is the last arrival it processed.
+	if p.NextArrival > 0 {
+		e.lastSync = arrivals[p.NextArrival-1].Time
+		e.lastCkpt = e.lastSync
+	}
+	return nil
+}
+
+// assignmentLog is the placement record as Result and checkpoints
+// report it. A lifecycle-free run places arrivals in trace order, so
+// its log is the placed prefix; a lifecycle run can park arrivals and
+// place them later, so its log spans the whole trace with -1 marking
+// arrivals not (yet) placed.
+func (e *engine) assignmentLog() []int {
+	if e.active || e.assignments == nil {
+		return e.assignments
+	}
+	return e.assignments[:e.ai]
 }
 
 func (e *engine) handle(ev *timelineEvent) error {
@@ -512,9 +541,7 @@ func (e *engine) place(arr scenario.Arrival, traceIdx int) error {
 		return fmt.Errorf("cluster: machine %d: %w", idx, err)
 	}
 	e.pool.refreshState(idx)
-	if e.q != nil {
-		e.q.touch(idx, arr.Time)
-	}
+	e.pool.q.touch(idx, arr.Time)
 	e.placed[idx]++
 	if traceIdx >= 0 && e.assignments != nil {
 		e.assignments[traceIdx] = idx
@@ -523,8 +550,7 @@ func (e *engine) place(arr scenario.Arrival, traceIdx int) error {
 }
 
 // candidates returns the up machines' states in index order. When the
-// whole fleet is up it is the states slice itself, so placement sees
-// exactly what a lifecycle-free run would.
+// whole fleet is up it is the states slice itself.
 func (e *engine) candidates() []MachineState {
 	if e.nUp == len(e.pool.states) {
 		return e.pool.states
@@ -587,13 +613,6 @@ func (e *engine) join(t float64, cfg *sim.Config, autoscaled bool) error {
 	e.sims = append(e.sims, mc)
 	e.pool.grow(m, MachineState{Index: idx, Cores: mc.Plat.Cores, Plat: mc.Plat})
 	e.pool.refreshState(idx)
-	if e.q != nil {
-		// The joiner was just advanced to t, so its horizon is current;
-		// growing may reallocate the shared horizon slice, so re-point
-		// the pool at it.
-		e.q.grow(m.NextEventHorizon())
-		e.pool.horizons = e.q.horizon
-	}
 	e.up = append(e.up, true)
 	e.nUp++
 	e.joinedAt = append(e.joinedAt, t)
@@ -633,7 +652,7 @@ func (e *engine) drainMachine(t float64, idx int, autoscaled bool) error {
 	}
 	// The victim must be at t before extraction: residents carry run
 	// progress and phase coordinates as of the drain instant.
-	if err := e.catchUp(idx, t); err != nil {
+	if err := e.pool.advanceOne(idx, t); err != nil {
 		return err
 	}
 	residents := e.takeResidents(idx)
@@ -656,16 +675,14 @@ func (e *engine) drainMachine(t float64, idx int, autoscaled bool) error {
 			}
 			// InjectResident requires the destination at the migration
 			// instant (the incoming app lands in the window open at t).
-			if err := e.catchUp(dest, t); err != nil {
+			if err := e.pool.advanceOne(dest, t); err != nil {
 				return err
 			}
 			if err := e.pool.machines[dest].InjectResident(r); err != nil {
 				return fmt.Errorf("cluster: machine %d: %w", dest, err)
 			}
 			e.pool.refreshState(dest)
-			if e.q != nil {
-				e.q.touch(dest, t)
-			}
+			e.pool.q.touch(dest, t)
 			e.placed[dest]++
 			e.sum.Disruptions++
 			e.sum.Migrations++
@@ -694,7 +711,7 @@ func (e *engine) failMachine(t float64, idx int) error {
 		return nil
 	}
 	// As for drains: extraction must see the machine's state at t.
-	if err := e.catchUp(idx, t); err != nil {
+	if err := e.pool.advanceOne(idx, t); err != nil {
 		return err
 	}
 	residents := e.takeResidents(idx)
@@ -733,11 +750,9 @@ func (e *engine) failMachine(t float64, idx int) error {
 // its simulated time freezes at t and its metric windows end there.
 func (e *engine) takeDown(t float64, idx int, failed bool) {
 	e.pool.machines[idx].Halt()
-	if e.q != nil {
-		// A halted machine's state is frozen: drop it out of every
-		// future due set.
-		e.q.update(idx, math.Inf(1))
-	}
+	// A halted machine's state is frozen: drop it out of every future
+	// due set.
+	e.pool.q.update(idx, math.Inf(1))
 	e.up[idx] = false
 	e.nUp--
 	e.downAt[idx] = t

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -82,9 +83,10 @@ func TestLifecycleChaosDeterminism(t *testing.T) {
 	}
 }
 
-// An inactive lifecycle (nil, or set but event-free) must leave the run
-// bit-identical to one without the layer: the fast path is the
-// historical loop, verbatim.
+// A lifecycle-free run is the engine over an empty timeline: a nil
+// Lifecycle and a set-but-event-free one give identical results, and
+// neither emits the lifecycle sections — the JSON carries no lifecycle,
+// state or shards keys, the shape lifecycle-free output has always had.
 func TestLifecycleInactiveIsZeroCost(t *testing.T) {
 	plat := machine.Small(8, 4)
 	mkScn := func() *scenario.Open {
@@ -109,12 +111,32 @@ func TestLifecycleInactiveIsZeroCost(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Error("event-free lifecycle perturbed the run")
 	}
-	if want.Lifecycle != nil || got.Lifecycle != nil {
-		t.Error("inactive lifecycle produced a lifecycle summary")
-	}
-	for _, m := range want.PerMachine {
-		if m.State != "" {
-			t.Errorf("machine %d carries lifecycle state %q without a lifecycle", m.Index, m.State)
+	for name, res := range map[string]*cluster.Result{"nil": want, "event-free": got} {
+		raw, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Top        map[string]json.RawMessage
+			PerMachine []map[string]json.RawMessage `json:"per_machine"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, &doc.Top); err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{"lifecycle", "shards"} {
+			if _, ok := doc.Top[key]; ok {
+				t.Errorf("%s lifecycle: result JSON carries a %q key", name, key)
+			}
+		}
+		for i, m := range doc.PerMachine {
+			for _, key := range []string{"state", "joined_at", "down_at"} {
+				if _, ok := m[key]; ok {
+					t.Errorf("%s lifecycle: machine %d JSON carries a %q key", name, i, key)
+				}
+			}
 		}
 	}
 }

@@ -133,9 +133,10 @@ func (e *engine) snapshot() *engineSnapshot {
 	return snap
 }
 
-// restore rebuilds the engine coordinate on a freshly constructed engine
-// whose schedule() has already repopulated the static timeline. The pool
-// must already hold the restored machines (including joined ones).
+// restore rebuilds the lifecycle coordinate on a freshly constructed
+// engine whose schedule() has already repopulated the static timeline.
+// The pool must already hold the restored machines (including joined
+// ones).
 func (e *engine) restore(snap *engineSnapshot) error {
 	n := len(e.pool.machines)
 	if len(snap.Up) != n || len(snap.JoinedAt) != n || len(snap.DownAt) != n || len(snap.FailedAt) != n {

@@ -57,23 +57,6 @@ type Policy interface {
 	Place(spec *appmodel.Spec, t float64, machines []MachineState) int
 }
 
-// ShardablePlacement is the optional Policy refinement behind sharded
-// arrival streams (Config.Shards): a policy implements it to declare
-// that its decisions are order-independent — it scores each arrival
-// against the machine states alone, with no memory that makes decision
-// k depend on which arrivals preceded it on which machines — so routing
-// a striped sub-stream over a striped sub-fleet is still a faithful
-// execution of the policy. RoundRobin (its cursor cycles whatever fleet
-// it is given) and LeastLoaded (stateless joint-shortest-queue) qualify;
-// FairnessAware does not — its prediction feeds on the residents every
-// earlier global decision produced, so it stays serial-exact.
-type ShardablePlacement interface {
-	Policy
-	// Shard returns a fresh, independent instance of this policy for
-	// one sub-fleet. Instances share nothing: shards run concurrently.
-	Shard() Policy
-}
-
 // RoundRobin cycles through the machines in index order regardless of
 // load — the baseline every placement study needs.
 type RoundRobin struct {
@@ -93,10 +76,6 @@ func (r *RoundRobin) Place(_ *appmodel.Spec, _ float64, machines []MachineState)
 	return machines[idx].Index
 }
 
-// Shard implements ShardablePlacement: each sub-fleet gets its own
-// cursor starting at its first machine.
-func (r *RoundRobin) Shard() Policy { return NewRoundRobin() }
-
 // LeastLoaded admits on a machine with a free core when one exists,
 // preferring the fewest resident plus queued applications, breaking
 // ties toward the shorter admission queue and then the lower index —
@@ -113,10 +92,6 @@ func NewLeastLoaded() *LeastLoaded { return &LeastLoaded{} }
 
 // Name implements Policy.
 func (l *LeastLoaded) Name() string { return "least" }
-
-// Shard implements ShardablePlacement: the policy is stateless, so a
-// fresh instance is equivalent by construction.
-func (l *LeastLoaded) Shard() Policy { return NewLeastLoaded() }
 
 // Place implements Policy.
 func (l *LeastLoaded) Place(_ *appmodel.Spec, _ float64, machines []MachineState) int {

@@ -319,9 +319,8 @@ func RunOpen(cfg SimConfig, scn *OpenScenario, pol DynamicPolicy) (*OpenSimResul
 // ClusterConfig parameterizes a multi-machine cluster run: per-machine
 // simulator configuration (the homogeneous Sim+Machines shorthand or a
 // heterogeneous Fleet list), placement policy, the advancement
-// worker-pool bound, the opt-in per-arrival assignment log
-// (RecordAssignments) and striped sub-fleet sharding (Shards, for
-// order-independent placements only).
+// worker-pool bound and the opt-in per-arrival assignment log
+// (RecordAssignments).
 type ClusterConfig = cluster.Config
 
 // ClusterResult carries a cluster run's fleet-wide aggregates, the
@@ -334,12 +333,6 @@ type ClusterMachineResult = cluster.MachineResult
 
 // PlacementPolicy decides which machine admits an arriving application.
 type PlacementPolicy = cluster.Policy
-
-// ShardablePlacement marks placements whose decisions are
-// order-independent across machine subsets, making them eligible for
-// ClusterConfig.Shards striping (round-robin and least-loaded qualify;
-// the fairness-aware placement does not).
-type ShardablePlacement = cluster.ShardablePlacement
 
 // PlacementMachineState is one machine's placement-visible load.
 type PlacementMachineState = cluster.MachineState
