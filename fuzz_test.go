@@ -1,11 +1,11 @@
-// Native fuzz targets for every text format the CLIs parse from user
-// input: workload specs (YAML and JSON), arrival traces, fleet event
-// schedules and machine-mix strings. The contract under fuzzing is
-// uniform — a parser either succeeds or returns an error; it never
-// panics — and successful parses must satisfy the format's own
-// invariants (a reparse of a successful parse cannot fail). Seed
-// corpora come from the shipped example specs and the flag syntax the
-// documentation advertises.
+// Native fuzz targets for every format the CLIs read from user input:
+// workload specs (YAML and JSON), arrival traces, fleet event
+// schedules, machine-mix strings and checkpoint files. The contract
+// under fuzzing is uniform — a parser either succeeds or returns an
+// error; it never panics — and successful parses must satisfy the
+// format's own invariants (a reparse of a successful parse cannot
+// fail). Seed corpora come from the shipped example specs, the flag
+// syntax the documentation advertises and a small real checkpoint.
 //
 // CI runs these with a short -fuzztime as a smoke test; run them longer
 // locally with e.g.:
@@ -15,12 +15,18 @@ package lfoc_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	lfoc "github.com/faircache/lfoc"
+	"github.com/faircache/lfoc/internal/cluster"
 	"github.com/faircache/lfoc/internal/harness"
+	"github.com/faircache/lfoc/internal/policy"
+	"github.com/faircache/lfoc/internal/sim"
 	"github.com/faircache/lfoc/internal/workloads"
 )
 
@@ -107,6 +113,58 @@ func FuzzParseMachineMix(f *testing.F) {
 			if mc.Plat == nil || mc.Plat.Ways <= 0 || mc.Plat.Cores <= 0 {
 				t.Fatalf("accepted machine %d with invalid platform", i)
 			}
+		}
+	})
+}
+
+// FuzzReadCheckpoint fuzzes the checkpoint payload. Each input is laid
+// out under a header carrying its correct checksum, so the fuzzer
+// reaches the payload decoder (packed series included) instead of
+// stopping at the checksum. Every rejection must be typed.
+func FuzzReadCheckpoint(f *testing.F) {
+	hc := harness.DefaultConfig()
+	s1, err := workloads.Get("S1")
+	if err != nil {
+		f.Fatal(err)
+	}
+	scn, err := s1.OpenScenario(8, 2, 7, hc.Scale)
+	if err != nil {
+		f.Fatal(err)
+	}
+	mc := hc.SimConfig()
+	path := filepath.Join(f.TempDir(), "seed.ckpt")
+	if _, err := cluster.Run(cluster.Config{
+		Sim: mc, Machines: 2, Placement: cluster.NewRoundRobin(),
+		Lifecycle:  &cluster.Lifecycle{Events: []cluster.Event{{Time: 0.4, Kind: cluster.MachineDrain, Machine: 1}}},
+		StopAfter:  0.6,
+		Checkpoint: &cluster.CheckpointConfig{Path: path},
+	}, scn, func(int) (sim.Dynamic, error) { return policy.NewStockDynamic(mc.Plat.Ways), nil }); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, payload, _ := bytes.Cut(data, []byte("\n"))
+	f.Add(bytes.TrimSuffix(payload, []byte("\n")))
+	f.Add([]byte(`{"placed":[0],"machines":[{"series":{"width":0.01,"points":"AAAA"}}]}`))
+	f.Add([]byte(`{"next_arrival":-1}`))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.ckpt")
+		sum := sha256.Sum256(payload)
+		file := fmt.Appendf(nil, "{\"magic\":\"lfoc-checkpoint\",\"version\":%d,\"sha256\":\"%x\"}\n%s\n",
+			cluster.CheckpointVersion, sum, payload)
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := cluster.ReadCheckpoint(path)
+		var ferr *cluster.CheckpointFormatError
+		var cerr *cluster.CheckpointChecksumError
+		switch {
+		case err == nil && ck.NextArrival() < 0:
+			t.Fatalf("accepted checkpoint at arrival %d", ck.NextArrival())
+		case err != nil && !errors.As(err, &ferr) && !errors.As(err, &cerr):
+			t.Fatalf("untyped error %T: %v", err, err)
 		}
 	})
 }

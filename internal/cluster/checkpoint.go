@@ -13,15 +13,19 @@
 // re-advances and re-reads the whole fleet, and the kernel's
 // pause-point invariance makes those catch-up advances unobservable.
 //
-// The on-disk format is a small JSON wrapper {magic, version, sha256,
-// payload}: the checksum covers the payload bytes exactly as embedded,
-// so a truncated or hand-edited file is rejected with a typed error
-// before any of it is interpreted. Files are written atomically
-// (temp+rename): a crash mid-write never clobbers the previous
-// checkpoint.
+// On disk a checkpoint is a one-line JSON header {magic, version,
+// sha256}, a newline, the compact JSON payload and a trailing newline.
+// The checksum covers the payload bytes, so a truncated or hand-edited
+// file is rejected with a typed error before any of it is interpreted,
+// and the payload is parsed exactly once. The payload is JSON
+// throughout except the metric-window histories, which are packed
+// binary records (metrics.PackedWindowedSeries). Files are written
+// atomically (temp+rename): a crash mid-write never clobbers the
+// previous checkpoint.
 package cluster
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -33,14 +37,14 @@ import (
 )
 
 // checkpointMagic identifies a checkpoint file; CheckpointVersion is the
-// current payload schema version. Version bumps are deliberate and rare:
-// a reader only ever accepts the version it was built for (resuming is a
-// same-binary, same-config affair — the snapshot stores coordinates, not
-// platform models), so an old file fails fast with a typed error instead
-// of misinterpreting fields.
+// current file layout and payload schema version. Version bumps are
+// deliberate and rare: a reader only ever accepts the version it was
+// built for (resuming is a same-binary, same-config affair — the
+// snapshot stores coordinates, not platform models), so an old file
+// fails fast with a typed error instead of misinterpreting fields.
 const (
 	checkpointMagic   = "lfoc-checkpoint"
-	CheckpointVersion = 1
+	CheckpointVersion = 2
 )
 
 // CheckpointConfig configures periodic checkpointing of a cluster run.
@@ -55,8 +59,9 @@ type CheckpointConfig struct {
 	Every float64
 }
 
-// CheckpointFormatError reports a file that is not a checkpoint (bad
-// magic, malformed JSON) or whose version this binary does not speak.
+// CheckpointFormatError reports a file that is not a checkpoint (no
+// header line, bad magic, malformed JSON or packed records) or whose
+// version this binary does not speak.
 type CheckpointFormatError struct {
 	Path   string
 	Reason string
@@ -79,12 +84,11 @@ func (e *CheckpointChecksumError) Error() string {
 		e.Path, e.Want, e.Got)
 }
 
-// checkpointFile is the on-disk wrapper.
-type checkpointFile struct {
-	Magic   string          `json:"magic"`
-	Version int             `json:"version"`
-	SHA256  string          `json:"sha256"`
-	Payload json.RawMessage `json:"payload"`
+// checkpointHeader is the file's first line.
+type checkpointHeader struct {
+	Magic   string `json:"magic"`
+	Version int    `json:"version"`
+	SHA256  string `json:"sha256"`
 }
 
 // checkpointPayload is the cluster-run coordinate. NextArrival is the
@@ -130,54 +134,58 @@ func (c *Checkpoint) NextArrival() int { return c.payload.NextArrival }
 func (c *Checkpoint) Machines() int { return len(c.payload.Machines) }
 
 // writeCheckpointPayload serializes and atomically writes one
-// checkpoint. The checksum is computed over the marshaled payload bytes
-// exactly as embedded in the wrapper.
+// checkpoint. The payload is encoded once, straight behind a
+// placeholder header line; the checksum is fixed-width hex, so the real
+// header has the placeholder's length and overwrites it in place.
 func writeCheckpointPayload(path string, p *checkpointPayload) error {
-	raw, err := json.Marshal(p)
-	if err != nil {
+	var buf bytes.Buffer
+	buf.Write(checkpointHeaderLine([sha256.Size]byte{}))
+	n := buf.Len()
+	if err := json.NewEncoder(&buf).Encode(p); err != nil { // Encode appends the trailing newline
 		return fmt.Errorf("cluster: marshal checkpoint: %w", err)
 	}
-	sum := sha256.Sum256(raw)
-	out, err := json.Marshal(&checkpointFile{
-		Magic:   checkpointMagic,
-		Version: CheckpointVersion,
-		SHA256:  hex.EncodeToString(sum[:]),
-		Payload: raw,
-	})
-	if err != nil {
-		return fmt.Errorf("cluster: marshal checkpoint: %w", err)
-	}
-	out = append(out, '\n')
+	out := buf.Bytes()
+	copy(out, checkpointHeaderLine(sha256.Sum256(out[n:len(out)-1])))
 	if err := atomicfile.WriteFile(path, out, 0o644); err != nil {
 		return fmt.Errorf("cluster: write checkpoint: %w", err)
 	}
 	return nil
 }
 
-// ReadCheckpoint loads and verifies a checkpoint file: magic, version,
-// then payload checksum, each failure a typed error.
+// checkpointHeaderLine renders the file's first line, newline included.
+func checkpointHeaderLine(sum [sha256.Size]byte) []byte {
+	return fmt.Appendf(nil, "{\"magic\":%q,\"version\":%d,\"sha256\":\"%x\"}\n", checkpointMagic, CheckpointVersion, sum)
+}
+
+// ReadCheckpoint loads and verifies a checkpoint file: header line,
+// magic, version, then payload checksum, each failure a typed error.
 func ReadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: read checkpoint: %w", err)
 	}
-	var f checkpointFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, &CheckpointFormatError{Path: path, Reason: fmt.Sprintf("not a checkpoint file: %v", err)}
+	line, payload, ok := bytes.Cut(data, []byte{'\n'})
+	if !ok {
+		return nil, &CheckpointFormatError{Path: path, Reason: "not a checkpoint file: no header line"}
 	}
-	if f.Magic != checkpointMagic {
-		return nil, &CheckpointFormatError{Path: path, Reason: fmt.Sprintf("bad magic %q", f.Magic)}
+	var h checkpointHeader
+	if err := json.Unmarshal(line, &h); err != nil {
+		return nil, &CheckpointFormatError{Path: path, Reason: fmt.Sprintf("not a checkpoint file: malformed header line: %v", err)}
 	}
-	if f.Version != CheckpointVersion {
+	if h.Magic != checkpointMagic {
+		return nil, &CheckpointFormatError{Path: path, Reason: fmt.Sprintf("bad magic %q", h.Magic)}
+	}
+	if h.Version != CheckpointVersion {
 		return nil, &CheckpointFormatError{Path: path,
-			Reason: fmt.Sprintf("version %d, this build reads version %d", f.Version, CheckpointVersion)}
+			Reason: fmt.Sprintf("version %d, this build reads version %d", h.Version, CheckpointVersion)}
 	}
-	sum := sha256.Sum256(f.Payload)
-	if got := hex.EncodeToString(sum[:]); got != f.SHA256 {
-		return nil, &CheckpointChecksumError{Path: path, Want: f.SHA256, Got: got}
+	payload = bytes.TrimSuffix(payload, []byte{'\n'})
+	sum := sha256.Sum256(payload)
+	if got := hex.EncodeToString(sum[:]); got != h.SHA256 {
+		return nil, &CheckpointChecksumError{Path: path, Want: h.SHA256, Got: got}
 	}
 	ck := &Checkpoint{}
-	if err := json.Unmarshal(f.Payload, &ck.payload); err != nil {
+	if err := json.Unmarshal(payload, &ck.payload); err != nil {
 		return nil, &CheckpointFormatError{Path: path, Reason: fmt.Sprintf("malformed payload: %v", err)}
 	}
 	if len(ck.payload.Placed) != len(ck.payload.Machines) {

@@ -2,11 +2,15 @@ package cluster_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -214,45 +218,15 @@ func TestCancelLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-// Every way a checkpoint file can be bad maps to a typed error: not a
-// checkpoint, wrong version, corrupted payload.
+// Every way a checkpoint file can be bad maps to a typed error, and
+// each bad file is rejected for the reason it was built to exercise.
 func TestReadCheckpointTypedErrors(t *testing.T) {
 	dir := t.TempDir()
-	write := func(name string, data []byte) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-
-	var ferr *cluster.CheckpointFormatError
-	var cerr *cluster.CheckpointChecksumError
-
-	if _, err := cluster.ReadCheckpoint(write("garbage", []byte("hello\n"))); !errors.As(err, &ferr) {
-		t.Errorf("garbage file: %v, want *CheckpointFormatError", err)
-	}
-	if _, err := cluster.ReadCheckpoint(write("magic",
-		[]byte(`{"magic":"nope","version":1,"sha256":"","payload":{}}`))); !errors.As(err, &ferr) {
-		t.Errorf("bad magic: %v, want *CheckpointFormatError", err)
-	}
-	if _, err := cluster.ReadCheckpoint(write("version",
-		[]byte(`{"magic":"lfoc-checkpoint","version":99,"sha256":"","payload":{}}`))); !errors.As(err, &ferr) {
-		t.Errorf("future version: %v, want *CheckpointFormatError", err)
-	}
-
-	// A real checkpoint with one payload byte altered: the wrapper still
-	// parses, the checksum catches the tampering.
 	plat := machine.Small(8, 4)
 	path := filepath.Join(dir, "real.ckpt")
-	var flag sim.CancelFlag
-	flag.Cancel()
-	cfg := cluster.Config{
-		Sim: clusterSimConfig(plat), Machines: 2,
-		Placement: cluster.NewRoundRobin(), Workers: 1,
-		Cancel:     &flag,
-		Checkpoint: &cluster.CheckpointConfig{Path: path},
-	}
+	cfg := ckptBase(plat, cluster.NewRoundRobin())
+	cfg.StopAfter = 1.5
+	cfg.Checkpoint = &cluster.CheckpointConfig{Path: path}
 	if _, err := cluster.Run(cfg, ckptScn(t), stockFactory(plat)); err != nil {
 		t.Fatal(err)
 	}
@@ -263,12 +237,110 @@ func TestReadCheckpointTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, payload, ok := bytes.Cut(data, []byte("\n"))
+	if !ok {
+		t.Fatal("checkpoint has no header line")
+	}
+	payload = bytes.TrimSuffix(payload, []byte("\n"))
+
+	// file lays a payload out under a header carrying its true checksum.
+	file := func(magic string, version int, payload []byte) []byte {
+		sum := sha256.Sum256(payload)
+		return fmt.Appendf(nil, "{\"magic\":%q,\"version\":%d,\"sha256\":\"%x\"}\n%s\n", magic, version, sum, payload)
+	}
+	sum := sha256.Sum256(payload)
+	v1 := fmt.Appendf(nil, "{\"magic\":\"lfoc-checkpoint\",\"version\":1,\"sha256\":\"%x\",\"payload\":%s}\n", sum, payload)
 	tampered := bytes.Replace(data, []byte(`"scenario"`), []byte(`"scenArio"`), 1)
 	if bytes.Equal(tampered, data) {
 		t.Fatal("tamper target not found in checkpoint payload")
 	}
-	if _, err := cluster.ReadCheckpoint(write("tampered", tampered)); !errors.As(err, &cerr) {
-		t.Errorf("tampered payload: %v, want *CheckpointChecksumError", err)
+	points := regexp.MustCompile(`"points":"[^"]+"`)
+	if !points.Match(payload) {
+		t.Fatal("checkpoint payload holds no packed points")
+	}
+	partial := points.ReplaceAll(payload, []byte(`"points":"AAAA"`)) // 3 bytes: no whole record
+
+	for _, tc := range []struct {
+		name string
+		data []byte
+		// reason is a substring of the *CheckpointFormatError reason; an
+		// empty reason expects a *CheckpointChecksumError.
+		reason string
+	}{
+		{"no header line", []byte(`{"magic":"lfoc-checkpoint","version":2}`), "no header line"},
+		{"garbage header", []byte("hello\n"), "malformed header line"},
+		{"bad magic", file("nope", cluster.CheckpointVersion, payload), `bad magic "nope"`},
+		{"v1 layout", v1, "version 1, this build reads version 2"},
+		{"future version", file("lfoc-checkpoint", 3, payload), "version 3, this build reads version 2"},
+		{"checksum mismatch", tampered, ""},
+		{"truncated payload", data[:len(data)/2], ""},
+		{"partial packed record", file("lfoc-checkpoint", cluster.CheckpointVersion, partial), "not a whole number of 104-byte records"},
+	} {
+		_, err := cluster.ReadCheckpoint(writeFile(t, dir, tc.name, tc.data))
+		var ferr *cluster.CheckpointFormatError
+		var cerr *cluster.CheckpointChecksumError
+		switch {
+		case tc.reason == "" && !errors.As(err, &cerr):
+			t.Errorf("%s: %v, want *CheckpointChecksumError", tc.name, err)
+		case tc.reason != "" && !errors.As(err, &ferr):
+			t.Errorf("%s: %v, want *CheckpointFormatError", tc.name, err)
+		case tc.reason != "" && !strings.Contains(ferr.Reason, tc.reason):
+			t.Errorf("%s: rejected for %q, want %q", tc.name, ferr.Reason, tc.reason)
+		}
+	}
+}
+
+func writeFile(t *testing.T, dir, name string, data []byte) string {
+	t.Helper()
+	p := filepath.Join(dir, name)
+	if err := os.WriteFile(p, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// The metric-window history is most of a long run's checkpoint, so its
+// cost is pinned: a checkpoint grows by at most 140 bytes per recorded
+// window — one packed 104-byte record, base64-encoded — between two
+// stops that differ in little but the windows recorded.
+func TestCheckpointSizePerWindow(t *testing.T) {
+	plat := machine.Small(8, 4)
+	// Long-running residents and two late arrivals: the stops pause at
+	// those arrivals, so between them the only growth besides the
+	// windows is one application and a few completed runs.
+	spec := pool("povray06")[0]
+	scn, err := scenario.NewTrace("size", pool("xalancbmk06", "lbm06", "povray06", "libquantum06"),
+		[]scenario.Arrival{{Time: 1, Spec: spec}, {Time: 2.5, Spec: spec}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	stop := func(at float64) (size int64, windows int) {
+		cfg := ckptBase(plat, cluster.NewRoundRobin())
+		cfg.Sim.MetricsWindow = time.Millisecond
+		cfg.StopAfter = at
+		cfg.Checkpoint = &cluster.CheckpointConfig{Path: filepath.Join(dir, fmt.Sprintf("stop-%g.ckpt", at))}
+		res, err := cluster.Run(cfg, scn, stockFactory(plat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range res.PerMachine {
+			windows += len(m.Open.Series.Points)
+		}
+		fi, err := os.Stat(cfg.Checkpoint.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size(), windows
+	}
+	s1, w1 := stop(1)
+	s2, w2 := stop(2.5)
+	if w2-w1 < 1000 {
+		t.Fatalf("%d windows recorded between the stops, want enough to swamp everything else", w2-w1)
+	}
+	if per := float64(s2-s1) / float64(w2-w1); per > 140 {
+		t.Errorf("checkpoint grew %d bytes over %d windows: %.1f bytes per window, want at most 140",
+			s2-s1, w2-w1, per)
 	}
 }
 

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -87,17 +88,19 @@ func TestLifecycleFreeInterruptShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var file struct {
-		Payload map[string]json.RawMessage `json:"payload"`
+	_, line, ok := bytes.Cut(data, []byte("\n")) // the payload follows the header line
+	if !ok {
+		t.Fatal("checkpoint has no header line")
 	}
-	if err := json.Unmarshal(data, &file); err != nil {
+	var payload map[string]json.RawMessage
+	if err := json.Unmarshal(line, &payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := file.Payload["lifecycle"]; ok {
+	if _, ok := payload["lifecycle"]; ok {
 		t.Error("lifecycle-free checkpoint carries a lifecycle section")
 	}
 	var logged []int
-	if err := json.Unmarshal(file.Payload["assignments"], &logged); err != nil {
+	if err := json.Unmarshal(payload["assignments"], &logged); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(logged, partial.Assignments) {
@@ -225,12 +228,13 @@ func TestPeriodicCheckpointsAfterResume(t *testing.T) {
 // The fleet queue used to rewrite a whole batch of horizons in place
 // and then sift each key once, which can leave the heap invalid; the
 // due-machine walk then missed machines, and the resumed run diverged.
-// Seeds 4 and 12 of this configuration — the CLI's
+// Under that bug, seeds 4, 14, 18 and 21 of seeds 1-24 of this
+// configuration — the CLI's
 //
 //	lfoc-sim -workload S2 -arrivals poisson:16 -duration 30 -machines 16 \
 //	    -placement least -mtbf 5 -autoscale i=1,up=1,down=0.1,min=8,max=24
 //
-// — were the diverging ones among seeds 1-24.
+// — diverge.
 func TestResumeAcrossFailuresAndAutoscale(t *testing.T) {
 	hc := harness.DefaultConfig()
 	w, err := workloads.Get("S2")
@@ -241,7 +245,7 @@ func TestResumeAcrossFailuresAndAutoscale(t *testing.T) {
 		pol, _, err := hc.NewDynamicPolicy("lfoc")
 		return pol, err
 	}
-	for _, seed := range []int64{4, 12} {
+	for _, seed := range []int64{4, 14} {
 		mkScn := func() *scenario.Open {
 			scn, err := w.OpenScenario(16, 30, seed, hc.Scale)
 			if err != nil {

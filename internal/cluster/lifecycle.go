@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"github.com/faircache/lfoc/internal/metrics"
@@ -255,16 +256,15 @@ type engine struct {
 	// aligns every lazy clock before the final drain.
 	lastSync float64
 
-	evq     eventQueue
-	seq     int
-	victims *rand.Rand
+	evq eventQueue
+	seq int
 	// ai is the next trace-arrival index — together with the heap, the
 	// engine's checkpoint coordinate. staticFired counts popped events
-	// that schedule() created (everything but retries); victimDraws is
-	// the victim RNG's Intn call history. See lifecyclesnap.go.
+	// that schedule() created (everything but retries); victimCount
+	// counts MTBF victim draws. See lifecyclesnap.go.
 	ai          int
 	staticFired int
-	victimDraws []int
+	victimCount uint64
 
 	// Cooperative interruption: Config.Cancel and Config.StopAfter pause
 	// the run at the next loop top, and Config.Checkpoint.Every spaces
@@ -364,7 +364,6 @@ func (e *engine) schedule(arrivals []scenario.Arrival) error {
 	}
 	if e.lc.MTBF > 0 {
 		rng := rand.New(rand.NewSource(e.lc.FailureSeed))
-		e.victims = rand.New(rand.NewSource(e.lc.FailureSeed + 1))
 		for t := rng.ExpFloat64() * e.lc.MTBF; t < end; t += rng.ExpFloat64() * e.lc.MTBF {
 			e.push(&timelineEvent{time: t, kind: tlFail, machine: -1})
 		}
@@ -511,7 +510,8 @@ func (e *engine) handle(ev *timelineEvent) error {
 			if len(ups) == 0 {
 				return nil // nothing left to fail
 			}
-			idx = ups[e.drawVictim(len(ups))]
+			idx = ups[victimDraw(e.lc.FailureSeed, e.victimCount, len(ups))]
+			e.victimCount++
 		}
 		return e.failMachine(ev.time, idx)
 	case tlRetry:
@@ -564,11 +564,16 @@ func (e *engine) candidates() []MachineState {
 	return e.candScratch
 }
 
-// drawVictim draws from the victim RNG, recording the call's argument —
-// the stream coordinate a checkpoint replays (see lifecyclesnap.go).
-func (e *engine) drawVictim(n int) int {
-	e.victimDraws = append(e.victimDraws, n)
-	return e.victims.Intn(n)
+// victimDraw is the index-th MTBF victim draw over n up machines: the
+// index-th output of a splitmix64 stream seeded with seed, reduced to
+// [0, n) by a multiply-shift. A counter-based draw is a pure function of
+// its index, so a checkpoint resumes the stream from the draw count.
+func victimDraw(seed int64, index uint64, n int) int {
+	z := uint64(seed) + (index+1)*0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	hi, _ := bits.Mul64(z^z>>31, uint64(n))
+	return int(hi)
 }
 
 func (e *engine) upIndices() []int {

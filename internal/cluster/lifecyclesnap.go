@@ -3,7 +3,6 @@ package cluster
 import (
 	"container/heap"
 	"fmt"
-	"math/rand"
 
 	"github.com/faircache/lfoc/internal/appmodel"
 	"github.com/faircache/lfoc/internal/metrics"
@@ -18,11 +17,9 @@ import (
 // static events already fired — heap pops are monotone in (time, seq)
 // and the fired statics are exactly the first StaticFired of the
 // static-only order — plus the dynamically scheduled retries verbatim
-// with their original sequence numbers. The victim RNG cannot be
-// serialized, but its position is determined by the Intn call history:
-// the snapshot records each call's argument and restore replays the
-// calls against a fresh same-seed stream, consuming exactly the same
-// underlying draws.
+// with their original sequence numbers. MTBF victims are counter-based
+// draws (see victimDraw), so the victim stream's coordinate is the
+// number of draws made.
 
 // parkedSnapshot is one arrival waiting out a zero-up-machines spell.
 type parkedSnapshot struct {
@@ -46,12 +43,12 @@ type retrySnapshot struct {
 // trackerSnapshot serializes the lifeTracker verbatim (window integrals
 // included — a checkpoint can land mid-window).
 type trackerSnapshot struct {
-	Width    float64                 `json:"width"`
-	Series   metrics.LifecycleSeries `json:"series"`
-	WinStart float64                 `json:"win_start"`
-	LastT    float64                 `json:"last_t"`
-	Up       int                     `json:"up"`
-	Fleet    int                     `json:"fleet"`
+	Width    float64                       `json:"width"`
+	Series   metrics.PackedLifecycleSeries `json:"series"`
+	WinStart float64                       `json:"win_start"`
+	LastT    float64                       `json:"last_t"`
+	Up       int                           `json:"up"`
+	Fleet    int                           `json:"fleet"`
 
 	UpSec       float64 `json:"up_sec"`
 	FleetSec    float64 `json:"fleet_sec"`
@@ -85,7 +82,7 @@ type engineSnapshot struct {
 	LastSync    float64         `json:"last_sync"`
 	Seq         int             `json:"seq"`
 	StaticFired int             `json:"static_fired"`
-	VictimDraws []int           `json:"victim_draws,omitempty"`
+	VictimCount uint64          `json:"victim_count,omitempty"`
 	Retries     []retrySnapshot `json:"retries,omitempty"`
 
 	Sum LifecycleSummary `json:"summary"`
@@ -103,7 +100,7 @@ func (e *engine) snapshot() *engineSnapshot {
 		LastSync:    e.lastSync,
 		Seq:         e.seq,
 		StaticFired: e.staticFired,
-		VictimDraws: append([]int(nil), e.victimDraws...),
+		VictimCount: e.victimCount,
 		Sum:         e.sum,
 	}
 	for _, pa := range e.parked {
@@ -121,7 +118,7 @@ func (e *engine) snapshot() *engineSnapshot {
 	}
 	t := e.trk
 	snap.Trk = trackerSnapshot{
-		Width: t.width, Series: t.series, WinStart: t.winStart, LastT: t.lastT,
+		Width: t.width, Series: t.series.Pack(), WinStart: t.winStart, LastT: t.lastT,
 		Up: t.up, Fleet: t.fleet,
 		UpSec: t.upSec, FleetSec: t.fleetSec,
 		TotUpSec: t.totUpSec, TotFleetSec: t.totFleetSec,
@@ -211,24 +208,11 @@ func (e *engine) restore(snap *engineSnapshot) error {
 	}
 	e.seq = snap.Seq
 
-	// Reposition the victim stream by replaying the recorded Intn calls
-	// against a fresh same-seed generator: Intn's rejection sampling
-	// consumes a argument-dependent number of underlying draws, so the
-	// call history — not the results — is the stream coordinate.
-	if len(snap.VictimDraws) > 0 && e.victims == nil {
+	if snap.VictimCount > 0 && e.lc.MTBF <= 0 {
 		return fmt.Errorf("cluster: lifecycle snapshot recorded %d victim draws but the configuration has no MTBF process",
-			len(snap.VictimDraws))
+			snap.VictimCount)
 	}
-	if e.victims != nil {
-		e.victims = rand.New(rand.NewSource(e.lc.FailureSeed + 1))
-		for i, draw := range snap.VictimDraws {
-			if draw <= 0 {
-				return fmt.Errorf("cluster: lifecycle snapshot victim draw %d over %d machines", i, draw)
-			}
-			e.victims.Intn(draw)
-		}
-	}
-	e.victimDraws = append([]int(nil), snap.VictimDraws...)
+	e.victimCount = snap.VictimCount
 
 	e.lastSync = snap.LastSync
 	e.lastCkpt = snap.LastSync
@@ -239,7 +223,7 @@ func (e *engine) restore(snap *engineSnapshot) error {
 		return fmt.Errorf("cluster: lifecycle snapshot tracked %gs windows, config says %gs — resume must use the original config",
 			snap.Trk.Width, t.width)
 	}
-	t.series = snap.Trk.Series
+	t.series = snap.Trk.Series.Unpack()
 	t.winStart = snap.Trk.WinStart
 	t.lastT = snap.Trk.LastT
 	t.up, t.fleet = snap.Trk.Up, snap.Trk.Fleet

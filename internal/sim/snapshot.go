@@ -109,11 +109,13 @@ type MachineSnapshot struct {
 	// Pending holds the injected arrivals not yet delivered.
 	Pending []ArrivalSnapshot `json:"pending,omitempty"`
 
-	Series   metrics.WindowedSeries `json:"series"`
-	WinStart float64                `json:"win_start"`
-	WinArr   int                    `json:"win_arr"`
-	WinDep   int                    `json:"win_dep"`
-	WinRuns  int                    `json:"win_runs"`
+	// Series is the metric-window history, packed: it is most of a
+	// long run's snapshot.
+	Series   metrics.PackedWindowedSeries `json:"series"`
+	WinStart float64                      `json:"win_start"`
+	WinArr   int                          `json:"win_arr"`
+	WinDep   int                          `json:"win_dep"`
+	WinRuns  int                          `json:"win_runs"`
 
 	// Policy is the partitioning policy's PolicySnapshot payload
 	// (JSON, kept raw so checkpoint files stay human-readable).
@@ -151,9 +153,8 @@ func unsnapArrivals(snaps []ArrivalSnapshot) ([]scenario.Arrival, error) {
 // Snapshot captures the machine's full advancement coordinate. The
 // machine must be error-free (a canceled advance is not an error — the
 // cancel sentinel never sticks) and its policy must implement
-// PolicySnapshotter. The snapshot aliases no mutable kernel state that
-// a later advance would overwrite in place except the metrics series
-// backing array — marshal it before advancing further.
+// PolicySnapshotter. The snapshot shares no mutable state with the
+// machine, which can keep advancing while the snapshot is marshaled.
 func (m *OpenMachine) Snapshot() (*MachineSnapshot, error) {
 	if m.err != nil {
 		return nil, fmt.Errorf("sim: snapshot of failed machine %q: %w", m.feed.name, m.err)
@@ -181,7 +182,7 @@ func (m *OpenMachine) Snapshot() (*MachineSnapshot, error) {
 		RunCounts:    append([]int(nil), k.runCounts...),
 		WaitQ:        snapArrivals(k.waitQ),
 		Pending:      snapArrivals(k.arrivals[k.arrIdx:]),
-		Series:       k.series,
+		Series:       k.series.Pack(),
 		WinStart:     k.winStart,
 		WinArr:       k.winArr,
 		WinDep:       k.winDep,
@@ -323,7 +324,7 @@ func RestoreMachine(cfg Config, pol Dynamic, snap *MachineSnapshot) (*OpenMachin
 	k.nextPolicy = snap.NextPolicy
 	k.repartitions = snap.Repartitions
 	width := k.series.Width
-	k.series = snap.Series
+	k.series = snap.Series.Unpack()
 	if k.series.Width == 0 {
 		k.series.Width = width
 	}

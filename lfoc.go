@@ -433,9 +433,9 @@ type ClusterCheckpointConfig = cluster.CheckpointConfig
 type ClusterCheckpoint = cluster.Checkpoint
 
 // ReadClusterCheckpoint loads and verifies a checkpoint file. Failures
-// are typed: *ClusterCheckpointFormatError for a non-checkpoint file or
-// an unsupported version, *ClusterCheckpointChecksumError for a payload
-// that fails its checksum.
+// are typed: *ClusterCheckpointFormatError for a non-checkpoint file, an
+// unsupported version or a malformed payload,
+// *ClusterCheckpointChecksumError for a payload that fails its checksum.
 func ReadClusterCheckpoint(path string) (*ClusterCheckpoint, error) {
 	return cluster.ReadCheckpoint(path)
 }
