@@ -12,7 +12,8 @@ import (
 // run, phase position, accumulated alone-clock) plus the original
 // arrival/admission times, so an application injected elsewhere resumes
 // exactly where it stopped and its end-of-life slowdown and wait span
-// both machines.
+// both machines. The run quota is not carried: the destination derives
+// it from its own Config.TargetInsns (RunQuota), as on admission.
 //
 // Monitoring state deliberately does NOT migrate: hardware counters and
 // the partitioning policy's learned class live on the source machine's
@@ -114,6 +115,7 @@ func (k *kernel) injectResident(r Resident) error {
 		monID:      k.nextMonID,
 		spec:       r.Spec,
 		inst:       inst,
+		quota:      RunQuota(k.cfg.TargetInsns, r.Spec),
 		active:     true,
 		tag:        r.Attempts,
 		arrivedAt:  r.ArrivedAt,

@@ -22,11 +22,21 @@ func newTestMachine(t *testing.T, cfg sim.Config, name string, initial []string)
 // Extract → inject round-trip: applications lifted off a drained
 // machine resume on the destination with their progress coordinate
 // intact, the source reports them as evicted (neither departed nor
-// remaining), and end-of-life stats span both machines.
+// remaining), and end-of-life stats span both machines. The destination
+// is an identical machine advanced to the same instant, so each migrated
+// app must finish exactly as it would have without the migration.
 func TestMigrateRoundTrip(t *testing.T) {
 	cfg := openConfig()
 	cfg.Plat = machine.Small(8, 4)
 	cfg.TargetInsns = 5_000_000_000 // keep both apps resident past the extraction instant
+	ref := newTestMachine(t, cfg, "ref", []string{"lbm06", "povray06"})
+	if err := ref.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	unmigrated := map[string]sim.AppOutcome{}
+	for _, a := range ref.Result().Apps {
+		unmigrated[a.Name] = a
+	}
 	src := newTestMachine(t, cfg, "src", []string{"lbm06", "povray06"})
 	if err := src.AdvanceTo(0.2); err != nil {
 		t.Fatal(err)
@@ -82,6 +92,13 @@ func TestMigrateRoundTrip(t *testing.T) {
 		}
 		if a.ArrivedAt != 0 {
 			t.Errorf("%s arrival time = %v, want the original 0", a.Name, a.ArrivedAt)
+		}
+		// The run quota comes from the destination's TargetInsns, as on
+		// admission: the app retires the rest of it, not zero.
+		want := unmigrated[a.Name]
+		if a.DepartedAt != want.DepartedAt || a.AloneSeconds != want.AloneSeconds {
+			t.Errorf("%s departed at %v with alone_seconds %v, want %v and %v as without the migration",
+				a.Name, a.DepartedAt, a.AloneSeconds, want.DepartedAt, want.AloneSeconds)
 		}
 	}
 }
