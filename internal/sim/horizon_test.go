@@ -199,6 +199,106 @@ func TestEventHorizonPausePoints(t *testing.T) {
 	}
 }
 
+// TestEventHorizonDifferentialMigration pins the batched path against
+// the per-tick path across a live migration: machines advanced to the
+// migration instant, the source's residents extracted and the source
+// halted, the residents injected into a busy destination, which then
+// drains. Both results must be field-identical, under a passive policy
+// (stock, windows deferred to sync points) and under LFOC (windows bound
+// every batch).
+func TestEventHorizonDifferentialMigration(t *testing.T) {
+	for _, polName := range []string{"stock", "lfoc"} {
+		t.Run(polName, func(t *testing.T) {
+			run := func(legacy bool) [2]*OpenResult {
+				cfg := Config{
+					Plat:           machine.Small(8, 4),
+					TargetInsns:    1_500_000_000, // both apps outlive the migration
+					PolicyPeriod:   10 * time.Millisecond,
+					noEventHorizon: legacy,
+				}
+				src, err := NewOpenMachine(cfg, horizonPolicy(t, polName, cfg.Plat), "src",
+					specsOf("lbm06", "povray06"), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dst, err := NewOpenMachine(cfg, horizonPolicy(t, polName, cfg.Plat), "dst",
+					specsOf("xalancbmk06"), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range []*OpenMachine{src, dst} {
+					if err := m.AdvanceTo(0.2); err != nil {
+						t.Fatal(err)
+					}
+				}
+				residents := src.ExtractResidents(nil)
+				if len(residents) != 2 {
+					t.Fatalf("extracted %d residents, want 2", len(residents))
+				}
+				src.Halt()
+				for _, r := range residents {
+					if err := dst.InjectResident(r); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := dst.Drain(); err != nil {
+					t.Fatal(err)
+				}
+				return [2]*OpenResult{src.Result(), dst.Result()}
+			}
+			fast, legacy := run(false), run(true)
+			if !reflect.DeepEqual(fast, legacy) {
+				t.Errorf("batched and legacy migrations diverge:\nfast   %+v\nlegacy %+v", fast, legacy)
+			}
+		})
+	}
+}
+
+// TestLazyAppAdvanceSavings pins what lazy per-app advancement saves: on
+// a closed 8-app LFOC run, whose counter windows end a batch every few
+// ticks, an eager batch loop would advance every active app at every
+// batch end; the kernel brings an app up to date only at its own due
+// tick or when something reads it, at most a quarter as often — and the
+// run still equals the per-tick path.
+func TestLazyAppAdvanceSavings(t *testing.T) {
+	specs := specsOf("xalancbmk06", "lbm06", "povray06", "soplex06",
+		"omnetpp06", "xalancbmk06", "lbm06", "povray06")
+	cfg := testConfig()
+	cfg.TargetInsns = 500_000_000
+	cfg.PolicyPeriod = 10 * time.Millisecond
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	k, err := newKernel(cfg, scenario.NewClosed(specs, cfg.RunsTarget), horizonPolicy(t, "lfoc", cfg.Plat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.run(); err != nil {
+		t.Fatal(err)
+	}
+	lazy, err := buildResult(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacyCfg := cfg
+	legacyCfg.noEventHorizon = true
+	legacy, err := RunClosed(legacyCfg, scenario.NewClosed(specs, cfg.RunsTarget), horizonPolicy(t, "lfoc", cfg.Plat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(lazy, legacy) {
+		t.Fatalf("lazy closed run diverges from the per-tick path:\nlazy   %+v\nlegacy %+v", lazy, legacy)
+	}
+	if k.chainSyncs == 0 || k.batchActives == 0 {
+		t.Fatalf("no advancement recorded: %d syncs over %d batch-resident apps", k.chainSyncs, k.batchActives)
+	}
+	ratio := float64(k.chainSyncs) / float64(k.batchActives)
+	t.Logf("%d per-app advances for %d batch-resident apps (%.3f)", k.chainSyncs, k.batchActives, ratio)
+	if ratio > 0.25 {
+		t.Errorf("per-app advances are %.3f of batches × active apps, want at most 0.25", ratio)
+	}
+}
+
 // equilStats runs an open churn scenario through a kernel with the
 // given equilibrium-cache capacity and returns the result plus the
 // cache hit rate.

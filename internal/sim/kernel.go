@@ -59,13 +59,12 @@ type kernelApp struct {
 	alonePhase *appmodel.PhaseSpec
 	aloneIPS   float64
 
-	// Batch-invariant state of the event-horizon fast path, derived
+	// Rate-invariant state of the event-horizon fast path, derived
 	// from perf (and the kernel's fixed freq/dt) by refreshSteps when
 	// stepsDirty: the per-tick rate products in the legacy expression
 	// shape, their integer carry grids, and the reciprocal rate the
-	// horizon bound divides by. Refreshed whenever perf is written —
-	// cheaper than recomputing per batch, since equilibria change on
-	// policy events but batches end on every counter window.
+	// horizon bound divides by. Refreshed only when setRate installs a
+	// different perf or share.
 	stepsDirty bool
 	insnStep   float64
 	cycleStep  float64
@@ -83,6 +82,15 @@ type kernelApp struct {
 	incBase    uint64
 	incIPS     float64
 	inc0, inc1 float64
+
+	// Lazy advancement (see sync): synced is the kernel tick the
+	// chains, counter and instance have reached; due, valid while
+	// dueOK, is the earliest kernel tick at which one of the app's
+	// instruction-driven events can fire, bounded from its state at
+	// synced (rebound).
+	synced uint64
+	due    uint64
+	dueOK  bool
 }
 
 // equilState is one memoized contention-model fixed point, positional
@@ -149,9 +157,18 @@ type kernel struct {
 	equilHits uint64
 	equilMiss uint64
 	keyBuf    []byte
+	// Lazy-advancement statistics (testing): syncs that moved an app at
+	// least one tick, and the active apps summed over batches — what an
+	// eager batch loop advancing every app would have done.
+	chainSyncs   uint64
+	batchActives uint64
 
 	masks     map[int]cat.WayMask
 	perfDirty bool
+	// maskRefresh forces a mask refresh at the next loop top: a passive
+	// policy's OnWindow returned true during a sync (a contract
+	// violation, honored best-effort).
+	maskRefresh bool
 
 	aloneIPSCache map[*appmodel.PhaseSpec]float64
 
@@ -167,10 +184,13 @@ type kernel struct {
 	// knob Config.noEventHorizon is off; doneAt is the scenario's only
 	// time-based Done trigger (0 = Done is time-invariant); passiveWin
 	// is set when the policy declares PassiveWindows, letting window
-	// deliveries happen inside a batch instead of bounding it.
+	// deliveries happen inside a batch instead of bounding it; tick
+	// counts the fast path's ticks, the clock of every app's synced and
+	// due.
 	fastPath   bool
 	doneAt     float64
 	passiveWin bool
+	tick       uint64
 
 	// Windowed-metrics collection (enabled by Config.MetricsWindow).
 	collect   bool
@@ -269,6 +289,8 @@ func (k *kernel) admit(spec *appmodel.Spec, arrivedAt float64, tag int) error {
 		inst:       appmodel.NewInstance(spec),
 		quota:      RunQuota(k.cfg.TargetInsns, spec),
 		active:     true,
+		stepsDirty: true,
+		synced:     k.tick,
 		tag:        tag,
 		arrivedAt:  arrivedAt,
 		admittedAt: k.simTime,
@@ -345,12 +367,20 @@ func (k *kernel) refreshIdentity(a *kernelApp) error {
 	return nil
 }
 
+// refreshMasks re-reads the policy's CAT assignment. A passive policy
+// may still hold deferred windows of lagging apps, and Assignment may
+// read every app's history (Dunn re-clusters after AddApp/RemoveApp),
+// so every app is brought up to date first.
 func (k *kernel) refreshMasks() error {
+	if k.passiveWin {
+		k.syncAll()
+	}
 	m, err := k.pol.Assignment()
 	if err != nil {
 		return err
 	}
 	k.masks = m
+	k.maskRefresh = false
 	k.perfDirty = true
 	return nil
 }
@@ -406,9 +436,7 @@ func (k *kernel) refreshPerf() {
 				if !a.active {
 					continue
 				}
-				a.perf = st.perfs[idx]
-				a.share = st.shares[idx]
-				a.stepsDirty = true
+				k.setRate(a, st.perfs[idx], st.shares[idx])
 				idx++
 			}
 			return
@@ -421,9 +449,7 @@ func (k *kernel) refreshPerf() {
 		if !a.active {
 			continue
 		}
-		a.perf = k.shRes[idx].Perf
-		a.share = k.shRes[idx].ShareBytes
-		a.stepsDirty = true
+		k.setRate(a, k.shRes[idx].Perf, k.shRes[idx].ShareBytes)
 		idx++
 	}
 	if !k.cfg.noEquilCache {
@@ -442,6 +468,23 @@ func (k *kernel) refreshPerf() {
 		}
 		k.storeEquil(string(k.keyBuf), st)
 	}
+}
+
+// setRate installs one app's equilibrium rate. A different perf or
+// share first brings the app up to date under its old steps — its
+// lagging ticks ran at the old rate — and then marks the steps for
+// rederivation; an unchanged rate keeps the app's steps, due tick and
+// lag. (Float == differs from bitwise equality only on NaN, which is
+// simply reinstalled, and on ±0, whose steps advance identically.)
+//
+//lfoc:hotpath
+func (k *kernel) setRate(a *kernelApp, perf appmodel.Perf, share uint64) {
+	if perf == a.perf && share == a.share {
+		return
+	}
+	k.sync(a)
+	a.perf, a.share = perf, share
+	a.stepsDirty = true
 }
 
 // storeEquil inserts one fixed point into the hot generation, rotating
@@ -470,8 +513,10 @@ func (k *kernel) alonePhaseIPS(ph *appmodel.PhaseSpec) float64 {
 }
 
 // closeWindow finalizes the current metrics window at the given end
-// time and opens the next one.
+// time and opens the next one. It reads every app's alone-clock, so
+// every app is brought up to date first.
 func (k *kernel) closeWindow(end float64) {
+	k.syncAll()
 	p := metrics.WindowPoint{
 		Start:         k.winStart,
 		End:           end,
@@ -538,7 +583,12 @@ func (k *kernel) run() error {
 // path preserves the per-tick float carry op order exactly and every
 // event lands on an iteration boundary, where the shared delivery code
 // runs in the legacy order.
+//
+// Inside the loop an app may lag behind the clock (see sync); every app
+// is brought up to date on the way out, so no code outside runUntil
+// ever observes a lagging app.
 func (k *kernel) runUntil(until float64) error {
+	defer k.syncAll()
 	maxTime := k.cfg.MaxSimTime.Seconds()
 	for k.simTime < until && !k.scn.Done(k.progress()) {
 		// Cooperative cancellation: loop-top boundaries are exactly the
@@ -565,7 +615,7 @@ func (k *kernel) runUntil(until float64) error {
 			}
 			admitted = true
 		}
-		if admitted {
+		if admitted || k.maskRefresh {
 			if err := k.refreshMasks(); err != nil {
 				return err
 			}
@@ -592,6 +642,9 @@ func (k *kernel) runUntil(until float64) error {
 			}
 		}
 		if k.simTime >= k.nextPolicy {
+			if k.passiveWin {
+				k.syncAll() // deliver deferred windows first (PassiveWindows)
+			}
 			k.pol.Reconfigure()
 			k.repartitions++
 			k.nextPolicy += k.cfg.PolicyPeriod.Seconds()
@@ -665,7 +718,8 @@ func (k *kernel) advanceTick() (bool, error) {
 			StallsL2Miss:   stall,
 			OccupancyBytes: a.share,
 		})
-		changed, err := k.appEvents(a, insns)
+		a.runInsns += insns
+		changed, err := k.appEvents(a)
 		if err != nil {
 			return false, err
 		}
@@ -675,11 +729,13 @@ func (k *kernel) advanceTick() (bool, error) {
 }
 
 // appEvents runs one application's post-integration event checks —
-// counter-window delivery and run completion — shared verbatim by the
-// per-tick and batched paths (the horizon guarantees they can only
-// trigger on a batch's last tick, where the batched path calls this at
-// the same point of the operation order as the legacy tick).
-func (k *kernel) appEvents(a *kernelApp, insns uint64) (bool, error) {
+// counter-window delivery and run completion — on an app whose chains,
+// counter and runInsns are up to date. It is shared verbatim by the
+// per-tick path (every app, every tick) and the batched path, which
+// calls it only for the apps whose due tick has arrived (the horizon
+// guarantees no other app can have an event there), in slot order at
+// the same point of the operation order as the legacy tick.
+func (k *kernel) appEvents(a *kernelApp) (bool, error) {
 	anyChange := false
 	// Window delivery.
 	for a.counter.Total().Instructions >= a.nextWin {
@@ -690,7 +746,6 @@ func (k *kernel) appEvents(a *kernelApp, insns uint64) (bool, error) {
 		a.nextWin = a.counter.Total().Instructions + k.pol.WindowInsns(a.monID)
 	}
 	// Run completion: the scenario decides the app's fate.
-	a.runInsns += insns
 	for a.active && a.runInsns >= a.quota {
 		a.runs = append(a.runs, k.simTime-a.runStart)
 		k.runCounts[a.slot]++
@@ -823,12 +878,14 @@ func carryBatch(frac *float64, step float64, g *carryParams, ticks int) uint64 {
 	return sum
 }
 
-// refreshSteps rederives an application's batch-invariant advancement
-// state after a perf change: the per-tick rate products (in the legacy
+// refreshSteps rederives an application's rate-invariant advancement
+// state after a rate change: the per-tick rate products (in the legacy
 // expression shape — see advanceTick — so re-adding the precomputed
 // value every tick is bit-identical to the legacy recomputation), their
-// integer carry grids, and the reciprocal rate horizonTicks multiplies
-// by (its 1-ulp rounding is absorbed by horizonSlack).
+// integer carry grids, and the reciprocal rate rebound multiplies by
+// (its 1-ulp rounding is absorbed by horizonSlack). The app must be up
+// to date (setRate syncs it before marking the steps dirty); its due
+// tick is invalidated.
 //
 //lfoc:hotpath
 func (k *kernel) refreshSteps(a *kernelApp) {
@@ -843,27 +900,63 @@ func (k *kernel) refreshSteps(a *kernelApp) {
 	a.stallGrid = carryGrid(a.stallStep)
 	a.horizonInv = 1 / (a.insnStep * (1 + horizonSlack))
 	a.stepsDirty = false
+	a.dueOK = false
+}
+
+// rebound stores an app's due tick: the earliest tick at which it can
+// reach its next counter-window delivery, run completion or phase
+// boundary, bounded from its state at a.synced. The bound is
+// conservative (an event may land on the due tick, never before it):
+// after j ticks an app has retired at most j·step·(1+horizonSlack)+1
+// instructions — the carry is < 1 and the slack absorbs both the
+// per-tick float rounding and the 1-ulp error of the precomputed
+// reciprocal — so ticks 1..safe cannot reach the nearest event, and it
+// fires on tick safe+1 at the earliest. The bound never reaches past
+// maxBatchTicks, which caps the float error the slack must absorb; an
+// app without instruction progress has no instruction events at all.
+//
+//lfoc:hotpath
+func (k *kernel) rebound(a *kernelApp) {
+	a.dueOK = true
+	if !(a.insnStep > 0) {
+		a.due = math.MaxUint64
+		return
+	}
+	// A passive policy takes its window deliveries inside sync's segment
+	// loop, so they do not bound the app.
+	remain := float64(a.quota - a.runInsns)
+	if !k.passiveWin {
+		if r := float64(a.nextWin - a.counter.Total().Instructions); r < remain {
+			remain = r
+		}
+	}
+	if pe := a.inst.InstructionsToPhaseEnd(); pe > 0 {
+		if r := float64(pe); r < remain {
+			remain = r
+		}
+	}
+	n := uint64(maxBatchTicks)
+	if ticksF := (remain - 1) * a.horizonInv; ticksF < float64(maxBatchTicks-1) {
+		safe := int(ticksF)
+		if safe < 0 {
+			safe = 0
+		}
+		n = uint64(safe) + 1
+	}
+	a.due = a.synced + n
 }
 
 // horizonTicks bounds the next batch by the instruction-driven events:
-// per active app, the whole ticks guaranteed to pass before it can reach
-// its next counter-window delivery, run completion or phase boundary.
-// The bound is conservative (events may land on the batch's last tick,
-// never strictly inside it): after j ticks an app has retired at most
-// j·step·(1+horizonSlack)+1 instructions — the carry is < 1 and the
-// slack absorbs both the per-tick float rounding and the 1-ulp error of
-// the precomputed reciprocal — so ticks 1..safe cannot reach the
-// nearest event, and the event fires on tick safe+1 at the earliest,
-// where the post-batch appEvents delivery handles it exactly like the
-// legacy per-tick checks.
-//
-// It is also where stale per-app advancement state is rederived: it
-// runs once per batch, after the loop top has refreshed the equilibrium
-// and before any chain advances.
+// the ticks until the earliest due tick of any active app (at most
+// maxBatchTicks), so an event may land on the batch's last tick but
+// never strictly inside it. It is also where stale per-app state is
+// rederived — steps after a rate change, due ticks after a sync — since
+// it runs once per batch, after the loop top has refreshed the
+// equilibrium and before the clock advances.
 //
 //lfoc:hotpath
 func (k *kernel) horizonTicks() int {
-	n := maxBatchTicks
+	due := k.tick + maxBatchTicks
 	for _, a := range k.actives {
 		if !a.active {
 			continue
@@ -871,31 +964,14 @@ func (k *kernel) horizonTicks() int {
 		if a.stepsDirty {
 			k.refreshSteps(a)
 		}
-		if !(a.insnStep > 0) {
-			continue // no instruction progress: no instruction events
+		if !a.dueOK {
+			k.rebound(a)
 		}
-		// A passive policy takes its window deliveries inside the batch
-		// (advanceHorizon's segment loop), so they do not bound it.
-		remain := float64(a.quota - a.runInsns)
-		if !k.passiveWin {
-			if r := float64(a.nextWin - a.counter.Total().Instructions); r < remain {
-				remain = r
-			}
-		}
-		if pe := a.inst.InstructionsToPhaseEnd(); pe > 0 {
-			if r := float64(pe); r < remain {
-				remain = r
-			}
-		}
-		if ticksF := (remain - 1) * a.horizonInv; ticksF < float64(n-1) {
-			safe := int(ticksF)
-			if safe < 0 {
-				safe = 0
-			}
-			n = safe + 1
+		if a.due < due {
+			due = a.due
 		}
 	}
-	return n
+	return int(due - k.tick)
 }
 
 // nextEventTime returns a conservative lower bound H on the next
@@ -926,9 +1002,11 @@ func (k *kernel) horizonTicks() int {
 // Metrics-window closes deliberately do not bound H: they are pure
 // recording, replayed bit-identically inside the catch-up runUntil.
 // A done machine (horizon reached, or drained and empty) returns +Inf:
-// its state is frozen. Calling refreshPerf/refreshSteps here is safe
-// between runUntil calls — both are idempotent rederivations the next
-// loop top would perform with identical inputs.
+// its state is frozen. It runs between runUntil calls, where every app
+// is up to date, so each due tick is bounded from the current state
+// exactly as a fresh computation would. Calling refreshPerf and
+// horizonTicks here is safe — both are idempotent rederivations the
+// next loop top would perform with identical inputs.
 //
 //lfoc:hotpath
 func (k *kernel) nextEventTime() float64 {
@@ -959,21 +1037,20 @@ func (k *kernel) nextEventTime() float64 {
 	return h
 }
 
-// advanceHorizon is the event-horizon fast path: it advances all whole
-// ticks until the earliest next event — due arrival, policy activation,
-// metrics-window close, the until pause point, MaxSimTime, the
-// scenario's time horizon, or any app's instruction-driven event
-// (horizonTicks) — in a tight per-app inner loop with no event checks,
-// then runs the event deliveries once at the boundary.
+// advanceHorizon is the event-horizon fast path: it advances the clock
+// over all whole ticks until the earliest next event — due arrival,
+// policy activation, metrics-window close, the until pause point,
+// MaxSimTime, the scenario's time horizon, or any app's due tick
+// (horizonTicks) — then brings only the apps whose due tick has arrived
+// up to date (sync) and runs their event deliveries, in slot order. The
+// other apps keep lagging: none of them can have an event on these
+// ticks, so nothing they would do here is observable before their next
+// sync point.
 //
-// Bit-exactness: the inner loop keeps the per-tick float carry ops in
-// the legacy op order and expression shape (per-app accumulators are
-// independent, so app-major iteration equals the legacy tick-major
-// order), the clock accumulates tick by tick (a closed-form n·dt would
-// round differently), and the integer counter deltas are summed locally
-// and issued as one batched pmc add per app per horizon — exact because
-// integer sums are associative and occupancy adopts the latest reading
-// (pinned in internal/pmc).
+// Bit-exactness: the clock accumulates tick by tick (a closed-form n·dt
+// would round differently), and sync reproduces the per-tick chains
+// over any span (see sync), so where an app's advancement is cut into
+// spans is invisible.
 //
 //lfoc:hotpath
 func (k *kernel) advanceHorizon(until, maxTime float64) (bool, error) {
@@ -1004,71 +1081,113 @@ func (k *kernel) advanceHorizon(until, maxTime float64) (bool, error) {
 			break
 		}
 	}
+	k.tick += uint64(ticks)
+	k.batchActives += uint64(k.nActive)
 
+	// Apps admitted by a departure below join k.actives behind this
+	// range, already up to date.
 	anyChange := false
 	for _, a := range k.actives {
-		if !a.active {
+		if !a.active || a.due > k.tick {
 			continue
 		}
-		ph := a.inst.Phase() // constant for the whole batch (Advance is deferred)
-
-		// The four carry chains touch disjoint state, so they commute
-		// across the batch: process them chain-major instead of
-		// tick-major (bit-identical to the legacy interleaving), in
-		// segments that end at the app's own counter-window deliveries.
-		// Under a non-passive policy the horizon already ends the batch
-		// at the first possible window, so there is exactly one segment;
-		// under a passive one (passiveWin) windows land mid-batch and
-		// are delivered here, per app instead of in global tick order —
-		// indistinguishable by the PassiveWindows contract.
-		var insnsSum uint64
-		remaining := ticks
-		for {
-			seg, segInsns := k.advanceInsnsChain(a, ph, remaining)
-			insnsSum += segInsns
-			// Cycle, miss and stall chains have no per-tick side
-			// effects: tick 1 in the legacy float shape, remainder in
-			// closed form (or legacy float ticks for degenerate steps).
-			missSum := carryBatch(&a.fracMiss, a.missStep, &a.missGrid, seg)
-			a.counter.Add(pmc.Sample{
-				Instructions:   segInsns,
-				Cycles:         carryBatch(&a.fracCycles, a.cycleStep, &a.cycleGrid, seg),
-				LLCMisses:      missSum,
-				LLCAccesses:    missSum * 2,
-				StallsL2Miss:   carryBatch(&a.fracStall, a.stallStep, &a.stallGrid, seg),
-				OccupancyBytes: a.share,
-			})
-			remaining -= seg
-			if remaining == 0 {
-				break
-			}
-			// Mid-batch window delivery, the legacy delivery loop
-			// verbatim. OnWindow must return false here (the policy
-			// declared its windows passive); anyChange is still
-			// honored as a best-effort defense, but a policy that
-			// violates the contract forfeits bit-identity with the
-			// per-tick path.
-			for a.counter.Total().Instructions >= a.nextWin {
-				w := a.counter.ReadWindow()
-				if k.pol.OnWindow(a.monID, w) {
-					anyChange = true
-				}
-				a.nextWin = a.counter.Total().Instructions + k.pol.WindowInsns(a.monID)
-			}
-		}
-
-		if insnsSum > 0 {
-			if a.inst.Advance(insnsSum) {
-				k.perfDirty = true
-			}
-		}
-		changed, err := k.appEvents(a, insnsSum)
+		k.sync(a)
+		changed, err := k.appEvents(a)
 		if err != nil {
 			return false, err
 		}
 		anyChange = anyChange || changed
 	}
 	return anyChange, nil
+}
+
+// sync brings one app up to date: it advances the app's chains,
+// counter and instance from a.synced to the kernel's current tick, at
+// the rate installed for that whole span. An app is synced only when
+// something needs its state — at its due tick (followed by appEvents),
+// before its rate changes (setRate), before a metrics window reads its
+// alone-clock (closeWindow), before a passive policy's Reconfigure or
+// Assignment (which may read the deferred windows) and on runUntil's
+// way out — so an app whose events are far off skips every batch end
+// in between.
+//
+// Bit-exactness: the four carry chains touch disjoint state, so they
+// commute across the span: they are processed chain-major instead of
+// tick-major (bit-identical to the legacy interleaving), each
+// grid-exact from its first tick on (carryGrid), so cutting the span
+// anywhere changes nothing. The integer counter deltas are summed and
+// issued as one pmc add per segment — exact because integer sums are
+// associative and occupancy adopts the latest reading (pinned in
+// internal/pmc). No instruction event can fall strictly inside the span
+// (the app's due tick bounds it), except the counter windows of a
+// passive policy: those end a segment and are delivered right there, in
+// the legacy delivery loop, per app instead of in global tick order —
+// indistinguishable by the PassiveWindows contract. A window landing on
+// a due tick under a non-passive policy is left to appEvents.
+//
+//lfoc:hotpath
+func (k *kernel) sync(a *kernelApp) {
+	if a.synced == k.tick {
+		return
+	}
+	remaining := int(k.tick - a.synced)
+	a.synced = k.tick
+	a.dueOK = false
+	k.chainSyncs++
+	ph := a.inst.Phase() // constant for the whole span (Advance is deferred)
+	var insnsSum uint64
+	for {
+		seg, segInsns := k.advanceInsnsChain(a, ph, remaining)
+		insnsSum += segInsns
+		// Cycle, miss and stall chains have no per-tick side effects:
+		// tick 1 in the legacy float shape, remainder in closed form (or
+		// legacy float ticks for degenerate steps).
+		missSum := carryBatch(&a.fracMiss, a.missStep, &a.missGrid, seg)
+		a.counter.Add(pmc.Sample{
+			Instructions:   segInsns,
+			Cycles:         carryBatch(&a.fracCycles, a.cycleStep, &a.cycleGrid, seg),
+			LLCMisses:      missSum,
+			LLCAccesses:    missSum * 2,
+			StallsL2Miss:   carryBatch(&a.fracStall, a.stallStep, &a.stallGrid, seg),
+			OccupancyBytes: a.share,
+		})
+		remaining -= seg
+		if remaining == 0 && !k.passiveWin {
+			break
+		}
+		// Window delivery, the legacy delivery loop verbatim. OnWindow
+		// must return false here (the policy declared its windows
+		// passive); a true is still honored best-effort at the next loop
+		// top, but a policy that violates the contract forfeits
+		// bit-identity with the per-tick path.
+		for a.counter.Total().Instructions >= a.nextWin {
+			w := a.counter.ReadWindow()
+			if k.pol.OnWindow(a.monID, w) {
+				k.maskRefresh = true
+			}
+			a.nextWin = a.counter.Total().Instructions + k.pol.WindowInsns(a.monID)
+		}
+		if remaining == 0 {
+			break
+		}
+	}
+	if insnsSum > 0 {
+		a.runInsns += insnsSum
+		if a.inst.Advance(insnsSum) {
+			k.perfDirty = true
+		}
+	}
+}
+
+// syncAll brings every active app up to date (see sync).
+//
+//lfoc:hotpath
+func (k *kernel) syncAll() {
+	for _, a := range k.actives {
+		if a.active {
+			k.sync(a)
+		}
+	}
 }
 
 // advanceInsnsChain advances one application's instruction and

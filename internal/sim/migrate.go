@@ -117,6 +117,8 @@ func (k *kernel) injectResident(r Resident) error {
 		inst:       inst,
 		quota:      RunQuota(k.cfg.TargetInsns, r.Spec),
 		active:     true,
+		stepsDirty: true,
+		synced:     k.tick,
 		tag:        r.Attempts,
 		arrivedAt:  r.ArrivedAt,
 		admittedAt: r.AdmittedAt,

@@ -38,8 +38,10 @@
 // phase changes. Between state-changing events every rate is constant,
 // so the kernel batches all whole ticks up to the earliest next event
 // (arrival, counter window, run completion, phase boundary, policy
-// activation, metrics window, horizon) into one event-horizon advance
-// with bit-identical results — see DESIGN.md §2 "Time advancement".
+// activation, metrics window, horizon) into one event-horizon advance,
+// bringing each application up to date only when its own event is due
+// or something reads it, with bit-identical results — see DESIGN.md §2
+// "Time advancement".
 package sim
 
 import (
@@ -85,10 +87,13 @@ type Dynamic interface {
 // Under that promise the kernel may deliver counter windows inside an
 // event-horizon batch, per app instead of in global tick order —
 // indistinguishable to a conforming policy — so a fleet of staggered
-// windows no longer fragments the batch. Stock and Dunn qualify (they
-// only record per-app samples between activations); LFOC and
-// KPartDynaway do not (their sampling episodes reconfigure masks from
-// OnWindow) and must not declare it.
+// windows no longer fragments the batch. Deliveries may also be
+// deferred: an app's windows reach the policy when the kernel next
+// brings that app up to date, but every window retired by tick T
+// reaches the policy before any Reconfigure or Assignment call at T.
+// Stock and Dunn qualify (they only record per-app samples between
+// activations); LFOC and KPartDynaway do not (their sampling episodes
+// reconfigure masks from OnWindow) and must not declare it.
 type PassiveWindows interface {
 	PassiveWindows() bool
 }
