@@ -255,11 +255,11 @@ func TestEventHorizonDifferentialMigration(t *testing.T) {
 }
 
 // TestLazyAppAdvanceSavings pins what lazy per-app advancement saves: on
-// a closed 8-app LFOC run, whose counter windows end a batch every few
-// ticks, an eager batch loop would advance every active app at every
-// batch end; the kernel brings an app up to date only at its own due
-// tick or when something reads it, at most a quarter as often — and the
-// run still equals the per-tick path.
+// a closed 8-app LFOC run, whose counter windows end most batches, an
+// eager batch loop would advance every active app at every batch end;
+// the kernel brings an app up to date only at its own due tick or when
+// something reads it, at most a quarter as often — and the run still
+// equals the per-tick path.
 func TestLazyAppAdvanceSavings(t *testing.T) {
 	specs := specsOf("xalancbmk06", "lbm06", "povray06", "soplex06",
 		"omnetpp06", "xalancbmk06", "lbm06", "povray06")
