@@ -71,53 +71,72 @@ func TestEventHorizonDifferential(t *testing.T) {
 	pool := specsOf("xalancbmk06", "lbm06", "povray06", "soplex06", "omnetpp06")
 	plats := []*machine.Platform{machine.Skylake(), machine.Small(7, 4)}
 	policies := []string{"lfoc", "dunn", "stock"}
-	ticksPerPeriod := []int{50, 250, 617}
 	seeds := []int64{3, 11}
-
-	caseIdx := 0
+	// Splitting 10 ms into 50, 250 or 617 ticks gives dt a long mantissa,
+	// so every clock add rounds. The dyadic tick (250 ms / 256 = 2^-10 s)
+	// makes every clock add exact and lands each policy activation
+	// exactly on a tick's time. It runs after the others so their case
+	// indices, and with them their policies and names, stay put.
+	type diffCase struct {
+		plat   *machine.Platform
+		tick   string // name label
+		period time.Duration
+		tpp    int
+		seed   int64
+	}
+	var cases []diffCase
 	for _, plat := range plats {
-		for _, tpp := range ticksPerPeriod {
+		for _, tpp := range []int{50, 250, 617} {
 			for _, seed := range seeds {
-				// Rotate the policy and arrival process with the case
-				// index: every (plat, ticks) cell still sees at least one
-				// of each without running the full cross product.
-				polName := policies[caseIdx%len(policies)]
-				poisson := caseIdx%2 == 0
-				caseIdx++
-				name := fmt.Sprintf("%s-t%d-seed%d-%s", plat.Name, tpp, seed, polName)
-				t.Run(name, func(t *testing.T) {
-					cfg := Config{
-						Plat:           plat,
-						TargetInsns:    300_000_000 + uint64(seed)*50_000_000,
-						PolicyPeriod:   10 * time.Millisecond,
-						TicksPerPeriod: tpp,
-					}
-					var scn *scenario.Open
-					if poisson {
-						var err error
-						scn, err = scenario.NewPoisson("diff", pool, 6, 1.5, seed)
-						if err != nil {
-							t.Fatal(err)
-						}
-					} else {
-						scn = uniformTrace(t, pool, 0.11, 10+int(seed))
-					}
-					run := func(legacy bool) *OpenResult {
-						c := cfg
-						c.noEventHorizon = legacy
-						res, err := RunOpen(c, scn, horizonPolicy(t, polName, plat))
-						if err != nil {
-							t.Fatal(err)
-						}
-						return res
-					}
-					fast, legacy := run(false), run(true)
-					if !reflect.DeepEqual(fast, legacy) {
-						t.Errorf("batched and legacy open runs diverge:\nfast   %+v\nlegacy %+v", fast, legacy)
-					}
-				})
+				cases = append(cases, diffCase{plat, fmt.Sprintf("t%d", tpp), 10 * time.Millisecond, tpp, seed})
 			}
 		}
+	}
+	for _, plat := range plats {
+		for _, seed := range seeds {
+			cases = append(cases, diffCase{plat, "p250ms-t256", 250 * time.Millisecond, 256, seed})
+		}
+	}
+
+	for caseIdx, c := range cases {
+		// Rotate the policy and arrival process with the case index:
+		// every (plat, ticks) cell still sees at least one of each
+		// without running the full cross product.
+		polName := policies[caseIdx%len(policies)]
+		poisson := caseIdx%2 == 0
+		plat, seed := c.plat, c.seed
+		name := fmt.Sprintf("%s-%s-seed%d-%s", plat.Name, c.tick, seed, polName)
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{
+				Plat:           plat,
+				TargetInsns:    300_000_000 + uint64(seed)*50_000_000,
+				PolicyPeriod:   c.period,
+				TicksPerPeriod: c.tpp,
+			}
+			var scn *scenario.Open
+			if poisson {
+				var err error
+				scn, err = scenario.NewPoisson("diff", pool, 6, 1.5, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				scn = uniformTrace(t, pool, 0.11, 10+int(seed))
+			}
+			run := func(legacy bool) *OpenResult {
+				c := cfg
+				c.noEventHorizon = legacy
+				res, err := RunOpen(c, scn, horizonPolicy(t, polName, plat))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			fast, legacy := run(false), run(true)
+			if !reflect.DeepEqual(fast, legacy) {
+				t.Errorf("batched and legacy open runs diverge:\nfast   %+v\nlegacy %+v", fast, legacy)
+			}
+		})
 	}
 }
 
@@ -297,6 +316,20 @@ func TestLazyAppAdvanceSavings(t *testing.T) {
 	if ratio > 0.25 {
 		t.Errorf("per-app advances are %.3f of batches × active apps, want at most 0.25", ratio)
 	}
+	// The clock and the alone-clock advance a binade at a time; only
+	// binade edges, ties and zero clocks still take the per-tick float
+	// add.
+	if k.tick == 0 || k.aloneTicks == 0 {
+		t.Fatalf("no ticks recorded: %d clock, %d alone-clock", k.tick, k.aloneTicks)
+	}
+	clockShare := float64(k.clockFloatTicks) / float64(k.tick)
+	aloneShare := float64(k.aloneFloatTicks) / float64(k.aloneTicks)
+	t.Logf("per-tick float adds: clock %d of %d ticks (%.4f), alone-clock %d of %d (%.4f)",
+		k.clockFloatTicks, k.tick, clockShare, k.aloneFloatTicks, k.aloneTicks, aloneShare)
+	if clockShare > 0.01 || aloneShare > 0.01 {
+		t.Errorf("per-tick float adds are %.4f of clock ticks and %.4f of alone-clock ticks, want at most 0.01 each",
+			clockShare, aloneShare)
+	}
 }
 
 // equilStats runs an open churn scenario through a kernel with the
@@ -404,4 +437,143 @@ func TestCarryGridEdges(t *testing.T) {
 	if g := carryGrid(80000.25); !g.ok || g.base != 80000 {
 		t.Errorf("well-formed step rejected: %+v", g)
 	}
+}
+
+// legacyClock is the per-tick clock loop advanceClock must reproduce:
+// one float add per tick until n ticks, stop or maxTime.
+func legacyClock(simTime, dt float64, n int, stop, maxTime float64) (float64, int) {
+	ticks := 0
+	for {
+		simTime += dt
+		ticks++
+		if ticks >= n || simTime >= stop || simTime > maxTime {
+			return simTime, ticks
+		}
+	}
+}
+
+// legacyInsnsChain is advanceTick's instruction and alone-clock chain,
+// one float tick at a time, stopping after maxTicks ticks or at the
+// first tick whose cumulative retirement reaches winLeft — the contract
+// of advanceInsnsChain.
+func legacyInsnsChain(frac, aloneT, step, ips float64, winLeft uint64, maxTicks int) (ticks int, cum uint64, fracOut, aloneOut float64) {
+	for ticks < maxTicks {
+		frac += step
+		insns := uint64(frac)
+		frac -= float64(insns)
+		if insns > 0 {
+			aloneT += float64(insns) / ips
+			cum += insns
+		}
+		ticks++
+		if cum >= winLeft {
+			break
+		}
+	}
+	return ticks, cum, frac, aloneT
+}
+
+// FuzzBinadeSum pins the binade-exact float sums (gridOf, ulpsOf) bit
+// for bit against the per-tick loops they replace. From an accumulator
+// acc, an addend x, an instruction step (stepRaw: exponent mod 24 and
+// a free 52-bit mantissa, so every step is in [1, 2^24)), a starting
+// carry, a tick count and threshold selectors, it checks
+//   - the clock: advanceClock from simTime acc by dt x against
+//     legacyClock, with stop and maxTime on a tick's exact time, one
+//     ulp below it, one ulp above it or absent (edge bits 0–3), at
+//     ticks chosen by at: same final bits, same breaking tick;
+//   - the alone-clock: advanceInsnsChain from aloneT acc at solo rate
+//     ⌊step⌋/x (so the tick quotients are about x and x·(1+1/⌊step⌋))
+//     against legacyInsnsChain, with the window threshold on a tick's
+//     cumulative retirement, one below, one above or absent (edge bits
+//     4–5): same clock bits, carry bits, retirement and ticks.
+//
+// The seeds cover a zero accumulator, accumulators just below a power
+// of two, ties (x is 1.5 or 2.5 ulps of acc), addends below half an ulp
+// (d = 0), addends larger than the accumulator, a subnormal addend, a
+// dyadic tick, binade crossings inside one call, a window reached with
+// no remainder, and the step magnitudes of
+// TestCarryBatchMatchesFloatTicks.
+func FuzzBinadeSum(f *testing.F) {
+	stepBits := func(step float64) uint64 { // inverse of the decoding below, for step in [1, 2^24)
+		b := math.Float64bits(step)
+		return (b>>52-1023)<<52 | b&(1<<52-1)
+	}
+	seeds := []struct {
+		acc, x, step float64
+		carry        uint64
+		ticks        uint16
+		at           uint32
+		edge         uint8
+	}{
+		{0, 0.01 / 250, 44153.87, 0x5555555555555555, 3000, 0x07d00bb8, 0x00},
+		{math.Nextafter(1, 0), 0.01 / 617, 80000.25, 1 << 62, 4000, 0x00020003, 0x05},
+		{math.Nextafter(1024, 0), 1.0 / 1024, 1.5, 0, 2000, 0x03e801f4, 0x1a},
+		{1, 3 * 0x1p-53, 6.25, 0, 512, 0x01000100, 0x20},         // tie: x/u = 1.5 (ips = 2^54, so inc0 = x)
+		{1, 5 * 0x1p-53, 10.25, 0, 512, 0x01000100, 0x3f},        // tie: x/u = 2.5, and inc1 = 2.75 ulps flips K's parity
+		{1, 0x1p-54, 6.25, 1 << 40, 700, 0x00100200, 0x09},       // d = 0: x/u = 1/4
+		{0x1p60, 0.01 / 250, 44153.87, 0, 900, 0x0300012c, 0x16}, // d = 0 on a huge accumulator
+		{1e-9, 0.01 / 250, 7.125, 12345, 1500, 0x000a0005, 0x2f}, // addend ≫ accumulator
+		{0.5, 0x1p-10, 2048.75, 0, 4095, 0x0c000400, 0x00},       // dyadic: every add exact
+		{0.5, 0x1p-10, 2048.75, 0, 4095, 0x0c010401, 0x26},
+		{3.7, 0.01 / 617, 131071.5, 99, 3000, 0x0bb80064, 0x11}, // binade-edge step: float chain
+		{12.25, 0.01 / 50, 0x1p23 + 0.5, 1 << 50, 2500, 0x09c40032, 0x3e},
+		{0.01, 0.01 / 250, 1.0000001, 7, 1024, 0x00400400, 0x31},
+		{2.5, 0.01 / 250, 1000, 0, 800, 0x00c80190, 0x00},     // integer step, zero carry: a window reached exactly
+		{0x1p-1000, 0x1p-1060, 5.5, 0, 300, 0x00100020, 0x05}, // subnormal addend
+		{1, 1e-3, 2.5, 1 << 52, 4000, 0x0fa00fa0, 0x3f},       // d1 ≈ 1.5·d0, several binade crossings
+	}
+	for _, s := range seeds {
+		f.Add(s.acc, s.x, stepBits(s.step), s.carry, s.ticks, s.at, s.edge)
+	}
+	f.Fuzz(func(t *testing.T, acc, x float64, stepRaw, carry uint64, ticks uint16, at uint32, edge uint8) {
+		acc, x = math.Abs(acc), math.Abs(x)
+		n := int(ticks)%4096 + 1
+		near := func(v float64, sel uint8) float64 {
+			switch sel % 4 {
+			case 1:
+				return math.Nextafter(v, math.Inf(-1))
+			case 2:
+				return math.Nextafter(v, math.Inf(1))
+			case 3:
+				return math.Inf(1)
+			}
+			return v
+		}
+
+		// Clock.
+		tStop, _ := legacyClock(acc, x, int(at)%n+1, math.Inf(1), math.Inf(1))
+		tMax, _ := legacyClock(acc, x, int(at>>16)%n+1, math.Inf(1), math.Inf(1))
+		stop, maxTime := near(tStop, edge), near(tMax, edge>>2)
+		wantT, wantTicks := legacyClock(acc, x, n, stop, maxTime)
+		k := &kernel{simTime: acc, dt: x}
+		if got := k.advanceClock(n, stop, maxTime); got != wantTicks || math.Float64bits(k.simTime) != math.Float64bits(wantT) {
+			t.Fatalf("clock from %v by %v over %d ticks (stop %v, maxTime %v): got %v after %d ticks, want %v after %d",
+				acc, x, n, stop, maxTime, k.simTime, got, wantT, wantTicks)
+		}
+
+		// Alone-clock.
+		step := math.Float64frombits((1023+(stepRaw>>52)%24)<<52 | stepRaw&(1<<52-1))
+		frac := float64(carry>>11) / (1 << 53) // [0, 1)
+		ips := math.Floor(step) / x
+		_, cumAt, _, _ := legacyInsnsChain(frac, acc, step, ips, math.MaxUint64, int(at)%n+1)
+		var winLeft uint64 = math.MaxUint64
+		switch (edge >> 4) % 4 {
+		case 0:
+			winLeft = cumAt
+		case 1:
+			winLeft = max(cumAt-1, 1)
+		case 2:
+			winLeft = cumAt + 1
+		}
+		wantTicks, wantCum, wantFrac, wantAlone := legacyInsnsChain(frac, acc, step, ips, winLeft, n)
+		a := &kernelApp{insnStep: step, insnGrid: carryGrid(step), fracInsns: frac, aloneT: acc, aloneIPS: ips, nextWin: winLeft}
+		gotTicks, gotCum := k.advanceInsnsChain(a, nil, n)
+		if gotTicks != wantTicks || gotCum != wantCum ||
+			math.Float64bits(a.fracInsns) != math.Float64bits(wantFrac) ||
+			math.Float64bits(a.aloneT) != math.Float64bits(wantAlone) {
+			t.Fatalf("alone-clock from %v, step %v, rate %v, carry %v over %d ticks (window %d): got %d ticks, %d insns, carry %v, clock %v; want %d, %d, %v, %v",
+				acc, step, ips, frac, n, winLeft, gotTicks, gotCum, a.fracInsns, a.aloneT, wantTicks, wantCum, wantFrac, wantAlone)
+		}
+	})
 }

@@ -77,8 +77,9 @@ type kernelApp struct {
 	horizonInv float64 // 1/(insnStep·(1+horizonSlack))
 
 	// Alone-clock increment memo: with the carry in [0,1) a tick
-	// retires base or base+1 instructions, so the two quotients are
-	// computed once per (base, aloneIPS) pair instead of per tick.
+	// retires base or base+1 instructions, so the clock only ever adds
+	// one of two quotients, computed once per (base, aloneIPS) pair;
+	// aloneRun turns runs of those adds into integer steps.
 	incBase    uint64
 	incIPS     float64
 	inc0, inc1 float64
@@ -162,6 +163,12 @@ type kernel struct {
 	// eager batch loop advancing every app would have done.
 	chainSyncs   uint64
 	batchActives uint64
+	// Binade-sum statistics (testing): fast-path clock ticks that took
+	// the per-tick float add (of tick), and the alone-clock ticks after
+	// each segment's first tick, with those of them that took it.
+	clockFloatTicks uint64
+	aloneTicks      uint64
+	aloneFloatTicks uint64
 
 	masks     map[int]cat.WayMask
 	perfDirty bool
@@ -580,9 +587,9 @@ func (k *kernel) run() error {
 // advances a whole event horizon per iteration (advanceHorizon) instead
 // of a single tick (advanceTick); both paths are bit-identical (pinned
 // by TestEventHorizonDifferential and the goldens) because the batched
-// path preserves the per-tick float carry op order exactly and every
-// event lands on an iteration boundary, where the shared delivery code
-// runs in the legacy order.
+// path reproduces every per-tick float sum exactly (grid-exact carries,
+// binade-exact clocks) and every event lands on an iteration boundary,
+// where the shared delivery code runs in the legacy order.
 //
 // Inside the loop an app may lag behind the clock (see sync); every app
 // is brought up to date on the way out, so no code outside runUntil
@@ -878,6 +885,75 @@ func carryBatch(frac *float64, step float64, g *carryParams, ticks int) uint64 {
 	return sum
 }
 
+// gridOf returns the integer significand K ∈ [2^52, 2^53) and the biased
+// exponent e of a positive normal float: x = K·u with u = 2^(e−1075),
+// the spacing of the floats in x's binade [2^(e−1023), 2^(e−1022)). ok
+// is false for zero, subnormals, negatives, ±Inf and NaN.
+//
+// Exactness argument (binade-exact sums). Adding x ≥ 0 to K·u rounds
+// the exact sum K·u + x to the nearest multiple of u while the sum stays
+// inside the binade, so the float add yields exactly (K + d)·u with d =
+// round(x/u) — provided (a) x/u is not a half-integer, where
+// ties-to-even would make the step depend on K's parity (ulpsOf refuses
+// those), and (b) K + d ≤ 2^53 − 1, which keeps the exact sum below the
+// binade's top (x/u < d + 1/2). A run of float adds of addends with
+// known d inside one binade is therefore integer addition on K, in any
+// grouping: K += Σd, and fromGrid converts back by bit assembly. A sum
+// leaving the binade, a tie or a zero accumulator takes one float add.
+//
+//lfoc:hotpath
+func gridOf(x float64) (K, e uint64, ok bool) {
+	b := math.Float64bits(x)
+	e = b >> 52
+	if e == 0 || e >= 0x7ff { // zero or subnormal; Inf, NaN or the sign bit
+		return 0, 0, false
+	}
+	return b&(1<<52-1) | 1<<52, e, true
+}
+
+// fromGrid is gridOf's inverse: the float K·2^(e−1075) for K ∈ [2^52,
+// 2^53), assembled from its bits.
+//
+//lfoc:hotpath
+func fromGrid(K, e uint64) float64 {
+	return math.Float64frombits(e<<52 | K&(1<<52-1))
+}
+
+// ulpsOf returns d = round(x/u) for the spacing u = 2^(e−1075) of the
+// binade with biased exponent e (see gridOf), from x's significand bits
+// alone. ok is false when the dropped bits are exactly one half (a tie,
+// condition (a)) and when x is not below the binade's bottom 2^(e−1023)
+// — negative, ±Inf, NaN, or too large for any add to stay in the binade
+// (d ≥ 2^52 breaks condition (b) for every K).
+//
+//lfoc:hotpath
+func ulpsOf(x float64, e uint64) (d uint64, ok bool) {
+	b := math.Float64bits(x)
+	ex := b >> 52
+	mant := b & (1<<52 - 1)
+	if ex == 0 {
+		ex = 1 // zero or subnormal: no implicit bit
+	} else {
+		mant |= 1 << 52
+	}
+	if ex >= e {
+		return 0, false
+	}
+	s := e - ex // x/u = mant/2^s
+	if s > 53 {
+		return 0, true // mant < 2^53 ≤ 2^(s−1): below half an ulp
+	}
+	half := uint64(1) << (s - 1)
+	d, rem := mant>>s, mant&(half<<1-1)
+	if rem == half {
+		return 0, false
+	}
+	if rem > half {
+		d++
+	}
+	return d, true
+}
+
 // refreshSteps rederives an application's rate-invariant advancement
 // state after a rate change: the per-tick rate products (in the legacy
 // expression shape — see advanceTick — so re-adding the precomputed
@@ -995,9 +1071,10 @@ func (k *kernel) horizonTicks() int {
 //   - the last tick horizonTicks guarantees free of instruction events
 //     (window delivery, run completion, phase boundary), shrunk by a
 //     relative slack that dominates the accumulated per-tick rounding
-//     of the real clock (simTime sums dt tick by tick; the closed form
-//     here may land up to ~2^-32 relative above the true boundary, and
-//     an arrival in that gap must still count as due).
+//     of the real clock (simTime is the per-tick float sum of dt, each
+//     add rounding; the one-multiply estimate here may land up to
+//     ~2^-32 relative above the true boundary, and an arrival in that
+//     gap must still count as due).
 //
 // Metrics-window closes deliberately do not bound H: they are pure
 // recording, replayed bit-identically inside the catch-up runUntil.
@@ -1047,8 +1124,9 @@ func (k *kernel) nextEventTime() float64 {
 // ticks, so nothing they would do here is observable before their next
 // sync point.
 //
-// Bit-exactness: the clock accumulates tick by tick (a closed-form n·dt
-// would round differently), and sync reproduces the per-tick chains
+// Bit-exactness: the clock is the per-tick float sum of dt (a closed-form
+// n·dt would round differently), advanced a binade at a time in exact
+// integer steps (advanceClock), and sync reproduces the per-tick chains
 // over any span (see sync), so where an app's advancement is cut into
 // spans is invisible.
 //
@@ -1073,14 +1151,7 @@ func (k *kernel) advanceHorizon(until, maxTime float64) (bool, error) {
 	if k.doneAt > 0 && k.doneAt < stop {
 		stop = k.doneAt
 	}
-	ticks := 0
-	for {
-		k.simTime += k.dt
-		ticks++
-		if ticks >= n || k.simTime >= stop || k.simTime > maxTime {
-			break
-		}
-	}
+	ticks := k.advanceClock(n, stop, maxTime)
 	k.tick += uint64(ticks)
 	k.batchActives += uint64(k.nActive)
 
@@ -1099,6 +1170,73 @@ func (k *kernel) advanceHorizon(until, maxTime float64) (bool, error) {
 		anyChange = anyChange || changed
 	}
 	return anyChange, nil
+}
+
+// advanceClock advances simTime by whole ticks of dt, stopping at the
+// first tick that reaches n ticks, reaches stop or passes maxTime (at
+// least one tick), and returns the ticks advanced. It is bit-identical
+// to the per-tick loop `simTime += dt` under the same break test: runs
+// of ticks inside one binade are one integer step (clockRun), and only a
+// zero clock, a tie and the ticks crossing a binade edge take the float
+// add.
+//
+//lfoc:hotpath
+func (k *kernel) advanceClock(n int, stop, maxTime float64) int {
+	ticks := 0
+	for {
+		j := k.clockRun(n-ticks, stop, maxTime)
+		if j == 0 {
+			k.simTime += k.dt
+			k.clockFloatTicks++
+			j = 1
+		}
+		ticks += j
+		if ticks >= n || k.simTime >= stop || k.simTime > maxTime {
+			return ticks
+		}
+	}
+}
+
+// clockRun advances simTime in closed form by up to limit ticks inside its
+// binade (gridOf): with d = ulpsOf(dt), the time after j ticks is
+// exactly fromGrid(K + j·d) while K + j·d ≤ 2^53 − 1. It stops at the
+// first tick whose time reaches stop or passes maxTime, found by
+// bisection over those exact times (they never decrease, so the test is
+// monotone in j). It returns the ticks advanced; 0 when no tick can be
+// taken in closed form.
+//
+//lfoc:hotpath
+func (k *kernel) clockRun(limit int, stop, maxTime float64) int {
+	K, e, ok := gridOf(k.simTime)
+	if !ok || limit <= 0 {
+		return 0
+	}
+	d, ok := ulpsOf(k.dt, e)
+	if !ok {
+		return 0
+	}
+	room := uint64(limit)
+	if hi, lo := bits.Mul64(room, d); hi != 0 || lo > 1<<53-1-K {
+		room = (1<<53 - 1 - K) / d
+	}
+	if room == 0 {
+		return 0
+	}
+	// Invariant: the first stopping tick, or room if none, is in [lo, hi].
+	lo, hi := uint64(1), room
+	if t := fromGrid(K+room*d, e); !(t >= stop || t > maxTime) {
+		lo = room
+	}
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if t := fromGrid(K+mid*d, e); t >= stop || t > maxTime {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	k.simTime = fromGrid(K+lo*d, e)
+	return int(lo)
 }
 
 // sync brings one app up to date: it advances the app's chains,
@@ -1198,11 +1336,14 @@ func (k *kernel) syncAll() {
 // instructions retired.
 //
 // Tick 1 runs in the legacy float shape (grid alignment, lazy
-// alone-phase resolution); the remaining ticks advance the carry on
-// exact integer arithmetic when the step allows it (carryGrid), with
-// the alone-clock's two possible per-tick quotients memoized per
-// (base, rate) instead of divided per tick. The per-tick rate product
-// is loop-invariant (cached by refreshSteps in the legacy expression
+// alone-phase resolution). When the step allows it (carryGrid) the
+// remaining ticks cost O(1) plus the alone-clock's binade crossings:
+// the carry is exact integer arithmetic, so the segment's length and
+// retirement follow in closed form (ticksToReach, carryRun's wrap
+// count), and the alone-clock, which adds one of two memoized per-tick
+// quotients — base or base+1 instructions at the solo rate — advances a
+// binade at a time (aloneRun). The per-tick rate product is
+// loop-invariant (cached by refreshSteps in the legacy expression
 // shape): re-adding the identical value every tick is bit-identical to
 // the legacy recomputation.
 //
@@ -1240,27 +1381,16 @@ func (k *kernel) advanceInsnsChain(a *kernelApp, ph *appmodel.PhaseSpec, maxTick
 				a.inc0 = float64(g.base) / a.aloneIPS
 				a.inc1 = float64(g.base+1) / a.aloneIPS
 			}
-			inc0, inc1 := a.inc0, a.inc1
-			base, sfrac, sh, mask := g.base, g.sfrac, g.sh, g.mask
-			f := uint64(a.fracInsns * float64(mask+1))
-			aloneT := a.aloneT
-			for i := 0; i < m; i++ {
-				f += sfrac
-				extra := f >> sh
-				f &= mask
-				inc := inc0
-				if extra != 0 {
-					inc = inc1
-				}
-				aloneT += inc
-				cum += base + extra
-				done++
-				if cum >= winLeft {
-					break
-				}
+			f := uint64(a.fracInsns * float64(g.mask+1))
+			seg := uint64(m)
+			if j := ticksToReach(winLeft-cum, f, g); j < seg {
+				seg = j
 			}
-			a.aloneT = aloneT
-			a.fracInsns = float64(f) / float64(mask+1)
+			var wraps uint64
+			a.aloneT, f, wraps = k.aloneRun(a.aloneT, f, g, a.inc0, a.inc1, seg)
+			a.fracInsns = float64(f) / float64(g.mask+1)
+			cum += seg*g.base + wraps
+			done += int(seg)
 		} else {
 			// Degenerate steps (< 1 instruction per tick, or at a
 			// binade edge): legacy float ticks.
@@ -1283,9 +1413,80 @@ func (k *kernel) advanceInsnsChain(a *kernelApp, ph *appmodel.PhaseSpec, maxTick
 				}
 			}
 			a.fracInsns, a.aloneT = fracInsns, aloneT
+			k.aloneFloatTicks += uint64(done - 1)
 		}
+		k.aloneTicks += uint64(done - 1)
 	}
 	return done, cum
+}
+
+// ticksToReach returns the first tick j ≥ 1 at which a grid-exact carry
+// chain (carryGrid) starting from carry f, in units of ulp(step), has
+// retired at least need ≥ 1 units. Its output after j ticks is ⌊(f +
+// j·mant)/2^sh⌋ with mant = base·2^sh + sfrac = step/ulp(step)
+// (carryRun), so j = ⌈(need·2^sh − f)/mant⌉, exact in 128-bit integers
+// (the quotient fits: need·2^sh < 2^64·mant).
+//
+//lfoc:hotpath
+func ticksToReach(need, f uint64, g *carryParams) uint64 {
+	hi, lo := need>>(64-g.sh), need<<g.sh
+	lo, borrow := bits.Sub64(lo, f, 0)
+	hi -= borrow
+	j, rem := bits.Div64(hi, lo, g.base<<g.sh|g.sfrac)
+	if rem != 0 {
+		j++
+	}
+	return j
+}
+
+// aloneRun advances an alone-clock over n ticks of the instruction
+// chain's integer carry f (on grid g): each tick adds inc0, or inc1 when
+// the carry wraps. It returns the clock, the final carry and the wrap
+// count. Inside the clock's binade (gridOf) the adds are integer steps
+// d0 ≤ d1 on its significand (inc0 < inc1), so a chunk of ticks that
+// cannot leave the binade even at d1 per tick advances at once: its
+// wraps n1 follow from carryRun's formula and K += (chunk − n1)·d0 +
+// n1·d1. A zero clock, a tie or a tick at the binade's top runs one tick
+// of the per-tick loop body instead.
+//
+//lfoc:hotpath
+func (k *kernel) aloneRun(aloneT float64, f uint64, g *carryParams, inc0, inc1 float64, n uint64) (float64, uint64, uint64) {
+	var wraps uint64
+	for n > 0 {
+		var chunk uint64
+		K, e, ok := gridOf(aloneT)
+		d0, ok0 := ulpsOf(inc0, e) // e = 0 when !ok: ulpsOf refuses
+		d1, ok1 := ulpsOf(inc1, e)
+		if ok && ok0 && ok1 {
+			chunk = n
+			if hi, lo := bits.Mul64(chunk, d1); hi != 0 || lo > 1<<53-1-K {
+				chunk = (1<<53 - 1 - K) / d1
+			}
+		}
+		if chunk == 0 {
+			f += g.sfrac
+			extra := f >> g.sh
+			f &= g.mask
+			inc := inc0
+			if extra != 0 {
+				inc = inc1
+			}
+			aloneT += inc
+			wraps += extra
+			n--
+			k.aloneFloatTicks++
+			continue
+		}
+		hi, lo := bits.Mul64(g.sfrac, chunk)
+		lo, c := bits.Add64(lo, f, 0)
+		hi += c
+		n1 := hi<<(64-g.sh) | lo>>g.sh
+		f = lo & g.mask
+		aloneT = fromGrid(K+(chunk-n1)*d0+n1*d1, e)
+		wraps += n1
+		n -= chunk
+	}
+	return aloneT, f, wraps
 }
 
 // finish closes the trailing partial metrics window once the run is
