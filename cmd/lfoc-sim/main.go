@@ -26,10 +26,11 @@
 // second) or a fixed cadence (uniform:<interval seconds>) over
 // -duration simulated seconds, run one instruction quota, and depart.
 // Results are per-app slowdowns at departure plus windowed
-// unfairness/STP/throughput series. -sweep compares stock/dunn/lfoc on
-// identical traces across a list of rates. -seed makes every open run
-// reproducible; -json writes the machine-readable result (mirroring
-// lfoc-bench -json).
+// unfairness/STP/throughput series. -sweep runs a grid over a list of
+// Poisson rates: at each rate every policy (stock, dunn, lfoc) faces
+// the identical trace, and an explicit -policy narrows the grid to one.
+// -seed makes every open run reproducible; -json writes the
+// machine-readable result (mirroring lfoc-bench -json).
 //
 // -machines N spreads the arrival stream across a fleet of N identical
 // machines, each running its own instance of -policy; -placement picks
@@ -40,9 +41,9 @@
 // default platform resized to that way/core count, with its -policy
 // instance built for its own platform. Cluster JSON output includes
 // the per-machine results (with per-machine platform/cores/ways) and
-// windowed series. -machines with -sweep runs the placement ×
-// partitioning grid at each rate; an explicit -placement or -policy
-// narrows the corresponding grid axis.
+// windowed series. On a fleet, -sweep adds a placement axis (rr, least,
+// fair); an explicit -placement narrows it as -policy does the policy
+// axis.
 //
 // Cluster runs advance the fleet through a lazy event queue: only
 // machines whose next-event horizon has passed are touched per
@@ -61,9 +62,9 @@
 // tradeoff; negative disables migration); failed machines requeue them
 // with exponential backoff bounded by -max-retries. The identical
 // (seed, trace, schedule) inputs reproduce the identical run at any
-// -machines/worker configuration. With -sweep, the lifecycle flags turn
-// the placement × policy grid into a chaos sweep: every cell faces the
-// same trace and the same disruption schedule.
+// -machines/worker configuration. With -sweep or -spec-sweep every grid
+// cell runs the lifecycle these flags configure, so the cells of one
+// trace face the same disruption schedule too.
 //
 // -workload-spec replaces -arrivals with a declarative scenario file
 // (YAML or JSON, see docs/workload-spec.md): cohorts with diurnal rate
@@ -78,9 +79,10 @@
 // — record once, then replay under different -placement/-policy/
 // -machines settings to compare them on the identical stream. A trace
 // bakes in its -scale (replay adopts it; a conflicting explicit -scale
-// is an error). -spec-sweep runs a list of spec files against every
-// partitioning policy (over a cluster with -machines) — the spec-file
-// counterpart of -sweep.
+// is an error). -spec-sweep is the spec-file counterpart of -sweep: one
+// grid trace per spec file, over the fleet and lifecycle flags, with an
+// explicit -seed overriding every spec's seed; like -workload-spec it
+// rejects -duration.
 //
 // -checkpoint <path> makes a cluster run crash-safe: the run's full
 // coordinate (per-machine kernel state, placement state, lifecycle
@@ -169,30 +171,13 @@ type clusterJSON struct {
 	*cluster.Result
 }
 
-// sweepJSON is the -json schema of a -sweep comparison.
-type sweepJSON struct {
-	Scale uint64 `json:"scale"`
-	harness.ChurnData
-}
-
-// clusterSweepJSON is the -json schema of a cluster -sweep grid (one
-// entry per rate).
-type clusterSweepJSON struct {
-	Scale uint64                     `json:"scale"`
-	Grids []harness.ClusterSweepData `json:"grids"`
-}
-
-// specSweepJSON is the -json schema of a -spec-sweep grid.
-type specSweepJSON struct {
-	Scale uint64 `json:"scale"`
-	harness.SpecSweepData
-}
-
-// chaosSweepJSON is the -json schema of a chaos -sweep grid (one entry
-// per rate).
-type chaosSweepJSON struct {
-	Scale uint64                   `json:"scale"`
-	Grids []harness.ChaosSweepData `json:"grids"`
+// gridJSON is the -json schema of a -sweep or -spec-sweep grid. Events
+// and MTBF echo the lifecycle flags, as in clusterJSON.
+type gridJSON struct {
+	Scale  uint64                 `json:"scale"`
+	Events []workloads.FleetEvent `json:"events,omitempty"`
+	MTBF   float64                `json:"mtbf,omitempty"`
+	harness.GridData
 }
 
 // checkpointFlags bundles the crash-safety flags of a cluster run.
@@ -219,6 +204,26 @@ type lifecycleConfig struct {
 
 func (l lifecycleConfig) active() bool {
 	return len(l.events) > 0 || l.mtbf > 0 || l.autoscale != nil
+}
+
+// template converts the flags to the cluster lifecycle they configure
+// (nil when none is active); callers add FailureSeed and JoinPolicy.
+func (l lifecycleConfig) template() (*cluster.Lifecycle, error) {
+	if !l.active() {
+		return nil, nil
+	}
+	events, err := harness.ClusterEvents(l.events)
+	if err != nil {
+		return nil, err
+	}
+	return &cluster.Lifecycle{
+		Events:        events,
+		MTBF:          l.mtbf,
+		MaxRetries:    l.maxRetries,
+		RetryBackoff:  l.retryBackoff,
+		MigrationCost: l.migrationCost,
+		Autoscale:     l.autoscale,
+	}, nil
 }
 
 // parseAutoscale parses -autoscale: comma-separated key=value with keys
@@ -269,10 +274,10 @@ func main() {
 		workloadSpec  = flag.String("workload-spec", "", "declarative workload spec file (YAML/JSON): generates the open-system arrival trace (see docs/workload-spec.md)")
 		recordTrace   = flag.String("record-trace", "", "write the open-system arrival trace to this file (replay it with -replay-trace)")
 		replayTrace   = flag.String("replay-trace", "", "replay a recorded arrival trace bit-exactly instead of generating one")
-		specSweep     = flag.String("spec-sweep", "", "comma-separated workload spec files: run every spec against every policy (over a cluster with -machines)")
+		specSweep     = flag.String("spec-sweep", "", "comma-separated workload spec files: run every spec against every policy (and placement, on a fleet)")
 		duration      = flag.Float64("duration", 10, "open-system arrival window in simulated seconds")
 		seed          = flag.Int64("seed", 1, "seed for the open-system arrival trace")
-		sweep         = flag.String("sweep", "", "comma-separated Poisson rates: compare stock/dunn/lfoc across the load sweep")
+		sweep         = flag.String("sweep", "", "comma-separated Poisson rates: run every policy (and placement, on a fleet) on each rate's trace")
 		machines      = flag.Int("machines", 1, "cluster size: spread arrivals across this many machines")
 		mix           = flag.String("machine-mix", "", "heterogeneous fleet spec: <count>x<ways>way[<cores>c],... e.g. 2x11way,2x7way (implies cluster mode)")
 		placement     = flag.String("placement", "", "cluster placement policy: rr | least | fair (implies cluster mode)")
@@ -315,6 +320,9 @@ func main() {
 	}
 	if *sweep != "" && sources > 0 {
 		fail(fmt.Errorf("-sweep and -arrivals/-workload-spec/-replay-trace are mutually exclusive (a sweep generates its own traces)"))
+	}
+	if *specSweep != "" && (*workload != "" || *apps != "" || *sweep != "" || sources > 0 || *recordTrace != "" || explicit["duration"]) {
+		fail(fmt.Errorf("-spec-sweep conflicts with -workload, -apps, -sweep, -arrivals, -workload-spec, -replay-trace, -record-trace and -duration: each spec defines its applications and window"))
 	}
 	if *workloadSpec != "" && explicit["duration"] {
 		fail(fmt.Errorf("-duration conflicts with -workload-spec: the spec's duration_seconds defines the window"))
@@ -368,30 +376,6 @@ func main() {
 	cfg := harness.DefaultConfig()
 	cfg.Scale = *scale
 
-	if *specSweep != "" {
-		if *workload != "" || *apps != "" || *sweep != "" || sources > 0 || *recordTrace != "" {
-			fail(fmt.Errorf("-spec-sweep runs standalone: it conflicts with -workload, -apps, -sweep, -arrivals, -workload-spec, -replay-trace and -record-trace"))
-		}
-		if lifecycle.active() {
-			fail(fmt.Errorf("-spec-sweep does not take the lifecycle flags"))
-		}
-		var paths []string
-		for _, p := range strings.Split(*specSweep, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				paths = append(paths, p)
-			}
-		}
-		var policies []string
-		if explicit["policy"] {
-			policies = []string{*polName}
-		}
-		d, err := harness.SpecSweep(cfg, paths, policies, *machines, *placement)
-		exitOn(err)
-		fmt.Println(d.Render())
-		writeJSON(*jsonOut, specSweepJSON{Scale: cfg.Scale, SpecSweepData: d})
-		return
-	}
-
 	// With -machine-mix the fleet size comes from the mix; an explicit
 	// -machines must agree with it (checked by the cluster layer), while
 	// the flag's default of 1 should not be mistaken for a constraint.
@@ -416,10 +400,49 @@ func main() {
 			names = append(names, name)
 		}
 		w = workloads.Workload{Name: *apps, Benchmarks: names}
-	case *workloadSpec != "" || *replayTrace != "":
-		// The spec or trace carries its own applications.
+	case *workloadSpec != "" || *replayTrace != "" || *specSweep != "":
+		// The specs or the trace carry their own applications.
 	default:
-		fail(fmt.Errorf("need -workload, -apps, -workload-spec or -replay-trace"))
+		fail(fmt.Errorf("need -workload, -apps, -workload-spec, -replay-trace or -spec-sweep"))
+	}
+
+	if *sweep != "" || *specSweep != "" {
+		// An explicit -placement or -policy narrows its grid axis (and an
+		// invalid name fails the run rather than being ignored).
+		g := harness.Grid{Seed: *seed, Machines: fleetSize, Mix: *mix}
+		if explicit["placement"] {
+			g.Placements = []string{*placement}
+		}
+		if explicit["policy"] {
+			g.Policies = []string{*polName}
+		}
+		g.Lifecycle, err = lifecycle.template()
+		exitOn(err)
+		if *sweep != "" {
+			g.Workload, g.Window = w, *duration
+			for _, s := range strings.Split(*sweep, ",") {
+				r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+				exitOn(err)
+				g.Rates = append(g.Rates, r)
+			}
+		} else {
+			for _, p := range strings.Split(*specSweep, ",") {
+				if p = strings.TrimSpace(p); p == "" {
+					continue
+				}
+				s, err := workloads.LoadSpec(p)
+				exitOn(err)
+				if explicit["seed"] {
+					s.Seed = *seed
+				}
+				g.Specs = append(g.Specs, s)
+			}
+		}
+		d, err := g.Run(cfg)
+		exitOn(err)
+		fmt.Println(d.Render())
+		writeJSON(*jsonOut, gridJSON{Scale: cfg.Scale, Events: lifecycle.events, MTBF: lifecycle.mtbf, GridData: d})
+		return
 	}
 
 	// Open and cluster runs build their scenario here — one place for
@@ -428,7 +451,7 @@ func main() {
 	// stream the run is about to face.
 	var scn *scenario.Open
 	scnSeed := *seed
-	if *sweep == "" && sources > 0 {
+	if sources > 0 {
 		switch {
 		case *replayTrace != "":
 			tr, err := workloads.ReadTraceFile(*replayTrace)
@@ -462,55 +485,6 @@ func main() {
 	}
 
 	switch {
-	case *sweep != "":
-		if *workload == "" {
-			fail(fmt.Errorf("-sweep needs -workload"))
-		}
-		var rates []float64
-		for _, s := range strings.Split(*sweep, ",") {
-			r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			exitOn(err)
-			rates = append(rates, r)
-		}
-		if clustered {
-			// The grid defaults to every placement × every policy; an
-			// explicit -placement or -policy narrows its axis (and an
-			// invalid name fails the run rather than being ignored).
-			var placements, policies []string
-			if explicit["placement"] {
-				placements = []string{*placement}
-			}
-			if explicit["policy"] {
-				policies = []string{*polName}
-			}
-			if lifecycle.active() {
-				// Chaos sweep: the same grid, every cell facing the same
-				// trace plus the same disruption schedule.
-				out := chaosSweepJSON{Scale: cfg.Scale}
-				for _, rate := range rates {
-					d, err := harness.ChaosSweep(cfg, w.Name, fleetSize, *mix, placements, policies,
-						[]float64{lifecycle.mtbf}, lifecycle.events, lifecycle.migrationCost, rate, *duration, *seed)
-					exitOn(err)
-					fmt.Println(d.Render())
-					out.Grids = append(out.Grids, d)
-				}
-				writeJSON(*jsonOut, out)
-				break
-			}
-			out := clusterSweepJSON{Scale: cfg.Scale}
-			for _, rate := range rates {
-				d, err := harness.ClusterSweep(cfg, w.Name, fleetSize, *mix, placements, policies, rate, *duration, *seed)
-				exitOn(err)
-				fmt.Println(d.Render())
-				out.Grids = append(out.Grids, d)
-			}
-			writeJSON(*jsonOut, out)
-		} else {
-			d, err := harness.Churn(cfg, w.Name, rates, *duration, *seed)
-			exitOn(err)
-			fmt.Println(d.Render())
-			writeJSON(*jsonOut, sweepJSON{Scale: cfg.Scale, ChurnData: d})
-		}
 	case clustered:
 		runCluster(cfg, w, *polName, *placement, fleetSize, *mix, scn, scnSeed, *jsonOut, lifecycle, *recordAssign, ckf)
 	case scn != nil:
@@ -661,21 +635,13 @@ func runCluster(cfg harness.Config, w workloads.Workload, polName, placement str
 	}
 	sims, err := ccfg.MachineConfigs()
 	exitOn(err)
-	if lc.active() {
-		cevents, err := harness.ClusterEvents(lc.events)
-		exitOn(err)
-		ccfg.Lifecycle = &cluster.Lifecycle{
-			Events:        cevents,
-			MTBF:          lc.mtbf,
-			FailureSeed:   seed,
-			MaxRetries:    lc.maxRetries,
-			RetryBackoff:  lc.retryBackoff,
-			MigrationCost: lc.migrationCost,
-			Autoscale:     lc.autoscale,
-			JoinPolicy: func(i int, mc sim.Config) (sim.Dynamic, error) {
-				pol, _, err := cfg.NewDynamicPolicyFor(polName, mc.Plat)
-				return pol, err
-			},
+	ccfg.Lifecycle, err = lc.template()
+	exitOn(err)
+	if ccfg.Lifecycle != nil {
+		ccfg.Lifecycle.FailureSeed = seed
+		ccfg.Lifecycle.JoinPolicy = func(i int, mc sim.Config) (sim.Dynamic, error) {
+			pol, _, err := cfg.NewDynamicPolicyFor(polName, mc.Plat)
+			return pol, err
 		}
 	}
 	res, err := cluster.Run(ccfg,

@@ -243,46 +243,3 @@ func TestSupplementUCP(t *testing.T) {
 		t.Error("infeasible workload accepted")
 	}
 }
-
-func TestChurnSweep(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Scale = 200
-	d, err := Churn(cfg, "S3", []float64{2, 8}, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Rows) != 2*len(ChurnPolicies) {
-		t.Fatalf("%d rows, want %d", len(d.Rows), 2*len(ChurnPolicies))
-	}
-	// Identical traces per rate: every policy sees the same arrivals.
-	for r := 0; r < 2; r++ {
-		base := d.Rows[r*len(ChurnPolicies)]
-		for pi := 1; pi < len(ChurnPolicies); pi++ {
-			row := d.Rows[r*len(ChurnPolicies)+pi]
-			if row.Arrivals != base.Arrivals {
-				t.Errorf("rate %g: %s saw %d arrivals, %s saw %d",
-					base.Rate, base.Policy, base.Arrivals, row.Policy, row.Arrivals)
-			}
-			if row.Rate != base.Rate {
-				t.Errorf("row order broken: %+v", row)
-			}
-		}
-	}
-	// The higher rate must actually offer more load.
-	if d.Rows[len(ChurnPolicies)].Arrivals <= d.Rows[0].Arrivals {
-		t.Errorf("rate 8 offered %d arrivals vs %d at rate 2",
-			d.Rows[len(ChurnPolicies)].Arrivals, d.Rows[0].Arrivals)
-	}
-	for _, row := range d.Rows {
-		if row.Departed+row.Remaining != row.Arrivals {
-			t.Errorf("%s@%g: %d departed + %d remaining != %d arrivals",
-				row.Policy, row.Rate, row.Departed, row.Remaining, row.Arrivals)
-		}
-		if row.Departed > 0 && row.MeanSlowdown < 1 {
-			t.Errorf("%s@%g: mean slowdown %v < 1", row.Policy, row.Rate, row.MeanSlowdown)
-		}
-	}
-	if s := d.Render(); !strings.Contains(s, "arrival rate 2/s") || !strings.Contains(s, "lfoc") {
-		t.Errorf("render missing expected sections:\n%s", s)
-	}
-}

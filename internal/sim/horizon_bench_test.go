@@ -71,11 +71,12 @@ func BenchmarkKernelClosed(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelChurnSweep measures the open-churn sweep cell set of
-// harness.Churn — the S1 mix under seeded Poisson arrivals, each policy
-// against the identical trace — on both advancement paths, at the
-// default TicksPerPeriod=250 and the harness's scale-50 cadences. The
-// DESIGN.md speedups quote these cells.
+// BenchmarkKernelChurnSweep measures the cells of a one-machine rate
+// sweep (a harness.Grid over Rates) — the S1 mix under seeded Poisson
+// arrivals, each policy against the identical trace — through RunOpen
+// on both advancement paths, at the default TicksPerPeriod=250 and the
+// harness's scale-50 cadences. The DESIGN.md speedups quote these
+// cells.
 func BenchmarkKernelChurnSweep(b *testing.B) {
 	w, err := workloads.Get("S1")
 	if err != nil {

@@ -186,9 +186,9 @@ type kernel struct {
 	nextPolicy   float64
 	repartitions int
 
-	// Event-horizon fast path (see advanceHorizon). fastPath is set when
-	// the scenario implements scenario.TimeHorizoned and the testing
-	// knob Config.noEventHorizon is off; doneAt is the scenario's only
+	// Event-horizon fast path (see advanceHorizon). fastPath is set
+	// unless the testing knob Config.noEventHorizon forces the per-tick
+	// reference path; doneAt is the scenario's Horizon, its only
 	// time-based Done trigger (0 = Done is time-invariant); passiveWin
 	// is set when the policy declares PassiveWindows, letting window
 	// deliveries happen inside a batch instead of bounding it; tick
@@ -248,14 +248,11 @@ func newKernel(cfg Config, scn scenario.Scenario, pol Dynamic) (*kernel, error) 
 		collect:       cfg.MetricsWindow > 0,
 	}
 	// The batched fast path must know the only time at which Done can
-	// flip as a function of time alone; scenarios that don't declare it
-	// (scenario.TimeHorizoned) run on the legacy per-tick path.
-	if h, ok := scn.(scenario.TimeHorizoned); ok && !cfg.noEventHorizon {
-		k.fastPath = true
-		k.doneAt = h.Horizon()
-		if p, ok := pol.(PassiveWindows); ok && p.PassiveWindows() {
-			k.passiveWin = true
-		}
+	// flip as a function of time alone.
+	k.fastPath = !cfg.noEventHorizon
+	k.doneAt = scn.Horizon()
+	if p, ok := pol.(PassiveWindows); ok && p.PassiveWindows() && k.fastPath {
+		k.passiveWin = true
 	}
 	if k.collect {
 		k.series.Width = cfg.MetricsWindow.Seconds()
@@ -583,7 +580,7 @@ func (k *kernel) run() error {
 // machines without perturbing any single machine's trajectory.
 //
 // Between state-changing events the equilibrium and every rate are
-// constant, so when the scenario permits it (fastPath) the loop body
+// constant, so on the fast path (fastPath) the loop body
 // advances a whole event horizon per iteration (advanceHorizon) instead
 // of a single tick (advanceTick); both paths are bit-identical (pinned
 // by TestEventHorizonDifferential and the goldens) because the batched

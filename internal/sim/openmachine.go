@@ -29,8 +29,7 @@ func (f *feedScenario) Arrivals() []scenario.Arrival            { return nil }
 func (f *feedScenario) OnRunComplete(int, int) scenario.Outcome { return scenario.Depart }
 func (f *feedScenario) QueueInitialOverflow() bool              { return true }
 
-// Horizon implements scenario.TimeHorizoned so cluster machines keep
-// the kernel's event-horizon fast path: the cap is the only time-based
+// Horizon implements scenario.Scenario: the cap is the only time-based
 // Done trigger (the drained flag only ever flips between runUntil
 // calls, never inside one).
 func (f *feedScenario) Horizon() float64 { return f.horizon }

@@ -86,18 +86,6 @@ type Progress struct {
 	Runs []int
 }
 
-// TimeHorizoned is an optional Scenario refinement the execution
-// kernel's event-horizon fast path consults: Horizon returns the one
-// simulated time at or beyond which Done may flip to true as a function
-// of Progress.Time alone (0 = Done never depends on time), and the
-// value must be fixed for the lifetime of a run. Declaring it lets the
-// kernel advance whole event horizons at once instead of polling Done
-// every tick; scenarios that do not implement it run on the legacy
-// per-tick path, which imposes no constraint on Done.
-type TimeHorizoned interface {
-	Horizon() float64
-}
-
 // Scenario shapes one experiment over the scenario-agnostic kernel.
 type Scenario interface {
 	// Name labels the scenario in results and reports.
@@ -112,6 +100,12 @@ type Scenario interface {
 	OnRunComplete(slot, runs int) Outcome
 	// Done reports whether the experiment is over.
 	Done(p Progress) bool
+	// Horizon returns the one simulated time at or beyond which Done
+	// may flip to true as a function of Progress.Time alone (0 = Done
+	// never depends on time). The value must be fixed for the lifetime
+	// of a run: it lets the kernel advance whole event horizons at once
+	// instead of polling Done every tick.
+	Horizon() float64
 }
 
 // Closed is the paper's §5 closed-batch methodology: every application
@@ -145,9 +139,8 @@ func (c *Closed) Initial() []*appmodel.Spec { return c.Specs }
 // Arrivals implements Scenario: a closed system has none.
 func (c *Closed) Arrivals() []Arrival { return nil }
 
-// Horizon implements TimeHorizoned: a closed run's Done depends only on
-// completed runs, never on time, so the kernel's event-horizon fast
-// path is always safe.
+// Horizon implements Scenario: a closed run's Done depends only on
+// completed runs, never on time.
 func (c *Closed) Horizon() float64 { return 0 }
 
 // OnRunComplete implements Scenario.
@@ -235,11 +228,11 @@ func (o *Open) WithHorizon(seconds float64) *Open {
 	return o
 }
 
-// Horizon returns the cap set by WithHorizon (0 = none) — the cluster
-// layer propagates it to every machine it feeds from the trace, and it
-// implements TimeHorizoned: the cap is the only time at which Done can
-// flip as a function of time alone. Call WithHorizon before the run
-// starts; the kernel captures the value once.
+// Horizon implements Scenario: it returns the cap set by WithHorizon
+// (0 = none), the only time at which Done can flip as a function of
+// time alone. The cluster layer propagates it to every machine it feeds
+// from the trace. Call WithHorizon before the run starts; the kernel
+// captures the value once.
 func (o *Open) Horizon() float64 { return o.horizon }
 
 // Name implements Scenario.
