@@ -1,6 +1,7 @@
 // Benchmarks regenerating the paper's tables and figures (one benchmark
 // per artifact, §5 evaluation + §3 analysis), plus ablation benchmarks
-// for the design choices called out in DESIGN.md.
+// for the design choices called out in DESIGN.md and the simulator's
+// whole-run allocation budgets (TestWholeRunAllocations).
 //
 // Figure benchmarks run reduced-size configurations so `go test -bench=.`
 // stays tractable; cmd/lfoc-bench regenerates the full artifacts.
@@ -9,11 +10,13 @@ package lfoc
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/faircache/lfoc/internal/appmodel"
 	"github.com/faircache/lfoc/internal/cache"
 	"github.com/faircache/lfoc/internal/cat"
+	"github.com/faircache/lfoc/internal/cluster"
 	"github.com/faircache/lfoc/internal/core"
 	fp "github.com/faircache/lfoc/internal/fixedpoint"
 	"github.com/faircache/lfoc/internal/harness"
@@ -23,6 +26,7 @@ import (
 	"github.com/faircache/lfoc/internal/policy"
 	"github.com/faircache/lfoc/internal/profiles"
 	"github.com/faircache/lfoc/internal/sharing"
+	"github.com/faircache/lfoc/internal/sim"
 	"github.com/faircache/lfoc/internal/workloads"
 )
 
@@ -379,52 +383,118 @@ func BenchmarkLookahead(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Simulator-throughput benchmarks (the BENCH_sim.json rows; DESIGN.md §2).
+// Whole-run allocation budgets (DESIGN.md §6).
 // ---------------------------------------------------------------------
 
-// benchSimCase times one harness.SimBenchCases workload — the same
-// definitions lfoc-bench -sim measures into the gated BENCH_sim.json,
-// so the bench smoke can never drift from the baseline — reporting the
-// exact simulated-tick throughput.
-func benchSimCase(b *testing.B, name string) {
-	cases, err := harness.SimBenchCases(harness.DefaultConfig())
+// wholeRunAllocSlack absorbs runtime background allocations that land
+// inside a measured run.
+const wholeRunAllocSlack = 16
+
+// TestWholeRunAllocations holds four deterministic whole runs under the
+// LFOC policy to their allocation budgets: the paper's closed batch on
+// the S1 mix, an open-system churn run (seeded Poisson arrivals), a
+// 4-machine cluster behind one arrival stream (fairness-aware
+// placement, serial advancement so counts stay machine-independent),
+// and a 1024-machine heterogeneous fleet under Poisson churn. The
+// simulator is deterministic, so its allocation count moves only when
+// the code does. When a change grows a count on purpose, refresh its
+// budget from this test's -v log.
+func TestWholeRunAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs four whole simulations, one of them over 1024 machines")
+	}
+	// Allocation counts shift between Go releases; the budgets were
+	// recorded with go1.24.
+	if v := runtime.Version(); v != "go1.24" && !strings.HasPrefix(v, "go1.24.") {
+		t.Skipf("allocation budgets are for go1.24, not %s", v)
+	}
+	cfg := harness.DefaultConfig()
+	w, err := workloads.Get("S1")
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		if c.Name != name {
-			continue
+	simCfg := cfg.SimConfig()
+	fleet, err := cluster.ParseMachineMix("512x11way,512x7way", simCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Policies, placements and scenarios are built inside each run:
+	// AllocsPerRun calls a run twice (a warm-up, then the measured
+	// call), and state shared between the calls would undercount.
+	closed := func() error {
+		pol, _, err := cfg.NewDynamicPolicy("lfoc")
+		if err != nil {
+			return err
 		}
-		var ticks float64
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if ticks, err = c.Run(); err != nil {
-				b.Fatal(err)
+		_, err = sim.RunDynamic(simCfg, w.ScaledSpecs(cfg.Scale), pol)
+		return err
+	}
+	openChurn := func() error {
+		scn, err := w.OpenScenario(2, 4, 7, cfg.Scale)
+		if err != nil {
+			return err
+		}
+		pol, _, err := cfg.NewDynamicPolicy("lfoc")
+		if err != nil {
+			return err
+		}
+		_, err = sim.RunOpen(simCfg, scn, pol)
+		return err
+	}
+	cluster4 := func() error {
+		scn, err := w.OpenScenario(4, 4, 7, cfg.Scale)
+		if err != nil {
+			return err
+		}
+		pl, err := cluster.NewPlacement("fair", cfg.Plat)
+		if err != nil {
+			return err
+		}
+		ccfg := cluster.Config{Sim: simCfg, Machines: 4, Placement: pl, Workers: 1}
+		_, err = cluster.Run(ccfg, scn, func(int) (sim.Dynamic, error) {
+			pol, _, err := cfg.NewDynamicPolicy("lfoc")
+			return pol, err
+		})
+		return err
+	}
+	cluster1k := func() error {
+		scn, err := w.OpenScenario(128, 4, 7, cfg.Scale)
+		if err != nil {
+			return err
+		}
+		ccfg := cluster.Config{Fleet: fleet, Placement: cluster.NewLeastLoaded(), Workers: 1}
+		_, err = cluster.Run(ccfg, scn, func(i int) (sim.Dynamic, error) {
+			pol, _, err := cfg.NewDynamicPolicyFor("lfoc", fleet[i].Plat)
+			return pol, err
+		})
+		return err
+	}
+
+	for _, c := range []struct {
+		name   string
+		budget float64 // allocations per run
+		run    func() error
+	}{
+		{"closed-batch", 33394, closed},
+		{"open-churn", 7794, openChurn},
+		{"cluster-4", 16726, cluster4},
+		{"cluster-1k", 1385745, cluster1k},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var err error
+			allocs := testing.AllocsPerRun(1, func() {
+				if e := c.run(); e != nil {
+					err = e
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		b.ReportMetric(ticks*float64(b.N)/b.Elapsed().Seconds(), "ticks/sec")
-		return
+			t.Logf("%.0f allocations per run (budget %.0f + %d)", allocs, c.budget, wholeRunAllocSlack)
+			if allocs > c.budget+wholeRunAllocSlack {
+				t.Errorf("%.0f allocations per run, over the budget of %.0f + %d", allocs, c.budget, wholeRunAllocSlack)
+			}
+		})
 	}
-	b.Fatalf("no sim bench case %q", name)
 }
-
-// BenchmarkSimClosed measures the closed-batch methodology (S1, LFOC)
-// through the kernel's event-horizon advancement.
-func BenchmarkSimClosed(b *testing.B) { benchSimCase(b, "closed-batch") }
-
-// BenchmarkSimOpenChurn measures an open-system churn run (S1, seeded
-// Poisson arrivals, LFOC).
-func BenchmarkSimOpenChurn(b *testing.B) { benchSimCase(b, "open-churn") }
-
-// BenchmarkSimCluster4 measures a 4-machine cluster behind one arrival
-// stream (fairness-aware placement, serial advancement); ticks/sec
-// counts every machine's ticks.
-func BenchmarkSimCluster4(b *testing.B) { benchSimCase(b, "cluster-4") }
-
-// BenchmarkSimCluster1k measures the 1024-machine heterogeneous fleet
-// under Poisson churn — the sparse-fleet regime the lazy fleet event
-// queue exists for. ticks/sec counts simulated ticks over the whole
-// fleet: idle machines' windows are simulated without being executed,
-// so a return to eager per-arrival barriers collapses this figure.
-func BenchmarkSimCluster1k(b *testing.B) { benchSimCase(b, "cluster-1k") }

@@ -1,16 +1,14 @@
-// Command benchdiff is the CI perf-regression gate: it compares freshly
-// generated JSON baselines (lfoc-bench -json / -sim-json) against the
-// committed references and fails — exits non-zero — when a partitioning
-// algorithm or the simulator kernel got meaningfully slower or started
-// allocating more.
+// Command benchdiff is the CI perf-regression gate for Table 2: it
+// compares a freshly generated JSON baseline (lfoc-bench -json) against
+// the committed reference and fails — exits non-zero — when a
+// partitioning algorithm got meaningfully slower or started allocating
+// more.
 //
 // Usage:
 //
 //	benchdiff -baseline BENCH_table2.json -current BENCH_new.json
-//	benchdiff -sim-baseline BENCH_sim.json -sim-current BENCH_sim_new.json
 //
-// Both sections may run in one invocation; each needs its -current /
-// -sim-current file. The Table 2 gates:
+// The gates:
 //
 //   - Time: the median over workload sizes of the current/baseline
 //     solve-time ratio must stay within -max-time-ratio (default 1.25,
@@ -28,15 +26,9 @@
 //
 //	go run ./cmd/lfoc-bench -table 2 -iters 50 -json BENCH_table2.json
 //
-// The sim section applies the same two gates to the simulator-throughput
-// rows (closed batch, open churn, 4-machine cluster): the median
-// ticks/sec ratio across rows must not regress more than
-// -max-time-ratio, and allocs per run must not grow beyond
-// -sim-alloc-slack (a larger absolute slack than Table 2's, since a
-// whole simulation makes thousands of allocations and the runtime smears
-// background ones across the timing loop). Refresh with:
-//
-//	go run ./cmd/lfoc-bench -sim -sim-iters 5 -sim-json BENCH_sim.json
+// The simulator's wall time is measured by the benchmark module (bash
+// benchmark/run.sh, gated with its -compare mode), and its whole-run
+// allocation budgets by TestWholeRunAllocations.
 package main
 
 import (
@@ -61,30 +53,6 @@ type baselineFile struct {
 
 func load(path string) (baselineFile, error) {
 	var b baselineFile
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return b, err
-	}
-	if err := json.Unmarshal(buf, &b); err != nil {
-		return b, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(b.Rows) == 0 {
-		return b, fmt.Errorf("%s: no rows", path)
-	}
-	return b, nil
-}
-
-// simFile mirrors the lfoc-bench -sim-json schema.
-type simFile struct {
-	GeneratedAt string                `json:"generated_at"`
-	GoVersion   string                `json:"go_version"`
-	Scale       uint64                `json:"scale"`
-	ItersPerRow int                   `json:"iters_per_row"`
-	Rows        []harness.SimBenchRow `json:"rows"`
-}
-
-func loadSim(path string) (simFile, error) {
-	var b simFile
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return b, err
@@ -125,28 +93,20 @@ func median(v []float64) float64 {
 
 func main() {
 	var (
-		basePath      = flag.String("baseline", "BENCH_table2.json", "committed Table 2 reference baseline")
-		currPath      = flag.String("current", "", "freshly generated Table 2 baseline to check")
-		timeRatio     = flag.Float64("max-time-ratio", 1.25, "fail when a median time/throughput ratio exceeds this")
-		allocSlack    = flag.Float64("alloc-slack", 0.5, "Table 2 allocs/op tolerance for runtime background noise")
-		simBasePath   = flag.String("sim-baseline", "BENCH_sim.json", "committed sim-throughput reference baseline")
-		simCurrPath   = flag.String("sim-current", "", "freshly generated sim-throughput baseline to check")
-		simAllocSlack = flag.Float64("sim-alloc-slack", 16, "sim allocs/run tolerance for runtime background noise")
+		basePath   = flag.String("baseline", "BENCH_table2.json", "committed Table 2 reference baseline")
+		currPath   = flag.String("current", "", "freshly generated Table 2 baseline to check (required)")
+		timeRatio  = flag.Float64("max-time-ratio", 1.25, "fail when a median solve-time ratio exceeds this")
+		allocSlack = flag.Float64("alloc-slack", 0.5, "allocs/op tolerance for runtime background noise")
 	)
 	flag.Parse()
-	if flag.NArg() > 0 || (*currPath == "" && *simCurrPath == "") {
-		fmt.Fprintln(os.Stderr, "benchdiff: need -current and/or -sim-current")
+	if flag.NArg() > 0 || *currPath == "" {
+		fmt.Fprintln(os.Stderr, "benchdiff: need -current")
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	failures := 0
-	if *currPath != "" {
-		failures += diffTable2(*basePath, *currPath, *timeRatio, *allocSlack)
-	}
-	if *simCurrPath != "" {
-		failures += diffSim(*simBasePath, *simCurrPath, *timeRatio, *simAllocSlack)
-	}
+	failures, err := diffTable2(*basePath, *currPath, *timeRatio, *allocSlack)
+	exitOn(err)
 	if failures > 0 {
 		fmt.Fprintf(os.Stderr, "benchdiff: %d regression(s)\n", failures)
 		os.Exit(1)
@@ -154,12 +114,17 @@ func main() {
 	fmt.Println("benchdiff: no perf regression")
 }
 
-// diffTable2 runs the Table 2 gates and returns the failure count.
-func diffTable2(basePath, currPath string, timeRatio, allocSlack float64) int {
+// diffTable2 runs the Table 2 gates and returns the failure count; an
+// unreadable file or a comparison with no common rows is an error.
+func diffTable2(basePath, currPath string, timeRatio, allocSlack float64) (int, error) {
 	base, err := load(basePath)
-	exitOn(err)
+	if err != nil {
+		return 0, err
+	}
 	curr, err := load(currPath)
-	exitOn(err)
+	if err != nil {
+		return 0, err
+	}
 
 	// Alloc counts are deterministic per Go release but can shift
 	// between releases; comparing across major.minor versions would gate
@@ -218,8 +183,7 @@ func diffTable2(basePath, currPath string, timeRatio, allocSlack float64) int {
 		}
 	}
 	if len(lfocRatios) == 0 {
-		fmt.Fprintln(os.Stderr, "benchdiff: no comparable rows")
-		os.Exit(1)
+		return failures, fmt.Errorf("no comparable rows")
 	}
 
 	lfocMed, kpartMed := median(lfocRatios), median(kpartRatios)
@@ -234,79 +198,7 @@ func diffTable2(basePath, currPath string, timeRatio, allocSlack float64) int {
 			(kpartMed-1)*100, (timeRatio-1)*100)
 		failures++
 	}
-	return failures
-}
-
-// diffSim runs the simulator-throughput gates and returns the failure
-// count: the median over rows of the baseline/current ticks-per-second
-// ratio must stay within timeRatio (throughput is gated rather than
-// wall-clock per run, so a config change that alters how long a
-// scenario simulates cannot masquerade as a speedup), and allocations
-// per run must not grow beyond allocSlack.
-func diffSim(basePath, currPath string, timeRatio, allocSlack float64) int {
-	base, err := loadSim(basePath)
-	exitOn(err)
-	curr, err := loadSim(currPath)
-	exitOn(err)
-
-	sameGo := minorVersion(base.GoVersion) == minorVersion(curr.GoVersion)
-	if !sameGo {
-		fmt.Fprintf(os.Stderr, "benchdiff: WARNING sim baseline is %s but current is %s; skipping the allocs/run gate (refresh the baseline on the CI Go version)\n",
-			base.GoVersion, curr.GoVersion)
-	}
-
-	baseRows := map[string]harness.SimBenchRow{}
-	for _, r := range base.Rows {
-		baseRows[r.Name] = r
-	}
-	currNames := map[string]bool{}
-	for _, r := range curr.Rows {
-		currNames[r.Name] = true
-	}
-
-	fmt.Printf("benchdiff: %s (go %s, iters %d) vs %s (go %s, iters %d)\n",
-		basePath, base.GoVersion, base.ItersPerRow, currPath, curr.GoVersion, curr.ItersPerRow)
-	fmt.Printf("%-14s %14s %14s %7s %12s %12s\n",
-		"scenario", "base tick/s", "curr tick/s", "ratio", "allocs-b", "allocs-c")
-
-	var ratios []float64
-	failures := 0
-	for _, c := range curr.Rows {
-		b, ok := baseRows[c.Name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchdiff: no sim baseline row %q\n", c.Name)
-			failures++
-			continue
-		}
-		// Throughput ratio: >1 means the current build is slower.
-		r := b.TicksPerSec / c.TicksPerSec
-		ratios = append(ratios, r)
-		fmt.Printf("%-14s %14.0f %14.0f %7.2f %12.0f %12.0f\n",
-			c.Name, b.TicksPerSec, c.TicksPerSec, r, b.AllocsPerRun, c.AllocsPerRun)
-		if sameGo && c.AllocsPerRun > b.AllocsPerRun+allocSlack {
-			fmt.Fprintf(os.Stderr, "benchdiff: FAIL sim %s: allocs/run %.0f > baseline %.0f\n",
-				c.Name, c.AllocsPerRun, b.AllocsPerRun)
-			failures++
-		}
-	}
-	for _, b := range base.Rows {
-		if !currNames[b.Name] {
-			fmt.Fprintf(os.Stderr, "benchdiff: FAIL sim baseline row %q missing from current results\n", b.Name)
-			failures++
-		}
-	}
-	if len(ratios) == 0 {
-		fmt.Fprintln(os.Stderr, "benchdiff: no comparable sim rows")
-		os.Exit(1)
-	}
-	med := median(ratios)
-	fmt.Printf("median sim-throughput ratio: %.3f (gate %.2f)\n", med, timeRatio)
-	if med > timeRatio {
-		fmt.Fprintf(os.Stderr, "benchdiff: FAIL median sim throughput regressed %.0f%% (> %.0f%%)\n",
-			(med-1)*100, (timeRatio-1)*100)
-		failures++
-	}
-	return failures
+	return failures, nil
 }
 
 func exitOn(err error) {

@@ -7,15 +7,14 @@
 //	lfoc-bench -table 2
 //	lfoc-bench -fig 6 -workloads S1,S2,S3
 //	lfoc-bench -table 2 -json BENCH_table2.json   # machine-readable baseline
-//	lfoc-bench -sim -sim-json BENCH_sim.json      # simulator-throughput baseline
 //
 // The -scale flag divides all instruction quantities and the partitioner
 // period by the given factor (cadence ratios preserved); EXPERIMENTS.md
 // records the scale used for the published numbers. The -json flag
 // additionally writes the Table 2 timings as a JSON baseline so the perf
-// trajectory can be tracked across revisions (CI commits one per run),
-// and -sim/-sim-json do the same for the simulator kernel (closed
-// batch, open churn, 4-machine cluster — ticks/sec and allocs/run).
+// trajectory can be tracked across revisions (CI commits one per run).
+// The simulator's performance record is the benchmark module
+// (bash benchmark/run.sh, see benchmark/README.md).
 // -cpuprofile/-memprofile write pprof profiles, so perf work starts
 // from a profile instead of a guess.
 package main
@@ -76,9 +75,6 @@ func main() {
 		ucp       = flag.Bool("ucp", false, "run the UCP-vs-LFOC supplement (8-app workloads)")
 		iters     = flag.Int("iters", 200, "timing iterations per size for Table 2")
 		jsonOut   = flag.String("json", "", "also write Table 2 timings as a JSON baseline to this file")
-		simBench  = flag.Bool("sim", false, "run the simulator-throughput benchmarks (closed batch, open churn, 4-machine cluster)")
-		simIters  = flag.Int("sim-iters", 5, "timing iterations per simulator-throughput row")
-		simJSON   = flag.String("sim-json", "", "also write the simulator-throughput rows as a JSON baseline to this file")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -168,48 +164,10 @@ func main() {
 		fmt.Println(d.Render())
 		did = true
 	}
-	if *simBench {
-		d, err := harness.SimBench(cfg, *simIters)
-		exitOn(err)
-		fmt.Println(d.Render())
-		if *simJSON != "" {
-			exitOn(writeSimJSON(*simJSON, d, cfg.Scale, *simIters))
-			fmt.Fprintln(os.Stderr, "lfoc-bench: wrote", *simJSON)
-		}
-		did = true
-	}
 	if !did {
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-// simBaseline is the schema of the -sim-json perf-baseline file.
-type simBaseline struct {
-	GeneratedAt string                `json:"generated_at"`
-	GoVersion   string                `json:"go_version"`
-	GOMAXPROCS  int                   `json:"gomaxprocs"`
-	Scale       uint64                `json:"scale"`
-	ItersPerRow int                   `json:"iters_per_row"`
-	Rows        []harness.SimBenchRow `json:"rows"`
-}
-
-func writeSimJSON(path string, d harness.SimBenchData, scale uint64, iters int) error {
-	b := simBaseline{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Scale:       scale,
-		ItersPerRow: iters,
-		Rows:        d.Rows,
-	}
-	buf, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	// Atomic (temp+rename): an interrupted benchmark run can never leave
-	// a truncated baseline behind for benchdiff to choke on.
-	return atomicfile.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
 // profileCleanup finishes any in-flight profiles before a non-zero

@@ -49,8 +49,9 @@
 // machines whose next-event horizon has passed are touched per
 // arrival, so 1000-machine fleets simulate in seconds while producing
 // results bit-identical to an eager every-machine loop.
-// -record-assignments adds the per-arrival machine assignment log to
-// the JSON result (off by default — it costs O(arrivals) memory).
+// -record-assignments adds the per-arrival machine assignment log to a
+// single cluster run's JSON result (off by default — it costs
+// O(arrivals) memory); anywhere else it is a usage error.
 //
 // -events, -mtbf and -autoscale (each implies cluster mode) add the
 // machine lifecycle layer: -events schedules joins/drains/failures
@@ -281,7 +282,7 @@ func main() {
 		machines      = flag.Int("machines", 1, "cluster size: spread arrivals across this many machines")
 		mix           = flag.String("machine-mix", "", "heterogeneous fleet spec: <count>x<ways>way[<cores>c],... e.g. 2x11way,2x7way (implies cluster mode)")
 		placement     = flag.String("placement", "", "cluster placement policy: rr | least | fair (implies cluster mode)")
-		recordAssign  = flag.Bool("record-assignments", false, "include the per-arrival machine assignment log in the JSON result (costs O(arrivals) memory)")
+		recordAssign  = flag.Bool("record-assignments", false, "include the per-arrival machine assignment log in a single cluster run's JSON result (costs O(arrivals) memory)")
 		events        = flag.String("events", "", "fleet lifecycle schedule: kind:t=<s>[,m=<idx>];... e.g. drain:t=5,m=1;fail:t=7,m=0;join:t=9 (implies cluster mode)")
 		mtbf          = flag.Float64("mtbf", 0, "mean time between random machine failures, simulated seconds (0 = none; implies cluster mode)")
 		autoscale     = flag.String("autoscale", "", "load-triggered autoscaling: i=<interval>[,up=<ratio>][,down=<ratio>][,min=<n>][,max=<n>] (implies cluster mode)")
@@ -356,6 +357,9 @@ func main() {
 	}
 	if clustered && *sweep == "" && *specSweep == "" && sources == 0 {
 		fail(fmt.Errorf("cluster mode needs an open system: set -arrivals, -workload-spec, -replay-trace or -sweep"))
+	}
+	if *recordAssign && (!clustered || *sweep != "" || *specSweep != "") {
+		fail(fmt.Errorf("-record-assignments applies to a single cluster run, not a sweep, an open run on one machine or a closed run"))
 	}
 	if *mtbf < 0 {
 		fail(fmt.Errorf("-mtbf must be nonnegative, got %v", *mtbf))

@@ -222,3 +222,43 @@ func TestSweepFlagsTakeEffect(t *testing.T) {
 		}
 	})
 }
+
+// -record-assignments keeps the assignment log of a single cluster run.
+// Sweeps, open runs on one machine and closed runs once accepted it and
+// wrote no log; each is now a usage error.
+func TestRecordAssignmentsNeedsClusterRun(t *testing.T) {
+	open := []string{"-workload", "S3", "-arrivals", "poisson:2", "-duration", "3", "-scale", "200", "-record-assignments"}
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"sweep", []string{"-workload", "S3", "-sweep", "2", "-policy", "lfoc", "-duration", "3", "-scale", "200", "-record-assignments"}},
+		{"open run", open},
+		{"closed run", []string{"-workload", "S3", "-scale", "200", "-record-assignments"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if code, _ := runSweep(t, c.args...); code != 2 {
+				t.Errorf("exit %d, want the usage error 2", code)
+			}
+		})
+	}
+	t.Run("cluster run", func(t *testing.T) {
+		out := filepath.Join(t.TempDir(), "out.json")
+		if err := exec.Command(simBinary(t), append(open, "-machines", "2", "-json", out)...).Run(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res struct {
+			Assignments []int `json:"assignments"`
+		}
+		if err := json.Unmarshal(data, &res); err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Assignments) == 0 {
+			t.Error("cluster run wrote no assignment log")
+		}
+	})
+}

@@ -44,19 +44,14 @@ type WindowedSeries struct {
 	Points []WindowPoint
 }
 
-// WindowSnapshot summarizes a set of instantaneous slowdowns without
+// SlowdownStats summarizes a set of instantaneous slowdowns without
 // erroring on degenerate populations, which windows in an open system
 // routinely are (empty right after a departure burst, singleton under
 // light load). Slowdowns below 1 — tick-quantization artifacts — are
-// clamped, mirroring the closed-methodology reporting.
-func WindowSnapshot(slowdowns []float64) (unfairness, stp, mean float64) {
-	unfairness, stp, mean, _, _ = SlowdownStats(slowdowns)
-	return unfairness, stp, mean
-}
-
-// SlowdownStats is WindowSnapshot plus the extreme slowdowns behind the
-// unfairness ratio (lo and hi are 0 for an empty population). Cluster
-// aggregation needs the extremes: the unfairness of a fleet is the
+// clamped, mirroring the closed-methodology reporting. An empty
+// population reads unfairness 1 and everything else 0. lo and hi are
+// the extreme slowdowns behind the unfairness ratio: cluster
+// aggregation needs them, since the unfairness of a fleet is the
 // max-of-maxes over the min-of-mins, not any function of the
 // per-machine ratios.
 func SlowdownStats(slowdowns []float64) (unfairness, stp, mean, lo, hi float64) {

@@ -5,23 +5,23 @@ import (
 	"testing"
 )
 
-func TestWindowSnapshot(t *testing.T) {
-	u, s, m := WindowSnapshot(nil)
-	if u != 1 || s != 0 || m != 0 {
-		t.Errorf("empty snapshot = (%v,%v,%v)", u, s, m)
+func TestSlowdownStats(t *testing.T) {
+	u, s, m, lo, hi := SlowdownStats(nil)
+	if u != 1 || s != 0 || m != 0 || lo != 0 || hi != 0 {
+		t.Errorf("empty stats = (%v,%v,%v,%v,%v)", u, s, m, lo, hi)
 	}
-	u, s, m = WindowSnapshot([]float64{2})
-	if u != 1 || s != 0.5 || m != 2 {
-		t.Errorf("singleton snapshot = (%v,%v,%v)", u, s, m)
+	u, s, m, lo, hi = SlowdownStats([]float64{2})
+	if u != 1 || s != 0.5 || m != 2 || lo != 2 || hi != 2 {
+		t.Errorf("singleton stats = (%v,%v,%v,%v,%v)", u, s, m, lo, hi)
 	}
-	u, s, m = WindowSnapshot([]float64{1, 2, 4})
-	if u != 4 || math.Abs(s-1.75) > 1e-15 || math.Abs(m-7.0/3) > 1e-15 {
-		t.Errorf("snapshot = (%v,%v,%v)", u, s, m)
+	u, s, m, lo, hi = SlowdownStats([]float64{1, 2, 4})
+	if u != 4 || math.Abs(s-1.75) > 1e-15 || math.Abs(m-7.0/3) > 1e-15 || lo != 1 || hi != 4 {
+		t.Errorf("stats = (%v,%v,%v,%v,%v)", u, s, m, lo, hi)
 	}
 	// Sub-1 slowdowns (tick quantization) are clamped.
-	u, _, m = WindowSnapshot([]float64{0.5, 2})
-	if u != 2 || m != 1.5 {
-		t.Errorf("clamped snapshot = (%v,_,%v)", u, m)
+	u, _, m, lo, _ = SlowdownStats([]float64{0.5, 2})
+	if u != 2 || m != 1.5 || lo != 1 {
+		t.Errorf("clamped stats = (%v,_,%v,%v,_)", u, m, lo)
 	}
 }
 

@@ -2,7 +2,7 @@
 // so perf investigations start from a profile instead of a guess:
 //
 //	lfoc-sim -workload S1 -arrivals poisson:4 -cpuprofile cpu.pb.gz
-//	lfoc-bench -sim -memprofile mem.pb.gz
+//	lfoc-bench -table 2 -memprofile mem.pb.gz
 //	go tool pprof cpu.pb.gz
 package profiling
 

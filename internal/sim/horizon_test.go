@@ -347,22 +347,24 @@ func equilStats(t *testing.T, max int) (*OpenResult, float64) {
 		TargetInsns:  300_000_000,
 		PolicyPeriod: 10 * time.Millisecond,
 	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cfg.MetricsWindow = cfg.EffectiveMetricsWindow()
-	k, err := newKernel(cfg, scn, horizonPolicy(t, "lfoc", cfg.Plat))
+	m, err := NewOpenMachine(cfg, horizonPolicy(t, "lfoc", cfg.Plat), scn.Name(), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	k := m.k
 	k.equilMax = max
-	if err := k.run(); err != nil {
+	for _, arr := range scn.Arrivals() {
+		if err := m.Inject(arr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	if k.equilHits+k.equilMiss == 0 {
 		t.Fatal("no equilibrium lookups")
 	}
-	return buildOpenResult(k, scn.Name()), float64(k.equilHits) / float64(k.equilHits+k.equilMiss)
+	return m.Result(), float64(k.equilHits) / float64(k.equilHits+k.equilMiss)
 }
 
 // TestEquilCacheRotationKeepsWorkingSet pins the two-generation

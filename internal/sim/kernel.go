@@ -120,8 +120,9 @@ const (
 // kernel is the scenario-agnostic execution engine: it integrates
 // application progress under the contention model, accumulates hardware
 // counters, delivers counter windows to the policy, activates the
-// partitioner periodically, and consults the scenario for arrivals,
-// run-completion outcomes and termination.
+// partitioner periodically, and consults the scenario for
+// run-completion outcomes and termination. Arrivals are injected
+// (OpenMachine.Inject).
 type kernel struct {
 	cfg Config
 	pol Dynamic
@@ -222,20 +223,11 @@ func newKernel(cfg Config, scn scenario.Scenario, pol Dynamic) (*kernel, error) 
 			return nil, err
 		}
 	}
-	for i, arr := range scn.Arrivals() {
-		if arr.Spec == nil {
-			return nil, fmt.Errorf("sim: arrival %d without a spec", i)
-		}
-		if err := arr.Spec.Validate(); err != nil {
-			return nil, err
-		}
-	}
 
 	k := &kernel{
 		cfg:           cfg,
 		pol:           pol,
 		scn:           scn,
-		arrivals:      scn.Arrivals(),
 		eval:          sharing.NewEvaluator(sharing.NewModel(cfg.Plat)),
 		equil:         make(map[string]*equilState),
 		equilMax:      equilCacheMax,
@@ -258,12 +250,11 @@ func newKernel(cfg Config, scn scenario.Scenario, pol Dynamic) (*kernel, error) 
 		k.series.Width = cfg.MetricsWindow.Seconds()
 	}
 	if len(initial) > cfg.Plat.Cores {
-		// Open-system scenarios (their apps depart and free cores) queue
-		// the overflow FIFO, exactly like arrivals on a full machine;
-		// everything else — the closed methodology, whose apps never
-		// release a core — is rejected up-front as before.
-		q, ok := scn.(interface{ QueueInitialOverflow() bool })
-		if !ok || !q.QueueInitialOverflow() {
+		// An open machine (its apps depart and free cores) queues the
+		// overflow FIFO, exactly like arrivals on a full machine; the
+		// closed methodology, whose apps never release a core, is
+		// rejected up-front.
+		if _, open := scn.(*feedScenario); !open {
 			return nil, fmt.Errorf("sim: %d apps exceed %d cores", len(initial), cfg.Plat.Cores)
 		}
 	}

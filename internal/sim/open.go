@@ -43,7 +43,7 @@ type OpenResult struct {
 	// Series holds the windowed unfairness/STP/throughput trajectory.
 	Series metrics.WindowedSeries `json:"series"`
 	// Summary aggregates the departed applications' slowdowns
-	// (WindowSnapshot semantics: zero value when nothing departed).
+	// (metrics.SlowdownStats; zero value when nothing departed).
 	Summary metrics.Summary `json:"summary"`
 	// MeanSlowdown and MeanWait average over departed applications.
 	MeanSlowdown float64 `json:"mean_slowdown"`
@@ -59,26 +59,28 @@ type OpenResult struct {
 	SimSeconds   float64 `json:"sim_seconds"`
 }
 
-// RunOpen runs an open scenario under a dynamic policy. MetricsWindow
+// RunOpen runs an open scenario under a dynamic policy: it injects the
+// whole trace into one OpenMachine and drains it. MetricsWindow
 // defaults to the policy period; identical (scenario, seed, config)
 // inputs produce identical results — the open-system determinism the
 // golden tests pin.
 func RunOpen(cfg Config, scn *scenario.Open, pol Dynamic) (*OpenResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg.MetricsWindow = cfg.EffectiveMetricsWindow()
 	if len(scn.Initial()) == 0 && len(scn.Arrivals()) == 0 {
 		return nil, fmt.Errorf("sim: open scenario %q has no applications", scn.Name())
 	}
-	k, err := newKernel(cfg, scn, pol)
+	m, err := NewOpenMachine(cfg, pol, scn.Name(), scn.Initial(), scn.Horizon())
 	if err != nil {
 		return nil, err
 	}
-	if err := k.run(); err != nil {
+	for _, arr := range scn.Arrivals() {
+		if err := m.Inject(arr); err != nil {
+			return nil, err
+		}
+	}
+	if err := m.Drain(); err != nil {
 		return nil, err
 	}
-	return buildOpenResult(k, scn.Name()), nil
+	return m.Result(), nil
 }
 
 func buildOpenResult(k *kernel, name string) *OpenResult {
@@ -131,7 +133,7 @@ func buildOpenResult(k *kernel, name string) *OpenResult {
 		res.Apps = append(res.Apps, notAdmitted(arr))
 		res.Remaining++
 	}
-	unf, stp, mean := metrics.WindowSnapshot(departed)
+	unf, stp, mean, _, _ := metrics.SlowdownStats(departed)
 	if res.Departed > 0 {
 		res.Summary = metrics.Summary{Unfairness: unf, STP: stp}
 		res.MeanSlowdown = mean

@@ -10,12 +10,12 @@ import (
 	"github.com/faircache/lfoc/internal/sim/scenario"
 )
 
-// feedScenario is the open scenario of a cluster-fed machine: arrivals
-// are not known upfront but injected one at a time by a placement
-// layer, so the scenario cannot decide termination from its own trace.
-// Instead the feeder marks the stream drained when the global trace is
-// exhausted; until then the machine idles between arrivals exactly like
-// a monolithic open run whose next arrival is still in the future.
+// feedScenario is the scenario of an open machine: arrivals are
+// injected one at a time (by RunOpen from a whole trace, or by a
+// placement layer from a fleet's), so the scenario cannot decide
+// termination from its own trace. Instead the feeder marks the stream
+// drained when its trace is exhausted; until then the machine idles
+// between arrivals.
 type feedScenario struct {
 	name    string
 	initial []*appmodel.Spec
@@ -25,9 +25,7 @@ type feedScenario struct {
 
 func (f *feedScenario) Name() string                            { return f.name }
 func (f *feedScenario) Initial() []*appmodel.Spec               { return f.initial }
-func (f *feedScenario) Arrivals() []scenario.Arrival            { return nil }
 func (f *feedScenario) OnRunComplete(int, int) scenario.Outcome { return scenario.Depart }
-func (f *feedScenario) QueueInitialOverflow() bool              { return true }
 
 // Horizon implements scenario.Scenario: the cap is the only time-based
 // Done trigger (the drained flag only ever flips between runUntil
@@ -41,14 +39,14 @@ func (f *feedScenario) Done(p scenario.Progress) bool {
 	return f.drained && p.Pending == 0 && p.Active == 0
 }
 
-// OpenMachine is one steppable machine of a cluster: an open-system
-// kernel whose arrivals are injected by a placement layer instead of
-// being fixed upfront. The step protocol — AdvanceTo the arrival
-// instant, inspect load, Inject, Drain at end of trace — executes
-// exactly the operation sequence of a monolithic RunOpen over the
-// arrivals the machine ended up with, so an N=1 cluster is bit-identical
-// to RunOpen and per-machine results equal independent replays of the
-// split trace (both pinned by tests in internal/cluster).
+// OpenMachine is one steppable open-system machine: its arrivals are
+// injected one at a time, by RunOpen or by a cluster's placement layer.
+// The cluster's step protocol — AdvanceTo the arrival instant, inspect
+// load, Inject, Drain at end of trace — executes exactly the operation
+// sequence of RunOpen, which injects the machine's whole trace before
+// draining, so an N=1 cluster is bit-identical to RunOpen and
+// per-machine results equal independent replays of the split trace
+// (both pinned by tests in internal/cluster).
 type OpenMachine struct {
 	k      *kernel
 	feed   *feedScenario

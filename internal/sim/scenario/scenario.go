@@ -3,9 +3,9 @@
 // what happens when one retires its per-run instruction quota. The
 // execution kernel in internal/sim is scenario-agnostic — it integrates
 // application progress, delivers counter windows and drives the policy,
-// while the scenario supplies arrivals and rules.
+// while the scenario supplies the population and rules.
 //
-// Two scenarios ship with the repository:
+// Two workload shapes ship with the repository:
 //
 //   - Closed reproduces the paper's §5 closed-batch methodology: all
 //     applications start together and restart until every one of them
@@ -14,7 +14,10 @@
 //   - Open models the churn a deployed LFOC faces: applications arrive
 //     from a seeded Poisson process (or an explicit trace), run their
 //     quota once, and depart, freeing their core and their class of
-//     service for the next arrival.
+//     service for the next arrival. Open is the arrival trace; a
+//     machine takes the arrivals one at a time (sim.OpenMachine.Inject),
+//     whether sim.RunOpen feeds it the whole trace or the cluster layer
+//     places each arrival on one machine of a fleet.
 //
 // Scenarios are pure data + decisions; they never touch kernel state
 // directly, which is what keeps every new experiment a constructor call
@@ -92,9 +95,6 @@ type Scenario interface {
 	Name() string
 	// Initial returns the applications present at time zero.
 	Initial() []*appmodel.Spec
-	// Arrivals returns later arrivals in nondecreasing time order (nil
-	// for closed scenarios).
-	Arrivals() []Arrival
 	// OnRunComplete is consulted when the application in the given slot
 	// retires its instruction quota for the runs-th time.
 	OnRunComplete(slot, runs int) Outcome
@@ -136,9 +136,6 @@ func (c *Closed) Name() string { return "closed" }
 // Initial implements Scenario.
 func (c *Closed) Initial() []*appmodel.Spec { return c.Specs }
 
-// Arrivals implements Scenario: a closed system has none.
-func (c *Closed) Arrivals() []Arrival { return nil }
-
 // Horizon implements Scenario: a closed run's Done depends only on
 // completed runs, never on time.
 func (c *Closed) Horizon() float64 { return 0 }
@@ -161,10 +158,11 @@ func (c *Closed) Done(p Progress) bool {
 	return true
 }
 
-// Open is the open-system scenario: applications arrive from a trace,
-// run their instruction quota once, and depart. The experiment ends
-// when the trace is drained and the system is empty, or when the
-// optional horizon is reached (whichever comes first).
+// Open is the open-system arrival trace: the applications present at
+// time zero, the later arrivals in time order, and an optional horizon.
+// Each application runs its instruction quota once and departs; the
+// experiment ends when the trace is drained and the system is empty, or
+// when the horizon is reached (whichever comes first).
 type Open struct {
 	name     string
 	initial  []*appmodel.Spec
@@ -220,47 +218,25 @@ func NewPoisson(name string, pool []*appmodel.Spec, rate, window float64, seed i
 	return &Open{name: name, arrivals: arrivals}, nil
 }
 
-// WithHorizon caps the experiment at the given simulated duration:
-// Done fires at the horizon even if applications are still running
-// (they are reported as remaining in the system). Zero removes the cap.
+// WithHorizon caps the experiment at the given simulated duration: it
+// ends at the horizon even if applications are still running (they are
+// reported as remaining in the system). Zero removes the cap.
 func (o *Open) WithHorizon(seconds float64) *Open {
 	o.horizon = seconds
 	return o
 }
 
-// Horizon implements Scenario: it returns the cap set by WithHorizon
-// (0 = none), the only time at which Done can flip as a function of
-// time alone. The cluster layer propagates it to every machine it feeds
-// from the trace. Call WithHorizon before the run starts; the kernel
+// Horizon returns the cap set by WithHorizon (0 = none). sim.RunOpen
+// and the cluster layer propagate it to every machine they feed from
+// the trace. Call WithHorizon before the run starts; each machine
 // captures the value once.
 func (o *Open) Horizon() float64 { return o.horizon }
 
-// Name implements Scenario.
+// Name labels the trace in results and reports.
 func (o *Open) Name() string { return o.name }
 
-// Initial implements Scenario.
+// Initial returns the applications present at time zero.
 func (o *Open) Initial() []*appmodel.Spec { return o.initial }
 
-// Arrivals implements Scenario.
+// Arrivals returns the later arrivals in nondecreasing time order.
 func (o *Open) Arrivals() []Arrival { return o.arrivals }
-
-// OnRunComplete implements Scenario: one quota, then out.
-func (o *Open) OnRunComplete(slot, runs int) Outcome { return Depart }
-
-// QueueInitialOverflow reports that initial applications beyond the
-// machine's core count start in the admission queue instead of failing
-// the run: open-system applications depart and free cores, so queued
-// initial apps are eventually admitted FIFO, exactly like arrivals on a
-// full machine. Closed scenarios deliberately lack this method — their
-// applications never depart, so an over-subscribed closed run could
-// never finish and is rejected up-front instead.
-func (o *Open) QueueInitialOverflow() bool { return true }
-
-// Done implements Scenario: trace drained and system empty, or horizon
-// reached.
-func (o *Open) Done(p Progress) bool {
-	if o.horizon > 0 && p.Time >= o.horizon {
-		return true
-	}
-	return p.Pending == 0 && p.Active == 0
-}

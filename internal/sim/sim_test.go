@@ -441,3 +441,29 @@ func TestOpenEquilCacheExactness(t *testing.T) {
 		}
 	}
 }
+
+// TestFeedScenario pins an open machine's rules: every application
+// departs after one quota, and the run ends once the feeder has drained
+// the stream and the machine is empty, or at the horizon.
+func TestFeedScenario(t *testing.T) {
+	tr := &feedScenario{drained: true}
+	if got := tr.OnRunComplete(0, 1); got != scenario.Depart {
+		t.Errorf("open OnRunComplete = %v, want depart", got)
+	}
+	if !tr.Done(scenario.Progress{Pending: 0, Active: 0}) {
+		t.Error("drained open system not done")
+	}
+	if tr.Done(scenario.Progress{Pending: 1}) || tr.Done(scenario.Progress{Active: 1}) {
+		t.Error("done with work left")
+	}
+	if (&feedScenario{}).Done(scenario.Progress{}) {
+		t.Error("done before the feeder drained the stream")
+	}
+	tr = &feedScenario{horizon: 2}
+	if !tr.Done(scenario.Progress{Time: 2, Active: 1}) {
+		t.Error("horizon did not terminate the scenario")
+	}
+	if tr.Done(scenario.Progress{Time: 1.9, Active: 1}) {
+		t.Error("terminated before the horizon with work left")
+	}
+}

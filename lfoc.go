@@ -258,8 +258,10 @@ func RunStatic(cfg SimConfig, specs []*Spec, p Plan) (*SimResult, error) {
 // ---------------------------------------------------------------------
 
 // Scenario shapes one experiment over the scenario-agnostic simulation
-// kernel: which applications exist, when they arrive, and what happens
-// when one retires its instruction quota.
+// kernel: which applications start it, what happens when one retires
+// its instruction quota, and when it ends. ClosedScenario implements
+// it; an open system's arrivals reach a machine one at a time instead
+// (see OpenScenario).
 type Scenario = scenario.Scenario
 
 // ClosedScenario is the paper's §5 closed-batch methodology as a
@@ -268,9 +270,10 @@ type Scenario = scenario.Scenario
 // exit+spawn so policies must re-learn classes.
 type ClosedScenario = scenario.Closed
 
-// OpenScenario is the open-system scenario: applications arrive from a
-// seeded Poisson process or an explicit trace, run their quota once,
-// and depart.
+// OpenScenario is the open-system arrival trace: applications arrive
+// from a seeded Poisson process or an explicit trace, run their quota
+// once, and depart. RunOpen feeds the trace to one machine; RunCluster
+// places each arrival on a machine of a fleet.
 type OpenScenario = scenario.Open
 
 // ScenarioArrival schedules one application entering an open system.
