@@ -476,10 +476,10 @@ func TestWholeRunAllocations(t *testing.T) {
 		budget float64 // allocations per run
 		run    func() error
 	}{
-		{"closed-batch", 33394, closed},
+		{"closed-batch", 33393, closed},
 		{"open-churn", 7794, openChurn},
-		{"cluster-4", 16726, cluster4},
-		{"cluster-1k", 1385745, cluster1k},
+		{"cluster-4", 16720, cluster4},
+		{"cluster-1k", 1384179, cluster1k},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var err error

@@ -29,7 +29,8 @@
 // unfairness/STP/throughput series. -sweep runs a grid over a list of
 // Poisson rates: at each rate every policy (stock, dunn, lfoc) faces
 // the identical trace, and an explicit -policy narrows the grid to one.
-// -seed makes every open run reproducible; -json writes the
+// -seed makes every open run reproducible; a closed run, which has no
+// arrival trace, rejects -duration and -seed. -json writes the
 // machine-readable result (mirroring lfoc-bench -json).
 //
 // -machines N spreads the arrival stream across a fleet of N identical
@@ -61,7 +62,9 @@
 // fleet with load. Drained machines migrate their residents when the
 // cost-aware policy finds it worth it (-migration-cost tunes the
 // tradeoff; negative disables migration); failed machines requeue them
-// with exponential backoff bounded by -max-retries. The identical
+// with exponential backoff bounded by -max-retries. Without -events,
+// -mtbf or -autoscale there is no lifecycle to tune, so -max-retries,
+// -retry-backoff and -migration-cost are usage errors. The identical
 // (seed, trace, schedule) inputs reproduce the identical run at any
 // -machines/worker configuration. With -sweep or -spec-sweep every grid
 // cell runs the lifecycle these flags configure, so the cells of one
@@ -310,6 +313,9 @@ func main() {
 	if *machines < 1 {
 		fail(fmt.Errorf("-machines must be at least 1, got %d", *machines))
 	}
+	if *scale == 0 {
+		fail(fmt.Errorf("-scale must be at least 1 (1 = paper scale)"))
+	}
 	sources := 0
 	for _, set := range []bool{*arrivals != "", *workloadSpec != "", *replayTrace != ""} {
 		if set {
@@ -358,6 +364,9 @@ func main() {
 	if clustered && *sweep == "" && *specSweep == "" && sources == 0 {
 		fail(fmt.Errorf("cluster mode needs an open system: set -arrivals, -workload-spec, -replay-trace or -sweep"))
 	}
+	if !clustered && *sweep == "" && *specSweep == "" && sources == 0 && (explicit["duration"] || explicit["seed"]) {
+		fail(fmt.Errorf("-duration and -seed shape an open-system arrival trace; a closed run has none"))
+	}
 	if *recordAssign && (!clustered || *sweep != "" || *specSweep != "") {
 		fail(fmt.Errorf("-record-assignments applies to a single cluster run, not a sweep, an open run on one machine or a closed run"))
 	}
@@ -375,6 +384,9 @@ func main() {
 		maxRetries:    *maxRetries,
 		retryBackoff:  *retryBackoff,
 		migrationCost: *migrationCost,
+	}
+	if !lifecycle.active() && (explicit["max-retries"] || explicit["retry-backoff"] || explicit["migration-cost"]) {
+		fail(fmt.Errorf("-max-retries, -retry-backoff and -migration-cost tune the lifecycle layer: add -events, -mtbf or -autoscale"))
 	}
 
 	cfg := harness.DefaultConfig()

@@ -262,3 +262,30 @@ func TestRecordAssignmentsNeedsClusterRun(t *testing.T) {
 		}
 	})
 }
+
+// Each input below was once accepted and then ignored (-scale 0 was
+// half-applied: unscaled specs under the default scale's quota); each
+// is now a usage error.
+func TestIgnoredInputsAreUsageErrors(t *testing.T) {
+	open := func(extra ...string) []string {
+		return append([]string{"-workload", "S3", "-arrivals", "poisson:2", "-duration", "3", "-scale", "200"}, extra...)
+	}
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"scale 0", []string{"-workload", "P1", "-scale", "0"}},
+		{"closed run duration", []string{"-workload", "S3", "-scale", "200", "-duration", "3"}},
+		{"closed run seed", []string{"-workload", "S3", "-scale", "200", "-seed", "2"}},
+		{"max-retries on a cluster run", open("-machines", "2", "-max-retries", "2")},
+		{"retry-backoff on an open run", open("-retry-backoff", "0.5")},
+		{"migration-cost on a sweep", []string{"-workload", "S3", "-sweep", "2", "-policy", "stock",
+			"-duration", "3", "-scale", "200", "-migration-cost", "0.1"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if code, _ := runSweep(t, c.args...); code != 2 {
+				t.Errorf("exit %d, want the usage error 2", code)
+			}
+		})
+	}
+}

@@ -149,6 +149,66 @@ func TestLifecycleCheckpointResumeDeepEqual(t *testing.T) {
 	}
 }
 
+// A checkpoint taken while the whole fleet is down holds the arrivals
+// parked for the next join; resuming it places them at the join exactly
+// as the uninterrupted run does.
+func TestParkedArrivalsCheckpointResumeDeepEqual(t *testing.T) {
+	plat := machine.Small(8, 4)
+	base := func() cluster.Config {
+		return cluster.Config{
+			Sim: clusterSimConfig(plat), Machines: 2,
+			Placement: cluster.NewRoundRobin(), RecordAssignments: true,
+			Lifecycle: &cluster.Lifecycle{
+				Events: []cluster.Event{
+					{Time: 1, Kind: cluster.MachineFail, Machine: 0},
+					{Time: 1.2, Kind: cluster.MachineFail, Machine: 1},
+					{Time: 3, Kind: cluster.MachineJoin},
+				},
+				JoinPolicy: func(_ int, mc sim.Config) (sim.Dynamic, error) {
+					return stockFactory(mc.Plat)(0)
+				},
+			},
+		}
+	}
+	full, err := cluster.Run(base(), ckptScn(t), stockFactory(plat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Lifecycle == nil || full.Lifecycle.Joins != 1 || full.Lifecycle.Unplaced != 0 {
+		t.Fatalf("uninterrupted run: lifecycle %+v, want one join and every arrival placed", full.Lifecycle)
+	}
+
+	path := filepath.Join(t.TempDir(), "parked.ckpt")
+	partialCfg := base()
+	partialCfg.StopAfter = 2
+	partialCfg.Checkpoint = &cluster.CheckpointConfig{Path: path}
+	if _, err := cluster.Run(partialCfg, ckptScn(t), stockFactory(plat)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"parked":[{`)) {
+		t.Fatal("checkpoint taken with the fleet down holds no parked arrivals")
+	}
+
+	ck, err := cluster.ReadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumeCfg := base()
+	resumeCfg.Resume = ck
+	resumed, err := cluster.Run(resumeCfg, ckptScn(t), stockFactory(plat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resumed, full) {
+		t.Errorf("resumed run diverges from the uninterrupted run: departed %d vs %d, assignments %v vs %v",
+			resumed.Departed, full.Departed, resumed.Assignments, full.Assignments)
+	}
+}
+
 // Cooperative cancellation: a canceled run returns a partial Result
 // marked interrupted (no error), leaves a valid checkpoint behind, and
 // resuming that checkpoint completes to the uninterrupted result.

@@ -308,13 +308,6 @@ func Run(cfg Config, scn *scenario.Open, newPolicy func(machine int) (sim.Dynami
 		if _, ok := cfg.Placement.(PlacementSnapshotter); !ok {
 			return nil, &sim.SnapshotUnsupportedError{What: fmt.Sprintf("placement policy %T", cfg.Placement)}
 		}
-		if cfg.Lifecycle.active() {
-			for i, ev := range cfg.Lifecycle.Events {
-				if ev.Config != nil {
-					return nil, fmt.Errorf("cluster: checkpointing cannot serialize the per-event join config of lifecycle event %d", i)
-				}
-			}
-		}
 	}
 	// Machines poll the shared flag at tick boundaries, so cancellation
 	// pauses mid-advance without losing the coordinate.
@@ -358,8 +351,8 @@ func Run(cfg Config, scn *scenario.Open, newPolicy func(machine int) (sim.Dynami
 				pol, err = newPolicy(i)
 			} else {
 				// Machines beyond the initial fleet joined mid-run; they
-				// run machine 0's configuration (checkpointing rejects
-				// per-event join configs) under a JoinPolicy-built policy.
+				// run machine 0's configuration under a JoinPolicy-built
+				// policy.
 				if cfg.Lifecycle.JoinPolicy == nil {
 					return nil, fmt.Errorf("cluster: checkpoint holds joined machine %d but Lifecycle.JoinPolicy is nil", i)
 				}
@@ -418,7 +411,7 @@ func Run(cfg Config, scn *scenario.Open, newPolicy func(machine int) (sim.Dynami
 	defer pool.close()
 	defer pool.reportStats(cfg.statsSink)
 
-	eng := newEngine(&cfg, scn, sims, pool, placed, len(arrivals))
+	eng := newEngine(&cfg, scn, sims[0], pool, placed, len(arrivals))
 	if err := eng.schedule(arrivals); err != nil {
 		return nil, err
 	}

@@ -61,7 +61,8 @@ func (k EventKind) String() string {
 	}
 }
 
-// Event is one scheduled machine lifecycle event.
+// Event is one scheduled machine lifecycle event. A joining machine
+// runs machine 0's simulator configuration.
 type Event struct {
 	// Time is the event instant in simulated seconds.
 	Time float64
@@ -71,9 +72,6 @@ type Event struct {
 	// already down is skipped — with MTBF failures in play a scheduled
 	// event can race a random one, and losing the race is not an error.
 	Machine int
-	// Config is the joining machine's simulator configuration (nil
-	// inherits machine 0's). Its metrics window must match the fleet's.
-	Config *sim.Config
 }
 
 // Autoscale configures load-triggered fleet scaling, evaluated at a
@@ -196,7 +194,6 @@ type timelineEvent struct {
 	seq     int
 	kind    timelineKind
 	machine int          // drain/fail target; -1 = draw an MTBF victim
-	cfg     *sim.Config  // join configuration
 	res     sim.Resident // retry payload
 	delay   float64      // the retry's scheduled backoff
 }
@@ -224,23 +221,24 @@ func (q *eventQueue) Pop() any {
 }
 
 // parkedArrival is an arrival that found zero up machines: it waits for
-// a join. traceIdx indexes Result.Assignments for trace arrivals (-1
-// for lifecycle requeues, which have no assignment slot).
+// a join. TraceIdx indexes Result.Assignments for trace arrivals (-1
+// for lifecycle requeues, which have no assignment slot). Checkpoints
+// store it as is.
 type parkedArrival struct {
-	arr      scenario.Arrival
-	traceIdx int
+	scenario.Arrival
+	TraceIdx int `json:"trace_idx"`
 }
 
 // engine drives every cluster run: the arrival loop, interleaved with
 // the lifecycle event timeline (empty when the layer is inactive).
 // Everything it does is serial placement-layer work.
 type engine struct {
-	cfg    *Config
-	lc     *Lifecycle
-	active bool // lc.active(): emit the lifecycle result and checkpoint sections
-	scn    *scenario.Open
-	sims   []sim.Config
-	pool   *fleetPool
+	cfg     *Config
+	lc      *Lifecycle
+	active  bool // lc.active(): emit the lifecycle result and checkpoint sections
+	scn     *scenario.Open
+	joinCfg sim.Config // machine 0's configuration, run by every joining machine
+	pool    *fleetPool
 
 	up       []bool
 	nUp      int
@@ -284,7 +282,7 @@ type engine struct {
 	candScratch []MachineState
 }
 
-func newEngine(cfg *Config, scn *scenario.Open, sims []sim.Config, pool *fleetPool, placed []int, nArrivals int) *engine {
+func newEngine(cfg *Config, scn *scenario.Open, joinCfg sim.Config, pool *fleetPool, placed []int, nArrivals int) *engine {
 	lc := cfg.Lifecycle
 	if lc == nil {
 		lc = &Lifecycle{}
@@ -295,7 +293,7 @@ func newEngine(cfg *Config, scn *scenario.Open, sims []sim.Config, pool *fleetPo
 		lc:         lc,
 		active:     lc.active(),
 		scn:        scn,
-		sims:       sims,
+		joinCfg:    joinCfg,
 		pool:       pool,
 		up:         make([]bool, n),
 		nUp:        n,
@@ -329,9 +327,9 @@ func newEngine(cfg *Config, scn *scenario.Open, sims []sim.Config, pool *fleetPo
 	case lc.Migration != nil:
 		e.migration = lc.Migration
 	case lc.MigrationCost >= 0:
-		e.migration = NewCostAwareMigration(lc.MigrationCost, sims[0].Plat)
+		e.migration = NewCostAwareMigration(lc.MigrationCost, joinCfg.Plat)
 	}
-	e.trk = newLifeTracker(sims[0].EffectiveMetricsWindow().Seconds(), n, n)
+	e.trk = newLifeTracker(joinCfg.EffectiveMetricsWindow().Seconds(), n, n)
 	return e
 }
 
@@ -356,7 +354,7 @@ func (e *engine) schedule(arrivals []scenario.Arrival) error {
 		if kind != tlJoin && ev.Machine < 0 {
 			return fmt.Errorf("cluster: lifecycle event %d (%v) targets machine %d", i, ev.Kind, ev.Machine)
 		}
-		e.push(&timelineEvent{time: ev.Time, kind: kind, machine: ev.Machine, cfg: ev.Config})
+		e.push(&timelineEvent{time: ev.Time, kind: kind, machine: ev.Machine})
 	}
 	end := 0.0
 	if n := len(arrivals); n > 0 {
@@ -500,7 +498,7 @@ func (e *engine) assignmentLog() []int {
 func (e *engine) handle(ev *timelineEvent) error {
 	switch ev.kind {
 	case tlJoin:
-		return e.join(ev.time, ev.cfg, false)
+		return e.join(ev.time, false)
 	case tlDrain:
 		return e.drainMachine(ev.time, ev.machine, false)
 	case tlFail:
@@ -530,7 +528,7 @@ func (e *engine) handle(ev *timelineEvent) error {
 func (e *engine) place(arr scenario.Arrival, traceIdx int) error {
 	cands := e.candidates()
 	if len(cands) == 0 {
-		e.parked = append(e.parked, parkedArrival{arr: arr, traceIdx: traceIdx})
+		e.parked = append(e.parked, parkedArrival{Arrival: arr, TraceIdx: traceIdx})
 		return nil
 	}
 	idx := e.cfg.Placement.Place(arr.Spec, arr.Time, cands)
@@ -586,23 +584,14 @@ func (e *engine) upIndices() []int {
 	return ups
 }
 
-// join adds a machine at time t: built fresh, advanced from zero to t
-// (so its metric windows stay index-aligned with the fleet's), then
-// offered the parked backlog FIFO.
-func (e *engine) join(t float64, cfg *sim.Config, autoscaled bool) error {
+// join adds a machine running machine 0's configuration at time t:
+// built fresh, advanced from zero to t (so its metric windows stay
+// index-aligned with the fleet's), then offered the parked backlog FIFO.
+func (e *engine) join(t float64, autoscaled bool) error {
 	if e.lc.JoinPolicy == nil {
 		return fmt.Errorf("cluster: lifecycle join at t=%g needs Lifecycle.JoinPolicy", t)
 	}
-	mc := e.sims[0]
-	if cfg != nil {
-		mc = *cfg
-	}
-	if err := mc.Validate(); err != nil {
-		return fmt.Errorf("cluster: joining machine: %w", err)
-	}
-	if w, w0 := mc.EffectiveMetricsWindow(), e.sims[0].EffectiveMetricsWindow(); w != w0 {
-		return fmt.Errorf("cluster: joining machine collects %v metric windows but the fleet collects %v", w, w0)
-	}
+	mc := e.joinCfg
 	idx := len(e.pool.machines)
 	pol, err := e.lc.JoinPolicy(idx, mc)
 	if err != nil {
@@ -615,7 +604,6 @@ func (e *engine) join(t float64, cfg *sim.Config, autoscaled bool) error {
 	if err := m.AdvanceTo(t); err != nil {
 		return fmt.Errorf("cluster: machine %d: %w", idx, err)
 	}
-	e.sims = append(e.sims, mc)
 	e.pool.grow(m, MachineState{Index: idx, Cores: mc.Plat.Cores, Plat: mc.Plat})
 	e.pool.refreshState(idx)
 	e.up = append(e.up, true)
@@ -637,7 +625,7 @@ func (e *engine) join(t float64, cfg *sim.Config, autoscaled bool) error {
 	parked := e.parked
 	e.parked = nil
 	for _, pa := range parked {
-		if err := e.place(pa.arr, pa.traceIdx); err != nil {
+		if err := e.place(pa.Arrival, pa.TraceIdx); err != nil {
 			return err
 		}
 	}
@@ -791,10 +779,10 @@ func (e *engine) autoscaleCheck(t float64) error {
 	switch {
 	case capac == 0:
 		if load > 0 && e.nUp < max {
-			return e.join(t, nil, true)
+			return e.join(t, true)
 		}
 	case float64(load) >= as.Up*float64(capac) && e.nUp < max:
-		return e.join(t, nil, true)
+		return e.join(t, true)
 	case float64(load) <= as.Down*float64(capac) && e.nUp > as.Min:
 		victim, best := -1, 0
 		for i := range e.pool.states {

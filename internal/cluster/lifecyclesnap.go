@@ -7,7 +7,6 @@ import (
 	"github.com/faircache/lfoc/internal/appmodel"
 	"github.com/faircache/lfoc/internal/metrics"
 	"github.com/faircache/lfoc/internal/sim"
-	"github.com/faircache/lfoc/internal/sim/scenario"
 )
 
 // The lifecycle engine's checkpoint coordinate. The event heap itself is
@@ -20,14 +19,6 @@ import (
 // with their original sequence numbers. MTBF victims are counter-based
 // draws (see victimDraw), so the victim stream's coordinate is the
 // number of draws made.
-
-// parkedSnapshot is one arrival waiting out a zero-up-machines spell.
-type parkedSnapshot struct {
-	Time     float64        `json:"time"`
-	Spec     *appmodel.Spec `json:"spec"`
-	Tag      int            `json:"tag,omitempty"`
-	TraceIdx int            `json:"trace_idx"`
-}
 
 // retrySnapshot is one in-flight failure retry: a dynamically scheduled
 // timeline event. Seq is the event's original heap sequence number, so
@@ -77,7 +68,7 @@ type engineSnapshot struct {
 	DownAt   []float64 `json:"down_at"`
 	FailedAt []bool    `json:"failed_at"`
 
-	Parked []parkedSnapshot `json:"parked,omitempty"`
+	Parked []parkedArrival `json:"parked,omitempty"`
 
 	LastSync    float64         `json:"last_sync"`
 	Seq         int             `json:"seq"`
@@ -101,12 +92,8 @@ func (e *engine) snapshot() *engineSnapshot {
 		Seq:         e.seq,
 		StaticFired: e.staticFired,
 		VictimCount: e.victimCount,
+		Parked:      append([]parkedArrival(nil), e.parked...),
 		Sum:         e.sum,
-	}
-	for _, pa := range e.parked {
-		snap.Parked = append(snap.Parked, parkedSnapshot{
-			Time: pa.arr.Time, Spec: pa.arr.Spec, Tag: pa.arr.Tag, TraceIdx: pa.traceIdx,
-		})
 	}
 	for _, ev := range e.evq {
 		if ev.kind != tlRetry {
@@ -152,26 +139,12 @@ func (e *engine) restore(snap *engineSnapshot) error {
 			e.nUp++
 		}
 	}
-	// Joined machines run machine 0's configuration (checkpointing
-	// rejects per-event join configs up-front), so extending sims keeps
-	// future joins and autoscale decisions identical.
-	for len(e.sims) < n {
-		e.sims = append(e.sims, e.sims[0])
-	}
-
-	e.parked = e.parked[:0]
 	for i, pa := range snap.Parked {
-		if pa.Spec == nil {
-			return fmt.Errorf("cluster: lifecycle snapshot parked arrival %d without a spec", i)
+		if err := sim.ValidateArrival(pa.Arrival); err != nil {
+			return fmt.Errorf("cluster: lifecycle snapshot parked arrival %d: %w", i, err)
 		}
-		if err := pa.Spec.Validate(); err != nil {
-			return err
-		}
-		e.parked = append(e.parked, parkedArrival{
-			arr:      scenario.Arrival{Time: pa.Time, Spec: pa.Spec, Tag: pa.Tag},
-			traceIdx: pa.TraceIdx,
-		})
 	}
+	e.parked = append(e.parked[:0], snap.Parked...)
 
 	// The heap currently holds exactly the regenerated static timeline.
 	// Discard the statics that already fired — pops are monotone in

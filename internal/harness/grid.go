@@ -19,8 +19,8 @@ var ChurnPolicies = []string{"stock", "dunn", "lfoc"}
 var ClusterPlacements = []string{"rr", "least", "fair"}
 
 // ClusterEvents converts a workload event schedule to the cluster
-// layer's lifecycle events. Joining machines inherit machine 0's
-// configuration (Event.Config nil).
+// layer's lifecycle events. Joining machines run machine 0's
+// configuration.
 func ClusterEvents(events []workloads.FleetEvent) ([]cluster.Event, error) {
 	out := make([]cluster.Event, 0, len(events))
 	for _, e := range events {

@@ -29,8 +29,6 @@ type Config struct {
 	// Scale divides all instruction quantities and the policy period
 	// (1 = paper scale; default 50).
 	Scale uint64
-	// RunsTarget is the per-app completed-run requirement (default 3).
-	RunsTarget int
 	// SolverBudgetSmall/Large bound the optimal solver's anytime search
 	// for ≤10-app and >10-app workloads respectively.
 	SolverBudgetSmall uint64
@@ -49,7 +47,6 @@ func DefaultConfig() Config {
 	return Config{
 		Plat:              machine.Skylake(),
 		Scale:             50,
-		RunsTarget:        3,
 		SolverBudgetSmall: 500_000,
 		SolverBudgetLarge: 4_000,
 	}
@@ -62,9 +59,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Scale == 0 {
 		c.Scale = 50
-	}
-	if c.RunsTarget == 0 {
-		c.RunsTarget = 3
 	}
 	if c.SolverBudgetSmall == 0 {
 		c.SolverBudgetSmall = 500_000
@@ -89,7 +83,6 @@ func (c Config) SimConfig() sim.Config {
 	return sim.Config{
 		Plat:         c.Plat,
 		TargetInsns:  paperTargetInsns / c.Scale,
-		RunsTarget:   c.RunsTarget,
 		PolicyPeriod: time.Duration(paperPolicyPeriodNs / int64(c.Scale)),
 	}
 }

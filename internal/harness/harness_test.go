@@ -1,6 +1,10 @@
 package harness
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -13,6 +17,47 @@ func fastConfig() Config {
 	cfg.SolverBudgetSmall = 30_000
 	cfg.SolverBudgetLarge = 1_000
 	return cfg
+}
+
+// figuresGolden is the layout of testdata/figures.golden.json.
+type figuresGolden struct {
+	Fig6 Fig6Data `json:"fig6"`
+	Fig7 Fig7Data `json:"fig7"`
+}
+
+// TestPaperFiguresGolden recomputes Fig. 6 (21 static-mode rows) and
+// Fig. 7 (24 dynamic-policy rows) at the default configuration and
+// requires both to equal testdata/figures.golden.json exactly: JSON
+// keeps every float64 at full precision, so any drift in the kernel,
+// the sharing model, the solver or the policies fails here.
+func TestPaperFiguresGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("recomputes both paper figures")
+	}
+	data, err := os.ReadFile(filepath.Join("testdata", "figures.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want figuresGolden
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	var got figuresGolden
+	if got.Fig6, err = Fig6(DefaultConfig(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got.Fig7, err = Fig7(DefaultConfig(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Fig6.Rows) != 21 || len(got.Fig7.Rows) != 24 {
+		t.Fatalf("%d Fig. 6 rows and %d Fig. 7 rows, want 21 and 24", len(got.Fig6.Rows), len(got.Fig7.Rows))
+	}
+	if !reflect.DeepEqual(got.Fig6, want.Fig6) {
+		t.Errorf("Fig. 6 drifted from the golden:\n got %+v\nwant %+v", got.Fig6, want.Fig6)
+	}
+	if !reflect.DeepEqual(got.Fig7, want.Fig7) {
+		t.Errorf("Fig. 7 drifted from the golden:\n got %+v\nwant %+v", got.Fig7, want.Fig7)
+	}
 }
 
 func TestFig1Shapes(t *testing.T) {

@@ -288,7 +288,7 @@ func TestLazyAppAdvanceSavings(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	k, err := newKernel(cfg, scenario.NewClosed(specs, cfg.RunsTarget), horizonPolicy(t, "lfoc", cfg.Plat))
+	k, err := newKernel(cfg, horizonPolicy(t, "lfoc", cfg.Plat), specs, scenario.NewClosed(specs, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestLazyAppAdvanceSavings(t *testing.T) {
 	}
 	legacyCfg := cfg
 	legacyCfg.noEventHorizon = true
-	legacy, err := RunClosed(legacyCfg, scenario.NewClosed(specs, cfg.RunsTarget), horizonPolicy(t, "lfoc", cfg.Plat))
+	legacy, err := RunClosed(legacyCfg, scenario.NewClosed(specs, 0), horizonPolicy(t, "lfoc", cfg.Plat))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ import (
 // paper's restart semantics, fresh-process restarts and departures.
 type kernelApp struct {
 	slot  int // result index, stable for the app's lifetime
-	monID int // policy/monitoring identity; changes on RestartFresh
+	monID int // policy/monitoring identity; changes on a fresh-identity restart
 	spec  *appmodel.Spec
 	inst  *appmodel.Instance
 
@@ -117,19 +117,25 @@ const (
 	horizonSlack = 1e-7
 )
 
-// kernel is the scenario-agnostic execution engine: it integrates
-// application progress under the contention model, accumulates hardware
-// counters, delivers counter windows to the policy, activates the
-// partitioner periodically, and consults the scenario for
-// run-completion outcomes and termination. Arrivals are injected
+// kernel is the execution engine: it integrates application progress
+// under the contention model, accumulates hardware counters, delivers
+// counter windows to the policy, activates the partitioner
+// periodically, and applies the run rules. A closed run (runsTarget >
+// 0) restarts every application on completion, under a fresh
+// monitoring id when freshIdentity is set, and ends once every slot
+// has runsTarget runs. An open run departs every application on
+// completion and ends at doneAt, or once its feeder has drained the
+// arrival stream and the system is empty. Arrivals are injected
 // (OpenMachine.Inject).
 type kernel struct {
 	cfg Config
 	pol Dynamic
-	scn scenario.Scenario
 
-	apps      []*kernelApp
-	runCounts []int // completed runs per slot (shared with scenario.Progress)
+	runsTarget    int
+	freshIdentity bool
+	drained       bool
+
+	apps []*kernelApp
 	// actives is the active subset of apps in slot order — the hot
 	// scans (integration, equilibrium key build, horizon bound, metrics
 	// windows) iterate it instead of every slot ever admitted, which
@@ -189,12 +195,12 @@ type kernel struct {
 
 	// Event-horizon fast path (see advanceHorizon). fastPath is set
 	// unless the testing knob Config.noEventHorizon forces the per-tick
-	// reference path; doneAt is the scenario's Horizon, its only
-	// time-based Done trigger (0 = Done is time-invariant); passiveWin
-	// is set when the policy declares PassiveWindows, letting window
-	// deliveries happen inside a batch instead of bounding it; tick
-	// counts the fast path's ticks, the clock of every app's synced and
-	// due.
+	// reference path; doneAt is an open run's horizon, the only instant
+	// at which done can flip as a function of time alone (0 = none;
+	// drained only ever flips between runUntil calls); passiveWin is set
+	// when the policy declares PassiveWindows, letting window deliveries
+	// happen inside a batch instead of bounding it; tick counts the fast
+	// path's ticks, the clock of every app's synced and due.
 	fastPath   bool
 	doneAt     float64
 	passiveWin bool
@@ -210,14 +216,15 @@ type kernel struct {
 	sdScratch []float64
 }
 
-// newKernel validates the configuration, admits the scenario's initial
+// newKernel validates the configuration, admits the initial
 // applications and primes the policy, mirroring the historical
-// RunDynamic setup sequence exactly.
-func newKernel(cfg Config, scn scenario.Scenario, pol Dynamic) (*kernel, error) {
+// RunDynamic setup sequence exactly. A non-nil closed selects the
+// closed run rules; a nil one builds an open machine, whose caller sets
+// doneAt.
+func newKernel(cfg Config, pol Dynamic, initial []*appmodel.Spec, closed *scenario.Closed) (*kernel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	initial := scn.Initial()
 	for _, s := range initial {
 		if err := s.Validate(); err != nil {
 			return nil, err
@@ -227,7 +234,6 @@ func newKernel(cfg Config, scn scenario.Scenario, pol Dynamic) (*kernel, error) 
 	k := &kernel{
 		cfg:           cfg,
 		pol:           pol,
-		scn:           scn,
 		eval:          sharing.NewEvaluator(sharing.NewModel(cfg.Plat)),
 		equil:         make(map[string]*equilState),
 		equilMax:      equilCacheMax,
@@ -239,10 +245,14 @@ func newKernel(cfg Config, scn scenario.Scenario, pol Dynamic) (*kernel, error) 
 		perfDirty:     true,
 		collect:       cfg.MetricsWindow > 0,
 	}
-	// The batched fast path must know the only time at which Done can
-	// flip as a function of time alone.
+	if closed != nil {
+		k.runsTarget = closed.RunsTarget
+		if k.runsTarget <= 0 {
+			k.runsTarget = 3 // the paper's three runs, as NewClosed
+		}
+		k.freshIdentity = closed.ResetIdentityOnRestart
+	}
 	k.fastPath = !cfg.noEventHorizon
-	k.doneAt = scn.Horizon()
 	if p, ok := pol.(PassiveWindows); ok && p.PassiveWindows() && k.fastPath {
 		k.passiveWin = true
 	}
@@ -254,7 +264,7 @@ func newKernel(cfg Config, scn scenario.Scenario, pol Dynamic) (*kernel, error) 
 		// overflow FIFO, exactly like arrivals on a full machine; the
 		// closed methodology, whose apps never release a core, is
 		// rejected up-front.
-		if _, open := scn.(*feedScenario); !open {
+		if closed != nil {
 			return nil, fmt.Errorf("sim: %d apps exceed %d cores", len(initial), cfg.Plat.Cores)
 		}
 	}
@@ -299,7 +309,6 @@ func (k *kernel) admit(spec *appmodel.Spec, arrivedAt float64, tag int) error {
 	a.nextWin = k.pol.WindowInsns(a.monID)
 	k.apps = append(k.apps, a)
 	k.actives = append(k.actives, a)
-	k.runCounts = append(k.runCounts, 0)
 	k.nActive++
 	if k.nActive > k.peak {
 		k.peak = k.nActive
@@ -537,18 +546,26 @@ func (k *kernel) closeWindow(end float64) {
 	k.winArr, k.winDep, k.winRuns = 0, 0, 0
 }
 
-// progress assembles the scenario's view of the kernel state. Runs
-// shares the kernel's storage; scenarios treat it as read-only.
-func (k *kernel) progress() scenario.Progress {
-	return scenario.Progress{
-		Time:    k.simTime,
-		Active:  k.nActive,
-		Pending: len(k.arrivals) - k.arrIdx + len(k.waitQ),
-		Runs:    k.runCounts,
+// done reports whether the run is over under its run rules: a closed
+// run once every slot has runsTarget runs; an open run at its horizon,
+// or once the feeder has drained the arrival stream and no arrival is
+// pending, queued or running.
+func (k *kernel) done() bool {
+	if k.runsTarget > 0 {
+		for _, a := range k.apps {
+			if len(a.runs) < k.runsTarget {
+				return false
+			}
+		}
+		return true
 	}
+	if k.doneAt > 0 && k.simTime >= k.doneAt {
+		return true
+	}
+	return k.drained && k.arrIdx == len(k.arrivals) && len(k.waitQ) == 0 && k.nActive == 0
 }
 
-// run executes the scenario to completion. The per-tick structure —
+// run executes the experiment to completion. The per-tick structure —
 // termination check, arrival delivery, equilibrium refresh, time
 // advance, per-app integration, mask refresh, partitioner activation,
 // metrics windows — keeps the historical closed-methodology operation
@@ -563,10 +580,10 @@ func (k *kernel) run() error {
 }
 
 // runUntil advances the simulation until simTime reaches until or the
-// scenario reports done, whichever comes first. It is run's loop with a
-// pause point: pausing after a tick and resuming executes exactly the
+// run is done, whichever comes first. It is run's loop with a pause
+// point: pausing after a tick and resuming executes exactly the
 // operation sequence of an uninterrupted run (the extra `simTime <
-// until` test and the repeated Done call are pure), which is what lets
+// until` test and the repeated done call are pure), which is what lets
 // a cluster interleave placement decisions between ticks of independent
 // machines without perturbing any single machine's trajectory.
 //
@@ -585,7 +602,7 @@ func (k *kernel) run() error {
 func (k *kernel) runUntil(until float64) error {
 	defer k.syncAll()
 	maxTime := k.cfg.MaxSimTime.Seconds()
-	for k.simTime < until && !k.scn.Done(k.progress()) {
+	for k.simTime < until && !k.done() {
 		// Cooperative cancellation: loop-top boundaries are exactly the
 		// states a checkpoint can capture, so stopping here keeps the
 		// pause-point invariance guarantee (resuming replays the same
@@ -594,7 +611,11 @@ func (k *kernel) runUntil(until float64) error {
 			return ErrCanceled
 		}
 		if k.simTime > maxTime {
-			return fmt.Errorf("sim: exceeded MaxSimTime (%v) with runs %v", k.cfg.MaxSimTime, k.runCounts)
+			runs := make([]int, len(k.apps))
+			for i, a := range k.apps {
+				runs[i] = len(a.runs)
+			}
+			return fmt.Errorf("sim: exceeded MaxSimTime (%v) with runs %v", k.cfg.MaxSimTime, runs)
 		}
 		// Deliver arrivals that are due; a full machine queues them.
 		admitted := false
@@ -740,27 +761,27 @@ func (k *kernel) appEvents(a *kernelApp) (bool, error) {
 		}
 		a.nextWin = a.counter.Total().Instructions + k.pol.WindowInsns(a.monID)
 	}
-	// Run completion: the scenario decides the app's fate.
+	// Run completion: an open run's app departs, a closed run's app
+	// restarts (as a fresh process when freshIdentity is set).
 	for a.active && a.runInsns >= a.quota {
 		a.runs = append(a.runs, k.simTime-a.runStart)
-		k.runCounts[a.slot]++
 		k.winRuns++
 		a.runStart = k.simTime
 		a.runInsns -= a.quota
-		switch k.scn.OnRunComplete(a.slot, len(a.runs)) {
-		case scenario.Depart:
+		switch {
+		case k.runsTarget == 0:
 			if err := k.depart(a); err != nil {
 				return false, err
 			}
 			anyChange = true
-		case scenario.RestartFresh:
+		case k.freshIdentity:
 			a.inst.Restart()
 			k.perfDirty = true
 			if err := k.refreshIdentity(a); err != nil {
 				return false, err
 			}
 			anyChange = true
-		default: // scenario.Restart
+		default:
 			a.inst.Restart()
 			k.perfDirty = true
 		}
@@ -1075,7 +1096,7 @@ func (k *kernel) horizonTicks() int {
 //
 //lfoc:hotpath
 func (k *kernel) nextEventTime() float64 {
-	if k.scn.Done(k.progress()) {
+	if k.done() {
 		return math.Inf(1)
 	}
 	if !k.fastPath {
@@ -1105,7 +1126,7 @@ func (k *kernel) nextEventTime() float64 {
 // advanceHorizon is the event-horizon fast path: it advances the clock
 // over all whole ticks until the earliest next event — due arrival,
 // policy activation, metrics-window close, the until pause point,
-// MaxSimTime, the scenario's time horizon, or any app's due tick
+// MaxSimTime, the run's horizon (doneAt), or any app's due tick
 // (horizonTicks) — then brings only the apps whose due tick has arrived
 // up to date (sync) and runs their event deliveries, in slot order. The
 // other apps keep lagging: none of them can have an event on these

@@ -134,7 +134,6 @@ func (k *kernel) injectResident(r Resident) error {
 	a.nextWin = k.pol.WindowInsns(a.monID)
 	k.apps = append(k.apps, a)
 	k.actives = append(k.actives, a)
-	k.runCounts = append(k.runCounts, 0)
 	k.nActive++
 	if k.nActive > k.peak {
 		k.peak = k.nActive
@@ -167,7 +166,7 @@ func (m *OpenMachine) InjectResident(r Resident) error {
 		return m.err
 	}
 	if m.halted {
-		return fmt.Errorf("sim: inject resident on halted %q", m.feed.name)
+		return fmt.Errorf("sim: inject resident on halted %q", m.name)
 	}
 	return m.k.injectResident(r)
 }
@@ -183,7 +182,7 @@ func (m *OpenMachine) Halt() {
 		return
 	}
 	m.halted = true
-	m.feed.drained = true
+	m.k.drained = true
 	m.k.finish()
 }
 

@@ -10,35 +10,6 @@ import (
 	"github.com/faircache/lfoc/internal/sim/scenario"
 )
 
-// feedScenario is the scenario of an open machine: arrivals are
-// injected one at a time (by RunOpen from a whole trace, or by a
-// placement layer from a fleet's), so the scenario cannot decide
-// termination from its own trace. Instead the feeder marks the stream
-// drained when its trace is exhausted; until then the machine idles
-// between arrivals.
-type feedScenario struct {
-	name    string
-	initial []*appmodel.Spec
-	horizon float64
-	drained bool
-}
-
-func (f *feedScenario) Name() string                            { return f.name }
-func (f *feedScenario) Initial() []*appmodel.Spec               { return f.initial }
-func (f *feedScenario) OnRunComplete(int, int) scenario.Outcome { return scenario.Depart }
-
-// Horizon implements scenario.Scenario: the cap is the only time-based
-// Done trigger (the drained flag only ever flips between runUntil
-// calls, never inside one).
-func (f *feedScenario) Horizon() float64 { return f.horizon }
-
-func (f *feedScenario) Done(p scenario.Progress) bool {
-	if f.horizon > 0 && p.Time >= f.horizon {
-		return true
-	}
-	return f.drained && p.Pending == 0 && p.Active == 0
-}
-
 // OpenMachine is one steppable open-system machine: its arrivals are
 // injected one at a time, by RunOpen or by a cluster's placement layer.
 // The cluster's step protocol — AdvanceTo the arrival instant, inspect
@@ -49,7 +20,7 @@ func (f *feedScenario) Done(p scenario.Progress) bool {
 // (both pinned by tests in internal/cluster).
 type OpenMachine struct {
 	k      *kernel
-	feed   *feedScenario
+	name   string
 	err    error
 	halted bool // taken out of service by Halt (drain/failure)
 }
@@ -64,12 +35,22 @@ func NewOpenMachine(cfg Config, pol Dynamic, name string, initial []*appmodel.Sp
 		return nil, err
 	}
 	cfg.MetricsWindow = cfg.EffectiveMetricsWindow()
-	feed := &feedScenario{name: name, initial: initial, horizon: horizon}
-	k, err := newKernel(cfg, feed, pol)
+	k, err := newKernel(cfg, pol, initial, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &OpenMachine{k: k, feed: feed}, nil
+	k.doneAt = horizon
+	return &OpenMachine{k: k, name: name}, nil
+}
+
+// ValidateArrival rejects an arrival that cannot run: one without a
+// spec, or with an invalid one. Injection and checkpoint restore both
+// apply it.
+func ValidateArrival(arr scenario.Arrival) error {
+	if arr.Spec == nil {
+		return fmt.Errorf("sim: arrival at t=%v without a spec", arr.Time)
+	}
+	return arr.Spec.Validate()
 }
 
 // Inject schedules one arrival on this machine. Arrivals must be
@@ -78,18 +59,15 @@ func (m *OpenMachine) Inject(arr scenario.Arrival) error {
 	if m.err != nil {
 		return m.err
 	}
-	if m.feed.drained {
-		return fmt.Errorf("sim: inject after drain on %q", m.feed.name)
+	if m.k.drained {
+		return fmt.Errorf("sim: inject after drain on %q", m.name)
 	}
-	if arr.Spec == nil {
-		return fmt.Errorf("sim: inject without a spec on %q", m.feed.name)
-	}
-	if err := arr.Spec.Validate(); err != nil {
-		return err
+	if err := ValidateArrival(arr); err != nil {
+		return fmt.Errorf("sim: inject on %q: %w", m.name, err)
 	}
 	if n := len(m.k.arrivals); n > 0 && arr.Time < m.k.arrivals[n-1].Time {
 		return fmt.Errorf("sim: inject at %v after arrival at %v on %q",
-			arr.Time, m.k.arrivals[n-1].Time, m.feed.name)
+			arr.Time, m.k.arrivals[n-1].Time, m.name)
 	}
 	m.k.arrivals = append(m.k.arrivals, arr)
 	return nil
@@ -121,7 +99,7 @@ func (m *OpenMachine) Drain() error {
 	if m.err != nil || m.halted {
 		return m.err
 	}
-	m.feed.drained = true
+	m.k.drained = true
 	if err := m.k.runUntil(math.Inf(1)); err != nil {
 		if !errors.Is(err, ErrCanceled) {
 			m.err = err
@@ -137,7 +115,7 @@ func (m *OpenMachine) Now() float64 { return m.k.simTime }
 
 // Done reports whether the machine has terminated (horizon reached, or
 // drained and empty).
-func (m *OpenMachine) Done() bool { return m.feed.Done(m.k.progress()) }
+func (m *OpenMachine) Done() bool { return m.k.done() }
 
 // Active counts the applications currently holding a core.
 func (m *OpenMachine) Active() int { return m.k.nActive }
@@ -193,5 +171,5 @@ func (m *OpenMachine) NextEventHorizon() float64 {
 
 // Result assembles the machine's open-system result. Call after Drain.
 func (m *OpenMachine) Result() *OpenResult {
-	return buildOpenResult(m.k, m.feed.name)
+	return buildOpenResult(m.k, m.name)
 }

@@ -1,16 +1,16 @@
-// Package scenario is the workload-shape layer of the co-scheduling
-// simulator: it decides which applications exist, when they arrive, and
-// what happens when one retires its per-run instruction quota. The
-// execution kernel in internal/sim is scenario-agnostic — it integrates
-// application progress, delivers counter windows and drives the policy,
-// while the scenario supplies the population and rules.
+// Package scenario is the workload data of the co-scheduling
+// simulator: which applications exist and when they arrive. The run
+// rules (what happens when an application retires its per-run
+// instruction quota, and when a run ends) belong to the execution
+// kernel in internal/sim, which applies the closed rules to a Closed
+// workload and the open rules to the machines an Open trace feeds.
 //
 // Two workload shapes ship with the repository:
 //
 //   - Closed reproduces the paper's §5 closed-batch methodology: all
 //     applications start together and restart until every one of them
 //     has completed RunsTarget runs. sim.RunDynamic is exactly this
-//     scenario, and a golden test pins the equivalence bit-for-bit.
+//     workload, and a golden test pins the equivalence bit-for-bit.
 //   - Open models the churn a deployed LFOC faces: applications arrive
 //     from a seeded Poisson process (or an explicit trace), run their
 //     quota once, and depart, freeing their core and their class of
@@ -19,9 +19,8 @@
 //     whether sim.RunOpen feeds it the whole trace or the cluster layer
 //     places each arrival on one machine of a fleet.
 //
-// Scenarios are pure data + decisions; they never touch kernel state
-// directly, which is what keeps every new experiment a constructor call
-// rather than a fork of the simulator.
+// Both shapes are plain data, which is what keeps every new experiment
+// a constructor call rather than a fork of the simulator.
 package scenario
 
 import (
@@ -32,87 +31,27 @@ import (
 	"github.com/faircache/lfoc/internal/appmodel"
 )
 
-// Outcome is a scenario's decision about an application that has just
-// retired its per-run instruction quota.
-type Outcome int
-
-const (
-	// Restart re-runs the program immediately, keeping its monitoring
-	// identity (class, counter history) — the paper's §5 methodology.
-	Restart Outcome = iota
-	// RestartFresh re-runs the program as a brand-new process: the
-	// policy sees an exit followed by a spawn under a fresh id and must
-	// re-learn the application's class from scratch.
-	RestartFresh
-	// Depart removes the application from the system.
-	Depart
-)
-
-func (o Outcome) String() string {
-	switch o {
-	case Restart:
-		return "restart"
-	case RestartFresh:
-		return "restart-fresh"
-	case Depart:
-		return "depart"
-	default:
-		return fmt.Sprintf("outcome(%d)", int(o))
-	}
-}
-
-// Arrival schedules one application entering the system.
+// Arrival schedules one application entering the system. Checkpoints
+// store arrivals in this form.
 type Arrival struct {
 	// Time is the arrival instant in simulated seconds (quantized to the
 	// kernel tick when delivered).
-	Time float64
-	Spec *appmodel.Spec
+	Time float64        `json:"time"`
+	Spec *appmodel.Spec `json:"spec"`
 	// Tag is an opaque caller label carried through the kernel untouched
 	// (zero for plain trace arrivals). The cluster lifecycle layer uses
 	// it to count placement attempts across failure-driven requeues, so
 	// retry accounting needs no identity map on top of the kernel.
-	Tag int
-}
-
-// Progress is the kernel state a scenario consults in Done. The Runs
-// slice is the kernel's own storage — read it, don't keep it.
-type Progress struct {
-	// Time is the current simulated time in seconds.
-	Time float64
-	// Active counts applications currently in the system.
-	Active int
-	// Pending counts scheduled arrivals not yet admitted (including
-	// arrivals waiting for a free core).
-	Pending int
-	// Runs holds completed runs per application slot, in admission
-	// order.
-	Runs []int
-}
-
-// Scenario shapes one experiment over the scenario-agnostic kernel.
-type Scenario interface {
-	// Name labels the scenario in results and reports.
-	Name() string
-	// Initial returns the applications present at time zero.
-	Initial() []*appmodel.Spec
-	// OnRunComplete is consulted when the application in the given slot
-	// retires its instruction quota for the runs-th time.
-	OnRunComplete(slot, runs int) Outcome
-	// Done reports whether the experiment is over.
-	Done(p Progress) bool
-	// Horizon returns the one simulated time at or beyond which Done
-	// may flip to true as a function of Progress.Time alone (0 = Done
-	// never depends on time). The value must be fixed for the lifetime
-	// of a run: it lets the kernel advance whole event horizons at once
-	// instead of polling Done every tick.
-	Horizon() float64
+	Tag int `json:"tag,omitempty"`
 }
 
 // Closed is the paper's §5 closed-batch methodology: every application
 // is present from time zero, restarts immediately on completion, and
 // the experiment ends when all of them have completed RunsTarget runs.
 type Closed struct {
-	Specs      []*appmodel.Spec
+	Specs []*appmodel.Spec
+	// RunsTarget is the number of completed runs every application must
+	// reach (3 in the paper; zero or less means 3).
 	RunsTarget int
 	// ResetIdentityOnRestart makes each restart look like an exit plus
 	// a spawn: the policy's per-app state is discarded and the program
@@ -128,34 +67,6 @@ func NewClosed(specs []*appmodel.Spec, runsTarget int) *Closed {
 		runsTarget = 3
 	}
 	return &Closed{Specs: specs, RunsTarget: runsTarget}
-}
-
-// Name implements Scenario.
-func (c *Closed) Name() string { return "closed" }
-
-// Initial implements Scenario.
-func (c *Closed) Initial() []*appmodel.Spec { return c.Specs }
-
-// Horizon implements Scenario: a closed run's Done depends only on
-// completed runs, never on time.
-func (c *Closed) Horizon() float64 { return 0 }
-
-// OnRunComplete implements Scenario.
-func (c *Closed) OnRunComplete(slot, runs int) Outcome {
-	if c.ResetIdentityOnRestart {
-		return RestartFresh
-	}
-	return Restart
-}
-
-// Done implements Scenario: every app has completed RunsTarget runs.
-func (c *Closed) Done(p Progress) bool {
-	for _, r := range p.Runs {
-		if r < c.RunsTarget {
-			return false
-		}
-	}
-	return true
 }
 
 // Open is the open-system arrival trace: the applications present at

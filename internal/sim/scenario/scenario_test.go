@@ -17,21 +17,8 @@ func TestClosedSemantics(t *testing.T) {
 	if c.RunsTarget != 3 {
 		t.Errorf("default RunsTarget = %d", c.RunsTarget)
 	}
-	if len(c.Initial()) != 2 {
+	if len(c.Specs) != 2 {
 		t.Error("closed scenario misreports its population")
-	}
-	if got := c.OnRunComplete(0, 1); got != Restart {
-		t.Errorf("OnRunComplete = %v, want restart", got)
-	}
-	c.ResetIdentityOnRestart = true
-	if got := c.OnRunComplete(0, 1); got != RestartFresh {
-		t.Errorf("OnRunComplete with reset = %v, want restart-fresh", got)
-	}
-	if c.Done(Progress{Runs: []int{3, 2}}) {
-		t.Error("done before every app reached the target")
-	}
-	if !c.Done(Progress{Runs: []int{3, 3}}) {
-		t.Error("not done with every app at the target")
 	}
 }
 

@@ -2,16 +2,16 @@
 // Linux + Skylake testbed: a deterministic discrete-event simulator that
 // co-runs synthetic applications under a cache-management policy.
 //
-// The package is split into a scenario-agnostic kernel (kernel.go) and
-// a scenario layer (the internal/sim/scenario sub-package). The kernel
-// integrates application progress under the internal/sharing contention
-// model, accumulates exactly the hardware counters the policies read
-// (instructions, cycles, LLC misses, STALLS_L2_MISS, CMT occupancy),
-// delivers counter windows at each application's requested instruction
-// cadence — 100M instructions in normal mode, 10M during LFOC sampling
-// episodes, as in §5.2 — and activates the partitioner periodically.
-// The scenario decides which applications exist, when they arrive, and
-// what happens when one retires its per-run instruction quota.
+// The package is split into a kernel (kernel.go) and workload data (the
+// internal/sim/scenario sub-package). The kernel integrates application
+// progress under the internal/sharing contention model, accumulates
+// exactly the hardware counters the policies read (instructions,
+// cycles, LLC misses, STALLS_L2_MISS, CMT occupancy), delivers counter
+// windows at each application's requested instruction cadence — 100M
+// instructions in normal mode, 10M during LFOC sampling episodes, as in
+// §5.2 — activates the partitioner periodically, and applies the run
+// rules below. The workload says which applications exist and when they
+// arrive.
 //
 // Closed methodology (faithful to §5, scenario.Closed, RunDynamic): all
 // applications start simultaneously; each runs a fixed number of
@@ -104,9 +104,6 @@ type Config struct {
 	// TargetInsns is the per-run instruction quota (150G in the paper;
 	// experiments may scale it down together with the policy cadences).
 	TargetInsns uint64
-	// RunsTarget is the number of completed runs every app must reach
-	// before a closed experiment stops (3 in the paper).
-	RunsTarget int
 	// PolicyPeriod is the partitioner activation period (500ms).
 	PolicyPeriod time.Duration
 	// TicksPerPeriod sets the simulation tick: PolicyPeriod/this
@@ -142,9 +139,6 @@ func (c *Config) Validate() error {
 	}
 	if c.TargetInsns == 0 {
 		return fmt.Errorf("sim: TargetInsns must be positive")
-	}
-	if c.RunsTarget <= 0 {
-		c.RunsTarget = 3
 	}
 	if c.PolicyPeriod <= 0 {
 		c.PolicyPeriod = 500 * time.Millisecond
@@ -189,7 +183,7 @@ type Result struct {
 	Repartitions int
 	SimSeconds   float64
 	// FinalMonIDs[i] is app i's monitoring identity at the end of the
-	// run — equal to i unless the scenario resets identities on
+	// run — equal to i unless the closed run resets identities on
 	// restart; use it to query per-app policy state (classes,
 	// resamples) after a run.
 	FinalMonIDs []int
@@ -199,17 +193,14 @@ type Result struct {
 }
 
 // RunDynamic co-runs the workload under a dynamic policy with the
-// paper's closed methodology (scenario.Closed with the configured
-// RunsTarget).
+// paper's closed methodology (three runs per application).
 func RunDynamic(cfg Config, specs []*appmodel.Spec, pol Dynamic) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return RunClosed(cfg, scenario.NewClosed(specs, cfg.RunsTarget), pol)
+	return RunClosed(cfg, scenario.NewClosed(specs, 0), pol)
 }
 
 // RunClosed co-runs a closed scenario (every application present from
-// time zero, restarting until done) under a dynamic policy.
+// time zero, restarting until done) under a dynamic policy. A zero
+// RunsTarget means three runs.
 func RunClosed(cfg Config, scn *scenario.Closed, pol Dynamic) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -217,13 +208,7 @@ func RunClosed(cfg Config, scn *scenario.Closed, pol Dynamic) (*Result, error) {
 	if len(scn.Specs) == 0 {
 		return nil, fmt.Errorf("sim: empty workload")
 	}
-	if scn.RunsTarget <= 0 {
-		// Default through a copy: the caller's scenario stays untouched.
-		c := *scn
-		c.RunsTarget = cfg.RunsTarget
-		scn = &c
-	}
-	k, err := newKernel(cfg, scn, pol)
+	k, err := newKernel(cfg, pol, scn.Specs, scn)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,6 @@ func testConfig() Config {
 	return Config{
 		Plat:         machine.Skylake(),
 		TargetInsns:  1_000_000_000,
-		RunsTarget:   3,
 		PolicyPeriod: 500 * time.Millisecond,
 	}
 }
@@ -44,7 +43,7 @@ func TestConfigValidate(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Error(err)
 	}
-	if c.RunsTarget != 3 || c.TicksPerPeriod != 250 {
+	if c.TicksPerPeriod != 250 {
 		t.Error("defaults not applied")
 	}
 }
@@ -268,7 +267,7 @@ func TestRunAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, runs := range res.RunTimes {
-		if len(runs) < cfg.RunsTarget {
+		if len(runs) < 3 {
 			t.Errorf("app %d: %d runs", i, len(runs))
 		}
 		var sum float64
@@ -442,28 +441,71 @@ func TestOpenEquilCacheExactness(t *testing.T) {
 	}
 }
 
-// TestFeedScenario pins an open machine's rules: every application
-// departs after one quota, and the run ends once the feeder has drained
-// the stream and the machine is empty, or at the horizon.
-func TestFeedScenario(t *testing.T) {
-	tr := &feedScenario{drained: true}
-	if got := tr.OnRunComplete(0, 1); got != scenario.Depart {
-		t.Errorf("open OnRunComplete = %v, want depart", got)
+// TestKernelDone pins when a run ends under each rule set: a closed run
+// once every slot has runsTarget runs; an open run at its horizon, or
+// once the feeder has drained the stream and no arrival is pending,
+// queued or running.
+func TestKernelDone(t *testing.T) {
+	arr := []scenario.Arrival{{Time: 1, Spec: profiles.MustGet("povray06")}}
+	withRuns := func(counts ...int) []*kernelApp {
+		apps := make([]*kernelApp, len(counts))
+		for i, n := range counts {
+			apps[i] = &kernelApp{runs: make([]float64, n)}
+		}
+		return apps
 	}
-	if !tr.Done(scenario.Progress{Pending: 0, Active: 0}) {
-		t.Error("drained open system not done")
+	for _, c := range []struct {
+		name string
+		k    kernel
+		want bool
+	}{
+		{"open drained and empty", kernel{drained: true}, true},
+		{"open not drained", kernel{}, false},
+		{"open pending arrival", kernel{drained: true, arrivals: arr}, false},
+		{"open arrival delivered", kernel{drained: true, arrivals: arr, arrIdx: 1}, true},
+		{"open queued arrival", kernel{drained: true, waitQ: arr}, false},
+		{"open active app", kernel{drained: true, nActive: 1}, false},
+		{"open at horizon", kernel{doneAt: 2, simTime: 2, nActive: 1}, true},
+		{"open before horizon", kernel{doneAt: 2, simTime: 1.9, nActive: 1}, false},
+		{"closed short of the target", kernel{runsTarget: 3, apps: withRuns(3, 2)}, false},
+		{"closed at the target", kernel{runsTarget: 3, apps: withRuns(4, 3)}, true},
+		{"closed ignores the feeder", kernel{runsTarget: 3, drained: true, apps: withRuns(3, 2)}, false},
+	} {
+		if got := c.k.done(); got != c.want {
+			t.Errorf("%s: done = %v, want %v", c.name, got, c.want)
+		}
 	}
-	if tr.Done(scenario.Progress{Pending: 1}) || tr.Done(scenario.Progress{Active: 1}) {
-		t.Error("done with work left")
-	}
-	if (&feedScenario{}).Done(scenario.Progress{}) {
-		t.Error("done before the feeder drained the stream")
-	}
-	tr = &feedScenario{horizon: 2}
-	if !tr.Done(scenario.Progress{Time: 2, Active: 1}) {
-		t.Error("horizon did not terminate the scenario")
-	}
-	if tr.Done(scenario.Progress{Time: 1.9, Active: 1}) {
-		t.Error("terminated before the horizon with work left")
+}
+
+// TestRunCompletionRules pins what happens when an app retires its
+// quota: it departs an open machine, restarts in a closed run, and
+// restarts under a fresh monitoring id when the closed run resets
+// identities.
+func TestRunCompletionRules(t *testing.T) {
+	specs := specsOf("povray06", "lbm06")
+	for _, c := range []struct {
+		name       string
+		closed     *scenario.Closed
+		wantActive bool
+		wantMonID  int
+	}{
+		{"open departs", nil, false, 0},
+		{"closed restarts", &scenario.Closed{Specs: specs}, true, 0},
+		{"closed restarts fresh", &scenario.Closed{Specs: specs, ResetIdentityOnRestart: true}, true, 2},
+	} {
+		cfg := testConfig()
+		k, err := newKernel(cfg, policy.NewStockDynamic(cfg.Plat.Ways), specs, c.closed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := k.apps[0]
+		a.runInsns = a.quota
+		if _, err := k.appEvents(a); err != nil {
+			t.Fatal(err)
+		}
+		if len(a.runs) != 1 || a.active != c.wantActive || a.monID != c.wantMonID {
+			t.Errorf("%s: %d runs, active %v, monitoring id %d; want 1, %v, %d",
+				c.name, len(a.runs), a.active, a.monID, c.wantActive, c.wantMonID)
+		}
 	}
 }

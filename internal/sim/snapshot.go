@@ -77,13 +77,6 @@ type AppSnapshot struct {
 	AloneT     float64 `json:"alone_t"`
 }
 
-// ArrivalSnapshot is one undelivered (or queued) arrival.
-type ArrivalSnapshot struct {
-	Time float64        `json:"time"`
-	Spec *appmodel.Spec `json:"spec"`
-	Tag  int            `json:"tag,omitempty"`
-}
-
 // MachineSnapshot is the complete advancement coordinate of one
 // OpenMachine: restoring it on a fresh machine with the identical
 // Config and a same-parameter policy resumes the trajectory exactly
@@ -103,11 +96,12 @@ type MachineSnapshot struct {
 	NextMonID    int     `json:"next_mon_id"`
 	Peak         int     `json:"peak"`
 
-	Apps      []AppSnapshot     `json:"apps"`
-	RunCounts []int             `json:"run_counts"`
-	WaitQ     []ArrivalSnapshot `json:"wait_q,omitempty"`
+	Apps []AppSnapshot `json:"apps"`
+	// RunCounts[i] is len(Apps[i].Runs).
+	RunCounts []int              `json:"run_counts"`
+	WaitQ     []scenario.Arrival `json:"wait_q,omitempty"`
 	// Pending holds the injected arrivals not yet delivered.
-	Pending []ArrivalSnapshot `json:"pending,omitempty"`
+	Pending []scenario.Arrival `json:"pending,omitempty"`
 
 	// Series is the metric-window history, packed: it is most of a
 	// long run's snapshot.
@@ -122,34 +116,6 @@ type MachineSnapshot struct {
 	Policy json.RawMessage `json:"policy,omitempty"`
 }
 
-func snapArrivals(arrs []scenario.Arrival) []ArrivalSnapshot {
-	if len(arrs) == 0 {
-		return nil
-	}
-	out := make([]ArrivalSnapshot, len(arrs))
-	for i, a := range arrs {
-		out[i] = ArrivalSnapshot{Time: a.Time, Spec: a.Spec, Tag: a.Tag}
-	}
-	return out
-}
-
-func unsnapArrivals(snaps []ArrivalSnapshot) ([]scenario.Arrival, error) {
-	if len(snaps) == 0 {
-		return nil, nil
-	}
-	out := make([]scenario.Arrival, len(snaps))
-	for i, s := range snaps {
-		if s.Spec == nil {
-			return nil, fmt.Errorf("sim: snapshot arrival %d without a spec", i)
-		}
-		if err := s.Spec.Validate(); err != nil {
-			return nil, err
-		}
-		out[i] = scenario.Arrival{Time: s.Time, Spec: s.Spec, Tag: s.Tag}
-	}
-	return out, nil
-}
-
 // Snapshot captures the machine's full advancement coordinate. The
 // machine must be error-free (a canceled advance is not an error — the
 // cancel sentinel never sticks) and its policy must implement
@@ -157,7 +123,7 @@ func unsnapArrivals(snaps []ArrivalSnapshot) ([]scenario.Arrival, error) {
 // machine, which can keep advancing while the snapshot is marshaled.
 func (m *OpenMachine) Snapshot() (*MachineSnapshot, error) {
 	if m.err != nil {
-		return nil, fmt.Errorf("sim: snapshot of failed machine %q: %w", m.feed.name, m.err)
+		return nil, fmt.Errorf("sim: snapshot of failed machine %q: %w", m.name, m.err)
 	}
 	ps, ok := m.k.pol.(PolicySnapshotter)
 	if !ok {
@@ -165,23 +131,23 @@ func (m *OpenMachine) Snapshot() (*MachineSnapshot, error) {
 	}
 	polState, err := ps.PolicySnapshot()
 	if err != nil {
-		return nil, fmt.Errorf("sim: snapshot policy on %q: %w", m.feed.name, err)
+		return nil, fmt.Errorf("sim: snapshot policy on %q: %w", m.name, err)
 	}
 	k := m.k
 	snap := &MachineSnapshot{
-		Name:         m.feed.name,
-		Horizon:      m.feed.horizon,
+		Name:         m.name,
+		Horizon:      k.doneAt,
 		Halted:       m.halted,
-		Drained:      m.feed.drained,
+		Drained:      k.drained,
 		SimTime:      k.simTime,
 		NextPolicy:   k.nextPolicy,
 		Repartitions: k.repartitions,
 		NextMonID:    k.nextMonID,
 		Peak:         k.peak,
 		Apps:         make([]AppSnapshot, len(k.apps)),
-		RunCounts:    append([]int(nil), k.runCounts...),
-		WaitQ:        snapArrivals(k.waitQ),
-		Pending:      snapArrivals(k.arrivals[k.arrIdx:]),
+		RunCounts:    make([]int, len(k.apps)),
+		WaitQ:        append([]scenario.Arrival(nil), k.waitQ...),
+		Pending:      append([]scenario.Arrival(nil), k.arrivals[k.arrIdx:]...),
 		Series:       k.series.Pack(),
 		WinStart:     k.winStart,
 		WinArr:       k.winArr,
@@ -190,6 +156,7 @@ func (m *OpenMachine) Snapshot() (*MachineSnapshot, error) {
 		Policy:       polState,
 	}
 	for i, a := range k.apps {
+		snap.RunCounts[i] = len(a.runs)
 		snap.Apps[i] = AppSnapshot{
 			Slot:       a.slot,
 			MonID:      a.monID,
@@ -242,11 +209,12 @@ func RestoreMachine(cfg Config, pol Dynamic, snap *MachineSnapshot) (*OpenMachin
 		return nil, &SnapshotUnsupportedError{What: fmt.Sprintf("partitioning policy %T", pol)}
 	}
 	cfg.MetricsWindow = cfg.EffectiveMetricsWindow()
-	feed := &feedScenario{name: snap.Name, horizon: snap.Horizon, drained: snap.Drained}
-	k, err := newKernel(cfg, feed, pol)
+	k, err := newKernel(cfg, pol, nil, nil)
 	if err != nil {
 		return nil, err
 	}
+	k.doneAt = snap.Horizon
+	k.drained = snap.Drained
 	if len(snap.RunCounts) != len(snap.Apps) {
 		return nil, fmt.Errorf("sim: snapshot %q has %d run counts for %d apps",
 			snap.Name, len(snap.RunCounts), len(snap.Apps))
@@ -304,17 +272,19 @@ func RestoreMachine(cfg Config, pol Dynamic, snap *MachineSnapshot) (*OpenMachin
 		return nil, fmt.Errorf("sim: snapshot %q has %d active apps for %d cores",
 			snap.Name, nActive, cfg.Plat.Cores)
 	}
-	k.runCounts = append([]int(nil), snap.RunCounts...)
 	k.activesDirty = false
 	k.nActive = nActive
 	k.nextMonID = snap.NextMonID
 	k.peak = snap.Peak
-	if k.waitQ, err = unsnapArrivals(snap.WaitQ); err != nil {
-		return nil, err
+	for _, arrs := range [][]scenario.Arrival{snap.WaitQ, snap.Pending} {
+		for _, arr := range arrs {
+			if err := ValidateArrival(arr); err != nil {
+				return nil, fmt.Errorf("sim: snapshot %q: %w", snap.Name, err)
+			}
+		}
 	}
-	if k.arrivals, err = unsnapArrivals(snap.Pending); err != nil {
-		return nil, err
-	}
+	k.waitQ = append([]scenario.Arrival(nil), snap.WaitQ...)
+	k.arrivals = append([]scenario.Arrival(nil), snap.Pending...)
 	k.arrIdx = 0
 	if k.collect && len(snap.Series.Points) > 0 && snap.Series.Width != k.series.Width {
 		return nil, fmt.Errorf("sim: snapshot %q collected %vs metric windows, config says %vs — resume must use the original config",
@@ -339,5 +309,5 @@ func RestoreMachine(cfg Config, pol Dynamic, snap *MachineSnapshot) (*OpenMachin
 	if err := k.refreshMasks(); err != nil {
 		return nil, err
 	}
-	return &OpenMachine{k: k, feed: feed, halted: snap.Halted}, nil
+	return &OpenMachine{k: k, name: snap.Name, halted: snap.Halted}, nil
 }

@@ -254,26 +254,21 @@ func RunStatic(cfg SimConfig, specs []*Spec, p Plan) (*SimResult, error) {
 }
 
 // ---------------------------------------------------------------------
-// Scenarios (the kernel/scenario split of the simulator).
+// Scenarios (workload data; the simulation kernel applies the run rules).
 // ---------------------------------------------------------------------
 
-// Scenario shapes one experiment over the scenario-agnostic simulation
-// kernel: which applications start it, what happens when one retires
-// its instruction quota, and when it ends. ClosedScenario implements
-// it; an open system's arrivals reach a machine one at a time instead
-// (see OpenScenario).
-type Scenario = scenario.Scenario
-
-// ClosedScenario is the paper's §5 closed-batch methodology as a
-// scenario value (RunDynamic is exactly this scenario); its
-// ResetIdentityOnRestart knob makes every restart look like an
-// exit+spawn so policies must re-learn classes.
+// ClosedScenario is the paper's §5 closed-batch workload: every
+// application starts at time zero, and the kernel restarts each one on
+// completion until all have RunsTarget runs (RunDynamic is exactly
+// this workload with three runs). Its ResetIdentityOnRestart knob makes
+// every restart look like an exit+spawn so policies must re-learn
+// classes.
 type ClosedScenario = scenario.Closed
 
 // OpenScenario is the open-system arrival trace: applications arrive
-// from a seeded Poisson process or an explicit trace, run their quota
-// once, and depart. RunOpen feeds the trace to one machine; RunCluster
-// places each arrival on a machine of a fleet.
+// from a seeded Poisson process or an explicit trace, and the kernel
+// runs each one's quota once and departs it. RunOpen feeds the trace to
+// one machine; RunCluster places each arrival on a machine of a fleet.
 type OpenScenario = scenario.Open
 
 // ScenarioArrival schedules one application entering an open system.
