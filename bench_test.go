@@ -476,10 +476,10 @@ func TestWholeRunAllocations(t *testing.T) {
 		budget float64 // allocations per run
 		run    func() error
 	}{
-		{"closed-batch", 33393, closed},
-		{"open-churn", 7794, openChurn},
-		{"cluster-4", 16720, cluster4},
-		{"cluster-1k", 1384179, cluster1k},
+		{"closed-batch", 635, closed},
+		{"open-churn", 745, openChurn},
+		{"cluster-4", 1583, cluster4},
+		{"cluster-1k", 55546, cluster1k},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var err error

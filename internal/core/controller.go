@@ -27,6 +27,10 @@ import (
 //
 // Assignment() exposes the CAT masks the controller currently wants.
 // All internal arithmetic is integer/fixed-point.
+//
+// Reconfigure and Assignment are memoized. Partition and the mask
+// rendering are pure functions of the state that stale and assign
+// track, so the caches never change a decision.
 type Controller struct {
 	params Params
 	// wayBytes is needed to compare CMT occupancy readings against a
@@ -41,6 +45,12 @@ type Controller struct {
 
 	current plan.Plan
 	have    bool
+	// stale marks that an input of Partition changed since rebuildPlan
+	// last ran it.
+	stale bool
+	// assign is Assignment's cached map (nil = render anew). A map once
+	// returned is never modified, only dropped.
+	assign map[int]cat.WayMask
 }
 
 type appState struct {
@@ -88,6 +98,10 @@ func (c *Controller) AddApp(id int) error {
 	}
 	c.order = append(c.order, id)
 	sort.Ints(c.order)
+	// have stays set: the plan keeps omitting the new app (it runs under
+	// the full mask) until the next activation reruns Algorithm 1.
+	c.stale = true
+	c.assign = nil
 	return nil
 }
 
@@ -110,7 +124,8 @@ func (c *Controller) RemoveApp(id int) {
 		}
 	}
 	c.sampleQueue = q
-	c.have = false
+	c.have = false // the next Plan, Assignment or activation reruns Algorithm 1
+	c.assign = nil
 }
 
 // ClassOf returns the current classification of an application.
@@ -169,6 +184,7 @@ func (c *Controller) OnWindow(id int, w pmc.Sample) bool {
 
 // onSamplingWindow advances the active sweep.
 func (c *Controller) onSamplingWindow(st *appState, w pmc.Sample) bool {
+	c.assign = nil
 	done := st.sampling.Record(w.IPC(), w.LLCMPKC())
 	if !done {
 		return true // sampling partition grew
@@ -180,6 +196,7 @@ func (c *Controller) onSamplingWindow(st *appState, w pmc.Sample) bool {
 	st.mpkcHist.Reset()
 	st.stallHist.Reset()
 	c.activeSampling = -1
+	c.stale = true
 	c.rebuildPlan()
 	c.maybeStartSampling()
 	return true
@@ -248,19 +265,28 @@ func (c *Controller) maybeStartSampling() bool {
 	st.mpkcHist.Reset()
 	st.stallHist.Reset()
 	c.activeSampling = id
+	c.assign = nil
 	return true
 }
 
 // Reconfigure is the periodic partitioner activation. It returns the
 // (possibly updated) plan.
+//
+//lfoc:hotpath
 func (c *Controller) Reconfigure() plan.Plan {
 	c.rebuildPlan()
 	c.maybeStartSampling()
 	return c.current
 }
 
-// rebuildPlan reruns Algorithm 1 over the current classifications.
+// rebuildPlan reruns Algorithm 1 over the current classifications,
+// unless none of them changed since its last run.
 func (c *Controller) rebuildPlan() {
+	if c.have && !c.stale {
+		return
+	}
+	c.stale = false
+	c.assign = nil
 	if len(c.order) == 0 {
 		c.current = plan.Plan{}
 		c.have = true
@@ -295,8 +321,19 @@ func (c *Controller) Plan() plan.Plan {
 
 // Assignment returns the CAT mask every application should run under
 // right now: the sampling layout while an episode is active, otherwise
-// the masks of the current plan.
+// the masks of the current plan. It returns the same map until the
+// layout changes; the caller must not modify it.
+//
+//lfoc:hotpath
 func (c *Controller) Assignment() (map[int]cat.WayMask, error) {
+	if c.assign != nil {
+		return c.assign, nil
+	}
+	return c.renderAssignment()
+}
+
+// renderAssignment builds Assignment's map and caches it.
+func (c *Controller) renderAssignment() (map[int]cat.WayMask, error) {
 	out := make(map[int]cat.WayMask, len(c.apps))
 	if c.activeSampling >= 0 {
 		st := c.apps[c.activeSampling]
@@ -311,21 +348,18 @@ func (c *Controller) Assignment() (map[int]cat.WayMask, error) {
 				out[id] = restMask
 			}
 		}
-		return out, nil
-	}
-	p := c.Plan()
-	if len(p.Clusters) == 0 {
-		return out, nil
-	}
-	masks, err := p.Masks(c.params.NrWays)
-	if err != nil {
-		return nil, err
-	}
-	for ci, cl := range p.Clusters {
-		for _, id := range cl.Apps {
-			out[id] = masks[ci]
+	} else if p := c.Plan(); len(p.Clusters) > 0 {
+		masks, err := p.Masks(c.params.NrWays)
+		if err != nil {
+			return nil, err
+		}
+		for ci, cl := range p.Clusters {
+			for _, id := range cl.Apps {
+				out[id] = masks[ci]
+			}
 		}
 	}
+	c.assign = out
 	return out, nil
 }
 

@@ -165,5 +165,7 @@ func (c *Controller) PolicyRestore(data []byte) error {
 	c.activeSampling = snap.ActiveSampling
 	c.current = snap.Current
 	c.have = snap.Have
+	c.stale = true
+	c.assign = nil
 	return nil
 }

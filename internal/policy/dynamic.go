@@ -169,6 +169,10 @@ func (d *DunnDynamic) Assignment() (map[int]cat.WayMask, error) {
 type StockDynamic struct {
 	ways int
 	ids  []int
+	// plan and assign cache Reconfigure's and Assignment's results until
+	// the app set changes (no clusters / nil = rebuild).
+	plan   plan.Plan
+	assign map[int]cat.WayMask
 }
 
 // NewStockDynamic creates the baseline for a way count.
@@ -178,6 +182,7 @@ func NewStockDynamic(ways int) *StockDynamic { return &StockDynamic{ways: ways} 
 func (s *StockDynamic) AddApp(id int) error {
 	s.ids = append(s.ids, id)
 	sort.Ints(s.ids)
+	s.plan, s.assign = plan.Plan{}, nil
 	return nil
 }
 
@@ -186,6 +191,7 @@ func (s *StockDynamic) RemoveApp(id int) {
 	for i, v := range s.ids {
 		if v == id {
 			s.ids = append(s.ids[:i], s.ids[i+1:]...)
+			s.plan, s.assign = plan.Plan{}, nil
 			return
 		}
 	}
@@ -203,15 +209,21 @@ func (s *StockDynamic) PassiveWindows() bool { return true }
 
 // Reconfigure returns the single full-LLC cluster.
 func (s *StockDynamic) Reconfigure() plan.Plan {
-	c := plan.Cluster{Apps: append([]int(nil), s.ids...), Ways: s.ways}
-	return plan.Plan{Clusters: []plan.Cluster{c}}
+	if s.plan.Clusters == nil {
+		c := plan.Cluster{Apps: append([]int(nil), s.ids...), Ways: s.ways}
+		s.plan = plan.Plan{Clusters: []plan.Cluster{c}}
+	}
+	return s.plan
 }
 
-// Assignment gives every app the full mask.
+// Assignment gives every app the full mask. It returns the same map
+// until the app set changes; the caller must not modify it.
 func (s *StockDynamic) Assignment() (map[int]cat.WayMask, error) {
-	out := make(map[int]cat.WayMask, len(s.ids))
-	for _, id := range s.ids {
-		out[id] = cat.FullMask(s.ways)
+	if s.assign == nil {
+		s.assign = make(map[int]cat.WayMask, len(s.ids))
+		for _, id := range s.ids {
+			s.assign[id] = cat.FullMask(s.ways)
+		}
 	}
-	return out, nil
+	return s.assign, nil
 }

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"maps"
+	"reflect"
 	"testing"
 
 	"github.com/faircache/lfoc/internal/cat"
@@ -143,6 +145,54 @@ func TestStockDynamic(t *testing.T) {
 		t.Error("RemoveApp ignored")
 	}
 	s.RemoveApp(42) // no-op
+}
+
+// TestStockDynamicCachesUntilAppSetChanges pins the stock policy's
+// share of the sim.Dynamic contract: one map until the app set changes,
+// and a returned map is never modified.
+func TestStockDynamicCachesUntilAppSetChanges(t *testing.T) {
+	src := NewStockDynamic(11)
+	_ = src.AddApp(0)
+	_ = src.AddApp(1)
+	snap, err := src.PolicySnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A restored machine's kernel activates the fresh policy and reads
+	// its empty assignment before the restore.
+	s := NewStockDynamic(11)
+	s.Reconfigure()
+	if m, _ := s.Assignment(); len(m) != 0 {
+		t.Fatalf("empty policy assigned %v", m)
+	}
+	if err := s.PolicyRestore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if p := s.Reconfigure(); len(p.Clusters[0].Apps) != 2 {
+		t.Errorf("restored plan = %s", p.Canonical())
+	}
+	held, _ := s.Assignment()
+	if len(held) != 2 {
+		t.Errorf("restored assignment = %v", held)
+	}
+	if again, _ := s.Assignment(); reflect.ValueOf(again).Pointer() != reflect.ValueOf(held).Pointer() {
+		t.Error("Assignment rebuilt an unchanged map")
+	}
+	want := maps.Clone(held)
+	_ = s.AddApp(2)
+	if p := s.Reconfigure(); len(p.Clusters[0].Apps) != 3 {
+		t.Errorf("plan after AddApp = %s", p.Canonical())
+	}
+	if m, _ := s.Assignment(); len(m) != 3 {
+		t.Errorf("assignment after AddApp = %v", m)
+	}
+	s.RemoveApp(0)
+	if m, _ := s.Assignment(); len(m) != 2 || m[0] != 0 {
+		t.Errorf("assignment after RemoveApp = %v", m)
+	}
+	if !maps.Equal(held, want) {
+		t.Errorf("a returned map was modified: %v, was %v", held, want)
+	}
 }
 
 func TestStallWindowSmoothing(t *testing.T) {

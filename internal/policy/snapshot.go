@@ -103,6 +103,7 @@ func (s *StockDynamic) PolicyRestore(data []byte) error {
 		return fmt.Errorf("stock: restore: %w", err)
 	}
 	s.ids = append(s.ids[:0], snap.IDs...)
+	s.plan, s.assign = plan.Plan{}, nil
 	return nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"github.com/faircache/lfoc/internal/appmodel"
 	"github.com/faircache/lfoc/internal/cat"
@@ -602,6 +603,17 @@ func (k *kernel) run() error {
 func (k *kernel) runUntil(until float64) error {
 	defer k.syncAll()
 	maxTime := k.cfg.MaxSimTime.Seconds()
+	if k.collect && !math.IsInf(until, 1) {
+		// Size the series once for the windows this call can close
+		// (an idle machine catching up closes hundreds at once).
+		end := min(until, maxTime)
+		if k.doneAt > 0 {
+			end = min(end, k.doneAt)
+		}
+		if n := int((end - k.winStart) / k.series.Width); n > 0 {
+			k.series.Points = slices.Grow(k.series.Points, n)
+		}
+	}
 	for k.simTime < until && !k.done() {
 		// Cooperative cancellation: loop-top boundaries are exactly the
 		// states a checkpoint can capture, so stopping here keeps the

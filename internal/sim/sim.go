@@ -59,12 +59,17 @@ import (
 )
 
 // Dynamic is the policy interface the simulator drives. core.Controller
-// (LFOC), policy.DunnDynamic, policy.StockDynamic and
-// policy.KPartDynaway implement it. Ids are monitoring identities: the
+// (LFOC), policy.DunnDynamic, policy.StockDynamic, policy.KPartDynaway
+// and FixedPlanPolicy implement it. Ids are monitoring identities: the
 // kernel allocates a fresh id per admission (and per identity-reset
 // restart), and RemoveApp retires it when the application departs —
 // policies must release all per-app state there, or an open-system run
 // leaks monitoring state and classes of service.
+//
+// The map Assignment returns belongs to the policy: the caller must not
+// modify it. A policy may return the same map again from later calls,
+// but it never modifies a map it has returned, so a held map keeps the
+// layout it was returned with.
 type Dynamic interface {
 	AddApp(id int) error
 	RemoveApp(id int)
@@ -345,13 +350,10 @@ func (f *FixedPlanPolicy) PassiveWindows() bool { return true }
 // Reconfigure implements Dynamic.
 func (f *FixedPlanPolicy) Reconfigure() plan.Plan { return f.plan }
 
-// Assignment implements Dynamic.
+// Assignment implements Dynamic: every call returns the precomputed
+// map.
 func (f *FixedPlanPolicy) Assignment() (map[int]cat.WayMask, error) {
-	out := make(map[int]cat.WayMask, len(f.masks))
-	for k, v := range f.masks {
-		out[k] = v
-	}
-	return out, nil
+	return f.masks, nil
 }
 
 // RunStatic co-runs the workload under a fixed clustering plan.

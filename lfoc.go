@@ -239,7 +239,9 @@ type SimConfig = sim.Config
 type SimResult = sim.Result
 
 // DynamicPolicy is the interface the simulator drives; *Controller,
-// *policy.DunnDynamic and *policy.StockDynamic implement it.
+// *policy.DunnDynamic, *policy.StockDynamic, *policy.KPartDynaway and
+// *sim.FixedPlanPolicy implement it. A map returned by Assignment
+// belongs to the policy and must not be modified.
 type DynamicPolicy = sim.Dynamic
 
 // RunDynamic co-runs a workload under a dynamic policy with the paper's
