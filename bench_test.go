@@ -153,17 +153,44 @@ func table2Inputs(n int) ([]core.AppInfo, *policy.Workload, core.Params) {
 }
 
 // BenchmarkTable2LFOC measures LFOC's partitioning algorithm (Table 2,
-// top row) for every workload size the paper reports.
+// top row) for every workload size the paper reports, on one warm
+// core.Partitioner as the controller runs it.
 func BenchmarkTable2LFOC(b *testing.B) {
 	for n := 4; n <= 11; n++ {
 		infos, _, params := table2Inputs(n)
 		b.Run(sizeName(n), func(b *testing.B) {
+			var part core.Partitioner
+			if _, err := part.Partition(infos, &params); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Partition(infos, &params); err != nil {
+				if _, err := part.Partition(infos, &params); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// TestPartitionerSteadyStateAllocFree pins Table 2's LFOC row at zero
+// allocations: a warm core.Partitioner reruns Algorithm 1 on every
+// Table 2 input size without allocating.
+func TestPartitionerSteadyStateAllocFree(t *testing.T) {
+	for n := 4; n <= 11; n++ {
+		infos, _, params := table2Inputs(n)
+		var part core.Partitioner
+		if _, err := part.Partition(infos, &params); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := part.Partition(infos, &params); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%d apps: a warm Partitioner allocates %v times per call, want 0", n, allocs)
+		}
 	}
 }
 
@@ -390,18 +417,21 @@ func BenchmarkLookahead(b *testing.B) {
 // inside a measured run.
 const wholeRunAllocSlack = 16
 
-// TestWholeRunAllocations holds four deterministic whole runs under the
-// LFOC policy to their allocation budgets: the paper's closed batch on
-// the S1 mix, an open-system churn run (seeded Poisson arrivals), a
-// 4-machine cluster behind one arrival stream (fairness-aware
-// placement, serial advancement so counts stay machine-independent),
-// and a 1024-machine heterogeneous fleet under Poisson churn. The
-// simulator is deterministic, so its allocation count moves only when
-// the code does. When a change grows a count on purpose, refresh its
-// budget from this test's -v log.
+// TestWholeRunAllocations holds six deterministic whole runs to their
+// allocation budgets. Four run under the LFOC policy: the paper's closed
+// batch on the S1 mix, an open-system churn run (seeded Poisson
+// arrivals), a 4-machine cluster behind one arrival stream
+// (fairness-aware placement, serial advancement so counts stay
+// machine-independent), and a 1024-machine heterogeneous fleet under
+// Poisson churn. Two cover the Fig. 7 policies' decision paths: the
+// closed S1 batch under Dunn, which re-clusters at every activation,
+// and the closed batch of the Fig. 7 mix P1 under LFOC, whose sampling
+// episodes repeat. The simulator is deterministic, so its allocation
+// count moves only when the code does. When a change grows a count on
+// purpose, refresh its budget from this test's -v log.
 func TestWholeRunAllocations(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs four whole simulations, one of them over 1024 machines")
+		t.Skip("runs six whole simulations, one of them over 1024 machines")
 	}
 	// Allocation counts shift between Go releases; the budgets were
 	// recorded with go1.24.
@@ -410,6 +440,10 @@ func TestWholeRunAllocations(t *testing.T) {
 	}
 	cfg := harness.DefaultConfig()
 	w, err := workloads.Get("S1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, err := workloads.Get("P1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,13 +456,15 @@ func TestWholeRunAllocations(t *testing.T) {
 	// Policies, placements and scenarios are built inside each run:
 	// AllocsPerRun calls a run twice (a warm-up, then the measured
 	// call), and state shared between the calls would undercount.
-	closed := func() error {
-		pol, _, err := cfg.NewDynamicPolicy("lfoc")
-		if err != nil {
+	closed := func(w workloads.Workload, name string) func() error {
+		return func() error {
+			pol, _, err := cfg.NewDynamicPolicy(name)
+			if err != nil {
+				return err
+			}
+			_, err = sim.RunDynamic(simCfg, w.ScaledSpecs(cfg.Scale), pol)
 			return err
 		}
-		_, err = sim.RunDynamic(simCfg, w.ScaledSpecs(cfg.Scale), pol)
-		return err
 	}
 	openChurn := func() error {
 		scn, err := w.OpenScenario(2, 4, 7, cfg.Scale)
@@ -476,10 +512,12 @@ func TestWholeRunAllocations(t *testing.T) {
 		budget float64 // allocations per run
 		run    func() error
 	}{
-		{"closed-batch", 635, closed},
-		{"open-churn", 745, openChurn},
-		{"cluster-4", 1583, cluster4},
-		{"cluster-1k", 55546, cluster1k},
+		{"closed-batch", 501, closed(w, "lfoc")},
+		{"open-churn", 601, openChurn},
+		{"cluster-4", 1412, cluster4},
+		{"cluster-1k", 53295, cluster1k},
+		{"closed-dunn", 240, closed(w, "dunn")},
+		{"closed-p1", 2526, closed(p1, "lfoc")},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var err error

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	fp "github.com/faircache/lfoc/internal/fixedpoint"
@@ -20,6 +21,27 @@ type AppInfo struct {
 	Profile *Profile
 }
 
+// Partitioner is a reusable Algorithm 1 session. It owns the working
+// slices Partition needs (class buckets, sensitive groups, utility
+// curves, the lookahead allocation, and the clusters with their app
+// lists), so a caller that reruns the algorithm allocates nothing once
+// the buffers have grown. The zero value is ready to use.
+//
+// A plan a Partitioner returns aliases its buffers and is valid until
+// its next call; Clone it to keep it. A Partitioner is not safe for
+// concurrent use. Its plans equal Partition's: the arithmetic is the
+// same, in the same order.
+type Partitioner struct {
+	st, cs, ls []AppInfo
+	groups     [][]AppInfo
+	curves     []int64 // NrWays+1 entries per sensitive group
+	util       [][]int64
+	alloc      []int
+	// clusters keeps each position's app buffer across calls; out is
+	// the returned plan's cluster list.
+	clusters, out []plan.Cluster
+}
+
 // Partition runs Algorithm 1: LFOC's cache-clustering algorithm.
 //
 // Following the paper: streaming applications are confined to at most two
@@ -33,36 +55,38 @@ type AppInfo struct {
 // clamped at zero, implemented literally from Algorithm 1 — and the rest
 // are spread round-robin over the sensitive clusters.
 func Partition(apps []AppInfo, params *Params) (plan.Plan, error) {
-	if params.NrWays < 1 {
-		return plan.Plan{}, fmt.Errorf("core: NrWays must be positive")
-	}
-	if len(apps) == 0 {
-		return plan.Plan{}, fmt.Errorf("core: no applications")
+	return new(Partitioner).Partition(apps, params)
+}
+
+// Partition is the package-level Partition on the session's buffers. It
+// does not modify apps.
+//
+//lfoc:hotpath
+func (p *Partitioner) Partition(apps []AppInfo, params *Params) (plan.Plan, error) {
+	if params.NrWays < 1 || len(apps) == 0 {
+		return plan.Plan{}, inputError(params.NrWays)
 	}
 
-	var st, cs, ls []AppInfo
+	p.st, p.cs, p.ls = p.st[:0], p.cs[:0], p.ls[:0]
 	for _, a := range apps {
 		switch a.Class {
 		case ClassStreaming:
-			st = append(st, a)
+			p.st = append(p.st, a)
 		case ClassSensitive:
 			if a.Profile == nil {
-				return plan.Plan{}, fmt.Errorf("core: sensitive app %d has no profile", a.ID)
+				return plan.Plan{}, noProfileError(a.ID)
 			}
-			cs = append(cs, a)
+			p.cs = append(p.cs, a)
 		default: // light and unknown share the light path
-			ls = append(ls, a)
+			p.ls = append(p.ls, a)
 		}
 	}
+	st, ls := p.st, p.ls
+	p.clusters = p.clusters[:0]
 
 	// No sensitive applications: a single cluster spanning the LLC.
-	if len(cs) == 0 {
-		all := make([]int, 0, len(apps))
-		for _, a := range apps {
-			all = append(all, a.ID)
-		}
-		sort.Ints(all)
-		return plan.Plan{Clusters: []plan.Cluster{{Apps: all, Ways: params.NrWays}}}, nil
+	if len(p.cs) == 0 {
+		return p.singleCluster(apps, params.NrWays), nil
 	}
 
 	maxStreamingWay := params.MaxStreamingWay
@@ -80,71 +104,69 @@ func Partition(apps []AppInfo, params *Params) (plan.Plan, error) {
 	}
 	if waysForStreaming >= params.NrWays {
 		// Degenerate LLC: everything shares one cluster.
-		all := make([]int, 0, len(apps))
-		for _, a := range apps {
-			all = append(all, a.ID)
-		}
-		sort.Ints(all)
-		return plan.Plan{Clusters: []plan.Cluster{{Apps: all, Ways: params.NrWays}}}, nil
+		return p.singleCluster(apps, params.NrWays), nil
 	}
-
-	var clusters []plan.Cluster
 
 	// Streaming clusters: waysForStreaming 1-way clusters, up to r apps
 	// each.
 	next := 0
 	for i := 0; i < waysForStreaming; i++ {
-		var members []int
-		for len(members) < r && next < len(st) {
-			members = append(members, st[next].ID)
+		c := p.addCluster(1)
+		for len(c.Apps) < r && next < len(st) {
+			c.Apps = append(c.Apps, st[next].ID)
 			next++
 		}
-		clusters = append(clusters, plan.Cluster{Apps: members, Ways: 1})
 	}
 
 	// Sensitive clusters: lookahead over slowdown-reduction utilities.
-	csForLookahead := fitSensitive(cs, params.NrWays-waysForStreaming)
-	util := make([][]int64, len(csForLookahead))
+	csForLookahead := p.fitSensitive(params.NrWays - waysForStreaming)
+	row := params.NrWays + 1
+	p.curves = slices.Grow(p.curves[:0], len(csForLookahead)*row)[:len(csForLookahead)*row]
+	p.util = p.util[:0]
 	for i, grp := range csForLookahead {
-		util[i] = lookahead.SlowdownUtility(groupSlowdown(grp, params.NrWays))
+		curve := p.curves[i*row : (i+1)*row : (i+1)*row]
+		groupSlowdown(curve, grp)
+		p.util = append(p.util, lookahead.SlowdownUtilityInto(curve, curve))
 	}
-	alloc, err := lookahead.Allocate(util, params.NrWays-waysForStreaming)
+	alloc, err := lookahead.AllocateInto(p.alloc, p.util, params.NrWays-waysForStreaming)
 	if err != nil {
-		return plan.Plan{}, fmt.Errorf("core: lookahead: %w", err)
+		return plan.Plan{}, lookaheadError(err)
 	}
-	firstSensitive := len(clusters)
+	p.alloc = alloc
+	firstSensitive := len(p.clusters)
 	for i, grp := range csForLookahead {
-		ids := make([]int, 0, len(grp))
+		c := p.addCluster(alloc[i])
 		for _, a := range grp {
-			ids = append(ids, a.ID)
+			c.Apps = append(c.Apps, a.ID)
 		}
-		sort.Ints(ids)
-		clusters = append(clusters, plan.Cluster{Apps: ids, Ways: alloc[i]})
+		sort.Ints(c.Apps)
 	}
+	clusters := p.clusters
 
 	// Light-sharing placement: streaming clusters first (Algorithm 1's
-	// gaps), then round-robin over sensitive clusters.
-	lsQueue := append([]AppInfo(nil), ls...)
-	for idx := 0; len(lsQueue) > 0 && idx < waysForStreaming; idx++ {
+	// gaps), then round-robin over sensitive clusters. ls[q:] is the
+	// queue of light apps still to place.
+	q := 0
+	for idx := 0; q < len(ls) && idx < waysForStreaming; idx++ {
 		target := &clusters[idx]
 		gaps := r - len(target.Apps)*params.GapsPerStreaming
-		for gaps > 0 && len(lsQueue) > 0 {
-			target.Apps = append(target.Apps, lsQueue[0].ID)
-			lsQueue = lsQueue[1:]
+		for gaps > 0 && q < len(ls) {
+			target.Apps = append(target.Apps, ls[q].ID)
+			q++
 			gaps--
 		}
 	}
-	for i := 0; len(lsQueue) > 0; i++ {
-		c := firstSensitive + i%(len(clusters)-firstSensitive)
-		clusters[c].Apps = append(clusters[c].Apps, lsQueue[0].ID)
-		lsQueue = lsQueue[1:]
+	for i := 0; q < len(ls); i++ {
+		c := &clusters[firstSensitive+i%(len(clusters)-firstSensitive)]
+		c.Apps = append(c.Apps, ls[q].ID)
+		q++
 	}
 
 	// Drop empty streaming clusters (possible when r·waysForStreaming
 	// overshoots |ST| and no light app landed there), returning their
 	// ways to the first sensitive cluster.
 	extraWays := 0
-	out := make([]plan.Cluster, 0, len(clusters))
+	p.out = p.out[:0]
 	keptStreaming := 0
 	for i, c := range clusters {
 		if len(c.Apps) == 0 {
@@ -154,29 +176,81 @@ func Partition(apps []AppInfo, params *Params) (plan.Plan, error) {
 		if i < firstSensitive {
 			keptStreaming++
 		}
-		out = append(out, c)
+		p.out = append(p.out, c)
 	}
 	if extraWays > 0 {
-		out[keptStreaming].Ways += extraWays
+		p.out[keptStreaming].Ways += extraWays
 	}
 
-	return plan.Plan{Clusters: out}, nil
+	return plan.Plan{Clusters: p.out}, nil
 }
 
-// fitSensitive groups sensitive apps so their cluster count does not
+// addCluster appends an empty cluster of the given ways to the working
+// list and returns it. The cluster reuses the app buffer its position
+// held on earlier calls. The pointer is valid until the next
+// addCluster.
+//
+//lfoc:hotpath
+func (p *Partitioner) addCluster(ways int) *plan.Cluster {
+	n := len(p.clusters)
+	if n < cap(p.clusters) {
+		p.clusters = p.clusters[:n+1]
+	} else {
+		p.clusters = append(p.clusters, plan.Cluster{})
+	}
+	c := &p.clusters[n]
+	c.Apps, c.Ways = c.Apps[:0], ways
+	return c
+}
+
+// singleCluster returns the plan holding every application, sorted by
+// id, in one cluster of the given ways.
+//
+//lfoc:hotpath
+func (p *Partitioner) singleCluster(apps []AppInfo, ways int) plan.Plan {
+	c := p.addCluster(ways)
+	for _, a := range apps {
+		c.Apps = append(c.Apps, a.ID)
+	}
+	sort.Ints(c.Apps)
+	return plan.Plan{Clusters: p.clusters}
+}
+
+func inputError(nrWays int) error {
+	if nrWays < 1 {
+		return fmt.Errorf("core: NrWays must be positive")
+	}
+	return fmt.Errorf("core: no applications")
+}
+
+func noProfileError(id int) error {
+	return fmt.Errorf("core: sensitive app %d has no profile", id)
+}
+
+func lookaheadError(err error) error { return fmt.Errorf("core: lookahead: %w", err) }
+
+// fitSensitive groups the sensitive apps so their cluster count does not
 // exceed the available ways: normally one app per group; if there are
-// more sensitive apps than ways, the least sensitive apps (smallest
-// slowdown range) are merged pairwise into shared clusters.
-func fitSensitive(cs []AppInfo, availWays int) [][]AppInfo {
-	groups := make([][]AppInfo, len(cs))
-	for i := range cs {
-		groups[i] = []AppInfo{cs[i]}
+// more sensitive apps than ways, mergeSensitive merges the least
+// sensitive ones.
+//
+//lfoc:hotpath
+func (p *Partitioner) fitSensitive(availWays int) [][]AppInfo {
+	p.groups = p.groups[:0]
+	for i := range p.cs {
+		p.groups = append(p.groups, p.cs[i:i+1:i+1])
 	}
-	if len(groups) <= availWays {
-		return groups
+	if len(p.groups) <= availWays {
+		return p.groups
 	}
-	// Sort ascending by slowdown range (least sensitive first) and merge
-	// the two least sensitive groups until the count fits.
+	return mergeSensitive(p.groups, availWays)
+}
+
+// mergeSensitive sorts the groups ascending by slowdown range (least
+// sensitive first) and merges the two least sensitive groups until the
+// count fits availWays. It allocates, but it only runs when there are
+// more sensitive apps than ways.
+func mergeSensitive(groups [][]AppInfo, availWays int) [][]AppInfo {
 	sort.Slice(groups, func(i, j int) bool {
 		return groupRange(groups[i]) < groupRange(groups[j])
 	})
@@ -201,18 +275,20 @@ func groupRange(grp []AppInfo) fp.Value {
 	return m
 }
 
-// groupSlowdown returns the element-wise maximum slowdown curve of a
-// group (a shared cluster must satisfy its hungriest member).
-func groupSlowdown(grp []AppInfo, nrWays int) []int64 {
-	out := make([]int64, nrWays+1)
+// groupSlowdown writes the element-wise maximum slowdown curve of a
+// group (a shared cluster must satisfy its hungriest member) into out,
+// which has NrWays+1 entries.
+//
+//lfoc:hotpath
+func groupSlowdown(out []int64, grp []AppInfo) {
+	clear(out)
 	for _, a := range grp {
-		for w := 1; w <= nrWays; w++ {
+		for w := 1; w < len(out); w++ {
 			if v := int64(a.Profile.Slowdown(w)); v > out[w] {
 				out[w] = v
 			}
 		}
 	}
-	return out
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

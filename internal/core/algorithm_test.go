@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -307,4 +309,121 @@ func TestQuickStreamingConfinement(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// fuzzProfile is a monotone profile from two fuzz bytes: IPC ramps from
+// 0.1–0.865 at one way up to 1.0 at the critical size (1–nrWays ways)
+// and stays flat.
+func fuzzProfile(nrWays int, lo, crit byte) *Profile {
+	c := 1 + int(crit)%nrWays
+	base := 100 + 3*int64(lo)
+	samples := make([]ProfileSample, nrWays)
+	for w := 1; w <= nrWays; w++ {
+		ipc := int64(1000)
+		if w < c {
+			ipc = base + (1000-base)*int64(w)/int64(c)
+		}
+		samples[w-1] = ProfileSample{Ways: w, IPC: fp.FromMilli(ipc), MPKC: fp.FromInt(5)}
+	}
+	return NewProfile(nrWays, samples)
+}
+
+// partitionInput encodes one FuzzPartitionerReuse input: the way count,
+// MaxStreamingWay and GapsPerStreaming bytes, then each app as a class
+// byte, an id byte and, for a profiled sensitive app, two profile bytes.
+func partitionInput(ways, maxStreaming, gaps byte, apps ...[]byte) []byte {
+	return append([]byte{ways - 2, maxStreaming, gaps, byte(len(apps))}, slices.Concat(apps...)...)
+}
+
+// Class bytes of partitionInput.
+const (
+	fzUnknown   = iota
+	fzLight     // ClassLight
+	fzStreaming // ClassStreaming
+	fzSensitive // ClassSensitive with a profile
+	fzNoProfile // ClassSensitive without one: Partition rejects it
+	fzClasses
+)
+
+// FuzzPartitionerReuse decodes the fuzz bytes into a sequence of
+// Partition inputs: 2–20 ways, MaxStreamingWay 0–5, GapsPerStreaming
+// 0–3 and 0–12 apps of every class, sensitive apps with monotone
+// profiles. One Partitioner reused across the sequence must return what
+// a fresh Partition returns for every input, with the same error state,
+// and neither may modify the input slice.
+func FuzzPartitionerReuse(f *testing.F) {
+	sens := func(id, lo, crit byte) []byte { return []byte{fzSensitive, id, lo, crit} }
+	app := func(class, id byte) []byte { return []byte{class, id} }
+	f.Add(slices.Concat(
+		// Every class on 11 ways, then a smaller input that reuses
+		// longer buffers, then a larger one again.
+		partitionInput(11, 5, 3, app(fzStreaming, 0), sens(1, 40, 6), app(fzLight, 2), sens(3, 200, 3),
+			app(fzUnknown, 4), app(fzStreaming, 5), app(fzLight, 6), sens(7, 0, 9)),
+		partitionInput(7, 1, 0, sens(9, 10, 2), app(fzLight, 1), app(fzStreaming, 2)),
+		partitionInput(20, 2, 1, app(fzStreaming, 0), app(fzStreaming, 1), app(fzStreaming, 2), sens(3, 5, 15),
+			sens(4, 90, 4), app(fzLight, 5), app(fzLight, 6), app(fzLight, 7), app(fzLight, 8), sens(9, 1, 19)),
+	))
+	f.Add(slices.Concat(
+		// A flat and a steep sensitive app, then a steep and a
+		// medium one: no curve may keep values from the last call.
+		partitionInput(11, 5, 3, sens(0, 250, 1), sens(1, 0, 10)),
+		partitionInput(11, 5, 3, sens(0, 0, 10), sens(1, 150, 4)),
+	))
+	f.Add(slices.Concat(
+		// More sensitive apps than ways: the merge path.
+		partitionInput(4, 5, 3, sens(0, 10, 1), sens(1, 60, 2), sens(2, 120, 3), sens(3, 30, 3), sens(4, 250, 1),
+			sens(5, 70, 2), app(fzStreaming, 6)),
+		partitionInput(3, 5, 3, sens(0, 10, 1), sens(1, 60, 2)),
+	))
+	f.Add(slices.Concat(
+		// Errors, then valid inputs on the same session: no apps, a
+		// sensitive app without a profile, the degenerate 2-way LLC
+		// with two streaming clusters, and no sensitive app.
+		partitionInput(11, 5, 3),
+		partitionInput(9, 5, 3, app(fzLight, 0), app(fzNoProfile, 1)),
+		partitionInput(2, 1, 3, app(fzStreaming, 0), app(fzStreaming, 1), sens(2, 50, 1)),
+		partitionInput(11, 5, 3, app(fzStreaming, 3), app(fzLight, 1), app(fzUnknown, 0)),
+	))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		var reused Partitioner
+		for step := 0; len(data) > 0; step++ {
+			prm := DefaultParams(2 + int(next())%19)
+			prm.MaxStreamingWay = int(next()) % 6
+			prm.GapsPerStreaming = int(next()) % 4
+			apps := make([]AppInfo, int(next())%13)
+			for i := range apps {
+				class, id := next()%fzClasses, int(next())
+				switch class {
+				case fzUnknown:
+					apps[i] = AppInfo{ID: id, Class: ClassUnknown}
+				case fzLight:
+					apps[i] = AppInfo{ID: id, Class: ClassLight}
+				case fzStreaming:
+					apps[i] = AppInfo{ID: id, Class: ClassStreaming}
+				case fzSensitive:
+					apps[i] = AppInfo{ID: id, Class: ClassSensitive, Profile: fuzzProfile(prm.NrWays, next(), next())}
+				case fzNoProfile:
+					apps[i] = AppInfo{ID: id, Class: ClassSensitive}
+				}
+			}
+			in := slices.Clone(apps)
+			got, err1 := reused.Partition(apps, &prm)
+			want, err2 := Partition(apps, &prm)
+			if (err1 == nil) != (err2 == nil) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: reused Partitioner = %s (%v), fresh Partition = %s (%v)",
+					step, got.Canonical(), err1, want.Canonical(), err2)
+			}
+			if !reflect.DeepEqual(apps, in) {
+				t.Fatalf("step %d: Partition modified its input: %+v, was %+v", step, apps, in)
+			}
+		}
+	})
 }

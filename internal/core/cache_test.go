@@ -73,17 +73,20 @@ func restoreFresh(t *testing.T, params Params, snap []byte) *Controller {
 
 // FuzzControllerCaches decodes the fuzz bytes into a sequence of
 // controller operations and applies it to two controllers with the same
-// Params. The reference drops both caches (stale, assign) before every
-// call, so it reruns Algorithm 1 at every activation and renders a new
-// map on every Assignment. After every operation the two must agree on
-// the operation's result, on Assignment, SamplingActive and every
-// WindowInsns; a snapshot also compares the checkpoint bytes.
+// Params. The reference drops every cache (stale, planMap, sampleMaps)
+// before every call, so it reruns Algorithm 1 at every activation and
+// renders a new map on every Assignment. After every operation the two
+// must agree on the operation's result, on Assignment, SamplingActive
+// and every WindowInsns; a snapshot also compares the checkpoint bytes.
 //
 // The first byte picks the way count (2–12). The seeds cover a full
 // classification of streaming, sensitive and light apps, an AddApp
 // during an active sampling episode, a snapshot taken while a new app
-// still waits for its first activation, removal of the sampled app, and
-// a restore in the middle of an episode.
+// still waits for its first activation, removal of the sampled app, a
+// restore in the middle of an episode, an app resampled twice under an
+// unchanged app set (its later episodes reuse the first one's sampling
+// maps), and an AddApp and a RemoveApp between episodes of one app
+// (each must drop them).
 func FuzzControllerCaches(f *testing.F) {
 	streaming := windowOp(0, 21, 130, 175, 11)
 	light := func(id byte) []byte { return windowOp(id, 85, 2, 12, 1) }
@@ -94,6 +97,10 @@ func FuzzControllerCaches(f *testing.F) {
 	for i := byte(0); i < 8; i++ {
 		sensitive = append(sensitive, windowOp(1, 15+10*i, 60-7*i, 125, i)...)
 	}
+	// A three-way sampling sweep of app 0, and a memory-intensive phase
+	// at full occupancy that triggers its resampling.
+	episode := slices.Concat(windowOp(0, 30, 60, 100, 1), windowOp(0, 60, 40, 100, 2), windowOp(0, 90, 2, 100, 3))
+	phase := repeatOps(5, windowOp(0, 30, 120, 200, 11))
 	seeds := [][]byte{
 		// AddApp while app 0 is being sampled: the sampling layout
 		// must cover the new app at once.
@@ -114,6 +121,13 @@ func FuzzControllerCaches(f *testing.F) {
 		slices.Concat([]byte{4, opAdd, opAdd}, warm(0), warm(1), windowOp(0, 20, 80, 100, 1),
 			[]byte{opRemove, 0, opAssign, opReconfig}, windowOp(1, 30, 80, 100, 1), []byte{opSnapshot},
 			windowOp(1, 50, 40, 100, 2), []byte{opReconfig, opAdd, opReconfig}, windowOp(1, 70, 20, 100, 3)),
+		// App 0 is resampled twice while the app set stays the same.
+		slices.Concat([]byte{9, opAdd, opAdd}, warm(0), episode, []byte{opReconfig}, phase, episode,
+			[]byte{opReconfig}, phase, episode, []byte{opReconfig, opAssign}),
+		// An app arrives between two episodes of app 0, and another
+		// leaves between the next two.
+		slices.Concat([]byte{9, opAdd, opAdd}, warm(0), episode, []byte{opReconfig, opAdd}, phase, episode,
+			[]byte{opReconfig, opRemove, 1}, phase, episode, []byte{opReconfig, opAssign}),
 		// Two ways: the smallest LLC a controller accepts.
 		slices.Concat([]byte{0, opAdd, opAdd, opAdd}, warm(0), warm(1), warm(2),
 			repeatOps(3, windowOp(0, 20, 90, 200, 1), windowOp(1, 90, 1, 10, 1), windowOp(2, 50, 30, 90, 2)),
@@ -141,7 +155,10 @@ func FuzzControllerCaches(f *testing.F) {
 			t.Fatal(err)
 		}
 		ref, _ := NewController(params, testWayBytes)
-		drop := func() { ref.stale, ref.assign = true, nil }
+		drop := func() {
+			ref.stale, ref.planMap = true, nil
+			clear(ref.sampleMaps)
+		}
 		ids := 0 // ids handed out so far; removed ones stay valid arguments
 		for step := 0; len(data) > 0; step++ {
 			op := next() % cacheOps

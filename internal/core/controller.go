@@ -29,8 +29,8 @@ import (
 // All internal arithmetic is integer/fixed-point.
 //
 // Reconfigure and Assignment are memoized. Partition and the mask
-// rendering are pure functions of the state that stale and assign
-// track, so the caches never change a decision.
+// rendering are pure functions of the state that stale, planMap and
+// sampleMaps track, so the caches never change a decision.
 type Controller struct {
 	params Params
 	// wayBytes is needed to compare CMT occupancy readings against a
@@ -48,10 +48,22 @@ type Controller struct {
 	// stale marks that an input of Partition changed since rebuildPlan
 	// last ran it.
 	stale bool
-	// assign is Assignment's cached map (nil = render anew). A map once
-	// returned is never modified, only dropped.
-	assign map[int]cat.WayMask
+	// part and infos are rebuildPlan's reusable scratch.
+	part  Partitioner
+	infos []AppInfo
+
+	// Assignment's cached maps. A map once returned is never modified,
+	// only dropped. planMap renders current (nil = render anew).
+	// sampleMaps holds the sampling layouts by sampled app and
+	// sampling-partition ways; it is valid while the app set is
+	// unchanged.
+	planMap    map[int]cat.WayMask
+	sampleMaps map[sampleKey]map[int]cat.WayMask
 }
+
+// sampleKey identifies a sampling layout: the sampled app and the ways
+// of its sampling partition.
+type sampleKey struct{ app, ways int }
 
 type appState struct {
 	id           int
@@ -98,10 +110,11 @@ func (c *Controller) AddApp(id int) error {
 	}
 	c.order = append(c.order, id)
 	sort.Ints(c.order)
-	// have stays set: the plan keeps omitting the new app (it runs under
-	// the full mask) until the next activation reruns Algorithm 1.
+	// have and planMap stay set: the plan keeps omitting the new app
+	// (it runs under the full mask) until the next activation reruns
+	// Algorithm 1.
 	c.stale = true
-	c.assign = nil
+	clear(c.sampleMaps)
 	return nil
 }
 
@@ -125,7 +138,7 @@ func (c *Controller) RemoveApp(id int) {
 	}
 	c.sampleQueue = q
 	c.have = false // the next Plan, Assignment or activation reruns Algorithm 1
-	c.assign = nil
+	clear(c.sampleMaps)
 }
 
 // ClassOf returns the current classification of an application.
@@ -184,7 +197,6 @@ func (c *Controller) OnWindow(id int, w pmc.Sample) bool {
 
 // onSamplingWindow advances the active sweep.
 func (c *Controller) onSamplingWindow(st *appState, w pmc.Sample) bool {
-	c.assign = nil
 	done := st.sampling.Record(w.IPC(), w.LLCMPKC())
 	if !done {
 		return true // sampling partition grew
@@ -265,7 +277,6 @@ func (c *Controller) maybeStartSampling() bool {
 	st.mpkcHist.Reset()
 	st.stallHist.Reset()
 	c.activeSampling = id
-	c.assign = nil
 	return true
 }
 
@@ -280,35 +291,43 @@ func (c *Controller) Reconfigure() plan.Plan {
 }
 
 // rebuildPlan reruns Algorithm 1 over the current classifications,
-// unless none of them changed since its last run.
+// unless none of them changed since its last run. When the rerun yields
+// the current plan, the current plan and its map stay.
+//
+//lfoc:hotpath
 func (c *Controller) rebuildPlan() {
 	if c.have && !c.stale {
 		return
 	}
 	c.stale = false
-	c.assign = nil
-	if len(c.order) == 0 {
-		c.current = plan.Plan{}
-		c.have = true
-		return
-	}
-	infos := make([]AppInfo, 0, len(c.order))
-	for _, id := range c.order {
-		st := c.apps[id]
-		infos = append(infos, AppInfo{ID: id, Class: st.class, Profile: st.profile})
-	}
-	p, err := Partition(infos, &c.params)
-	if err != nil {
-		// Degenerate fallback: one cluster with everything. Partition
-		// only fails on structurally impossible inputs; never leave the
-		// machine without a configuration.
-		p = plan.SingleCluster(len(c.order), c.params.NrWays)
-		for ci := range p.Clusters {
-			p.Clusters[ci].Apps = append([]int(nil), c.order...)
+	var p plan.Plan
+	if len(c.order) > 0 {
+		c.infos = c.infos[:0]
+		for _, id := range c.order {
+			st := c.apps[id]
+			c.infos = append(c.infos, AppInfo{ID: id, Class: st.class, Profile: st.profile})
+		}
+		var err error
+		if p, err = c.part.Partition(c.infos, &c.params); err != nil {
+			p = c.fallbackPlan()
 		}
 	}
-	c.current = p
+	if !p.Equal(c.current) {
+		c.current = p.Clone()
+		c.planMap = nil
+	}
 	c.have = true
+}
+
+// fallbackPlan is the degenerate plan: one cluster with everything.
+// Partition only fails on structurally impossible inputs; never leave
+// the machine without a configuration.
+func (c *Controller) fallbackPlan() plan.Plan {
+	p := plan.SingleCluster(len(c.order), c.params.NrWays)
+	for ci := range p.Clusters {
+		p.Clusters[ci].Apps = append([]int(nil), c.order...)
+	}
+	return p
 }
 
 // Plan returns the last plan produced by Reconfigure/rebuildPlan.
@@ -326,40 +345,58 @@ func (c *Controller) Plan() plan.Plan {
 //
 //lfoc:hotpath
 func (c *Controller) Assignment() (map[int]cat.WayMask, error) {
-	if c.assign != nil {
-		return c.assign, nil
+	if c.activeSampling >= 0 {
+		key := sampleKey{c.activeSampling, c.apps[c.activeSampling].sampling.CurrentWays()}
+		if m, ok := c.sampleMaps[key]; ok {
+			return m, nil
+		}
+		return c.renderSampleMap(key)
 	}
-	return c.renderAssignment()
+	if !c.have {
+		c.rebuildPlan()
+	}
+	if c.planMap != nil {
+		return c.planMap, nil
+	}
+	return c.renderPlanMap()
 }
 
-// renderAssignment builds Assignment's map and caches it.
-func (c *Controller) renderAssignment() (map[int]cat.WayMask, error) {
+// renderSampleMap builds the sampling layout for key and caches it.
+func (c *Controller) renderSampleMap(key sampleKey) (map[int]cat.WayMask, error) {
+	sampleMask, restMask, err := cat.SamplingLayout(key.ways, c.params.NrWays)
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[int]cat.WayMask, len(c.apps))
-	if c.activeSampling >= 0 {
-		st := c.apps[c.activeSampling]
-		sampleMask, restMask, err := cat.SamplingLayout(st.sampling.CurrentWays(), c.params.NrWays)
+	for _, id := range c.order {
+		if id == key.app {
+			out[id] = sampleMask
+		} else {
+			out[id] = restMask
+		}
+	}
+	if c.sampleMaps == nil {
+		c.sampleMaps = map[sampleKey]map[int]cat.WayMask{}
+	}
+	c.sampleMaps[key] = out
+	return out, nil
+}
+
+// renderPlanMap builds the current plan's map and caches it.
+func (c *Controller) renderPlanMap() (map[int]cat.WayMask, error) {
+	out := make(map[int]cat.WayMask, len(c.apps))
+	if len(c.current.Clusters) > 0 {
+		masks, err := c.current.Masks(c.params.NrWays)
 		if err != nil {
 			return nil, err
 		}
-		for _, id := range c.order {
-			if id == c.activeSampling {
-				out[id] = sampleMask
-			} else {
-				out[id] = restMask
-			}
-		}
-	} else if p := c.Plan(); len(p.Clusters) > 0 {
-		masks, err := p.Masks(c.params.NrWays)
-		if err != nil {
-			return nil, err
-		}
-		for ci, cl := range p.Clusters {
+		for ci, cl := range c.current.Clusters {
 			for _, id := range cl.Apps {
 				out[id] = masks[ci]
 			}
 		}
 	}
-	c.assign = out
+	c.planMap = out
 	return out, nil
 }
 

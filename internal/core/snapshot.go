@@ -166,6 +166,7 @@ func (c *Controller) PolicyRestore(data []byte) error {
 	c.current = snap.Current
 	c.have = snap.Have
 	c.stale = true
-	c.assign = nil
+	c.planMap = nil
+	clear(c.sampleMaps)
 	return nil
 }

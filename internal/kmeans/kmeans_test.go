@@ -2,6 +2,7 @@ package kmeans
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -202,5 +203,81 @@ func TestQuickDeterminism(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: one Clusterer reused across random value sets returns what
+// a fresh one returns, so no state leaks from one call into the next.
+// Values are drawn from a few levels, so ties and equal centroids occur.
+func TestClustererReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var km Clusterer
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(12) + 1
+		levels := rng.Intn(6) + 1
+		values := make([]float64, n)
+		for i := range values {
+			values[i] = float64(rng.Intn(levels)) / float64(levels) * rng.Float64()
+		}
+		kMin, kMax := rng.Intn(6)-1, rng.Intn(8)
+		got, err1 := km.ChooseK(values, kMin, kMax)
+		want, err2 := new(Clusterer).ChooseK(values, kMin, kMax)
+		if (err1 == nil) != (err2 == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("ChooseK(%v, %d, %d): reused %+v (%v), fresh %+v (%v)", values, kMin, kMax, got, err1, want, err2)
+		}
+		if err := consistent(values, got); err1 == nil && err != "" {
+			t.Fatalf("ChooseK(%v, %d, %d) = %+v: %s", values, kMin, kMax, got, err)
+		}
+		if s, w := km.Silhouette(values, got.Assignments, got.K), Silhouette(values, want.Assignments, want.K); s != w {
+			t.Fatalf("Silhouette(%v): reused %v, fresh %v", values, s, w)
+		}
+		k := rng.Intn(n+2) - 1
+		got, err1 = km.Cluster(values, k)
+		want, err2 = new(Clusterer).Cluster(values, k)
+		if (err1 == nil) != (err2 == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("Cluster(%v, %d): reused %+v (%v), fresh %+v (%v)", values, k, got, err1, want, err2)
+		}
+	}
+}
+
+// consistent checks a result against its own values: K clusters, each
+// non-empty, with its centroid the mean of its values (Cluster's last
+// step recomputes the centroids from the final assignment).
+func consistent(values []float64, r Result) string {
+	if len(r.Centroids) != r.K || len(r.Assignments) != len(values) {
+		return "sizes disagree with K"
+	}
+	sums := make([]float64, r.K)
+	counts := make([]int, r.K)
+	for i, a := range r.Assignments {
+		if a < 0 || a >= r.K {
+			return "assignment out of range"
+		}
+		sums[a] += values[i]
+		counts[a]++
+	}
+	for c := range sums {
+		if counts[c] == 0 || sums[c]/float64(counts[c]) != r.Centroids[c] {
+			return "a centroid is not its cluster's mean"
+		}
+	}
+	return ""
+}
+
+// TestChooseKSteadyStateAllocFree pins the reused session: once its
+// buffers have grown, ChooseK allocates nothing.
+func TestChooseKSteadyStateAllocFree(t *testing.T) {
+	values := []float64{0.05, 0.4, 0.06, 0.9, 0.41, 0.88, 0.07, 0.5}
+	var km Clusterer
+	if _, err := km.ChooseK(values, 2, 4); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := km.ChooseK(values, 2, 4); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm ChooseK allocates %v times, want 0", allocs)
 	}
 }

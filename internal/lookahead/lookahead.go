@@ -17,7 +17,10 @@
 // each application"); KPart passes scaled miss-curve deltas.
 package lookahead
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Allocate distributes totalWays among len(util) candidates, one curve
 // per candidate, indexed by way count (index 0 is ignored; indices
@@ -25,6 +28,12 @@ import "fmt"
 // way. Utility curves should be monotone nondecreasing; the allocation
 // maximizes greedy marginal utility per way.
 func Allocate(util [][]int64, totalWays int) ([]int, error) {
+	return AllocateInto(nil, util, totalWays)
+}
+
+// AllocateInto is Allocate writing the allocation into dst's backing
+// array, grown when it is too small. The result aliases dst.
+func AllocateInto(dst []int, util [][]int64, totalWays int) ([]int, error) {
 	n := len(util)
 	if n == 0 {
 		return nil, fmt.Errorf("lookahead: no candidates")
@@ -38,7 +47,7 @@ func Allocate(util [][]int64, totalWays int) ([]int, error) {
 		}
 	}
 
-	alloc := make([]int, n)
+	alloc := slices.Grow(dst[:0], n)[:n]
 	for i := range alloc {
 		alloc[i] = 1
 	}
@@ -83,11 +92,20 @@ func Allocate(util [][]int64, totalWays int) ([]int, error) {
 // relative to owning a single way. It is monotone nondecreasing when the
 // slowdown curve is monotone nonincreasing.
 func SlowdownUtility(slowdown []int64) []int64 {
-	out := make([]int64, len(slowdown))
+	return SlowdownUtilityInto(nil, slowdown)
+}
+
+// SlowdownUtilityInto is SlowdownUtility writing the curve into dst's
+// backing array, grown when it is too small. The result aliases dst;
+// dst may be slowdown itself.
+func SlowdownUtilityInto(dst, slowdown []int64) []int64 {
+	out := slices.Grow(dst[:0], len(slowdown))[:len(slowdown)]
 	if len(slowdown) < 2 {
+		clear(out)
 		return out
 	}
 	base := slowdown[1]
+	out[0] = 0
 	for w := 1; w < len(slowdown); w++ {
 		d := base - slowdown[w]
 		if d < 0 {

@@ -2,6 +2,7 @@ package lookahead
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -123,6 +124,33 @@ func TestSlowdownUtility(t *testing.T) {
 	}
 	if got := SlowdownUtility([]int64{5}); len(got) != 1 || got[0] != 0 {
 		t.Error("degenerate slowdown curve mishandled")
+	}
+}
+
+// The Into variants write into a reused buffer whatever it held before,
+// in place for SlowdownUtilityInto, and return what the allocating
+// functions return.
+func TestIntoVariantsIgnoreBufferContents(t *testing.T) {
+	sd := curve(2000, 1500, 1100, 1000, 1000, 1000, 1000, 1000, 1000, 1000, 1000)
+	want := SlowdownUtility(sd)
+	dirty := []int64{-7, -7, -7, -7, -7, -7, -7, -7, -7, -7, -7, -7, -7}
+	if got := SlowdownUtilityInto(dirty, sd); !slices.Equal(got, want) {
+		t.Errorf("SlowdownUtilityInto(dirty) = %v, want %v", got, want)
+	}
+	inPlace := slices.Clone(sd)
+	inPlace[0] = -7
+	if got := SlowdownUtilityInto(inPlace, inPlace); !slices.Equal(got, want) {
+		t.Errorf("SlowdownUtilityInto in place = %v, want %v", got, want)
+	}
+
+	util := [][]int64{want, curve(0, 900, 950, 990, 1000, 1000, 1000, 1000, 1000, 1000, 1000)}
+	wantAlloc, err := Allocate(util, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := AllocateInto([]int{9, 9, 9, 9}, util, 11)
+	if err != nil || !slices.Equal(got, wantAlloc) {
+		t.Errorf("AllocateInto(dirty) = %v (%v), want %v", got, err, wantAlloc)
 	}
 }
 

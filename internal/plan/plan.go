@@ -13,6 +13,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/faircache/lfoc/internal/cat"
@@ -137,6 +138,33 @@ func (p Plan) NumApps() int {
 		n += len(c.Apps)
 	}
 	return n
+}
+
+// Equal reports whether q has the same clusters as p, in the same
+// order, with the same applications in the same order, and the same
+// layout.
+func (p Plan) Equal(q Plan) bool {
+	return p.Overlapping == q.Overlapping && slices.EqualFunc(p.Clusters, q.Clusters, func(a, b Cluster) bool {
+		return a.Ways == b.Ways && slices.Equal(a.Apps, b.Apps)
+	})
+}
+
+// Clone returns a deep copy of the plan that shares no memory with it.
+// The clusters' app lists share one new backing array.
+func (p Plan) Clone() Plan {
+	out := Plan{Clusters: slices.Clone(p.Clusters), Overlapping: p.Overlapping}
+	n := 0
+	for _, c := range p.Clusters {
+		n += len(c.Apps)
+	}
+	apps := make([]int, 0, n)
+	for i, c := range p.Clusters {
+		if c.Apps != nil {
+			apps = append(apps, c.Apps...)
+			out.Clusters[i].Apps = apps[len(apps)-len(c.Apps) : len(apps) : len(apps)]
+		}
+	}
+	return out
 }
 
 // Canonical returns a deterministic rendering such as

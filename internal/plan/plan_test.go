@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/faircache/lfoc/internal/cat"
@@ -130,5 +131,38 @@ func TestCanonical(t *testing.T) {
 	}
 	if a.Canonical() != "{0,3}:2 {1,2}:9" {
 		t.Errorf("canonical = %q", a.Canonical())
+	}
+}
+
+// Clone is a deep copy that keeps nil lists nil (checkpoints serialize
+// plans, and JSON tells null from []); Equal is order-sensitive.
+func TestCloneAndEqual(t *testing.T) {
+	for _, p := range []Plan{
+		{},
+		{Clusters: []Cluster{{Apps: []int{3, 0}, Ways: 2}, {Apps: nil, Ways: 1}, {Apps: []int{}, Ways: 1}, {Apps: []int{1}, Ways: 7}}, Overlapping: true},
+	} {
+		c := p.Clone()
+		if !reflect.DeepEqual(c, p) || !c.Equal(p) {
+			t.Fatalf("Clone(%+v) = %+v", p, c)
+		}
+		if len(p.Clusters) > 0 {
+			c.Clusters[0].Apps[0] = 9
+			c.Clusters[0].Ways = 9
+			if p.Clusters[0].Apps[0] != 3 || p.Clusters[0].Ways != 2 {
+				t.Errorf("Clone shares memory with the plan: %+v", p)
+			}
+		}
+	}
+	a := Plan{Clusters: []Cluster{{Apps: []int{0, 1}, Ways: 2}, {Apps: []int{2}, Ways: 9}}}
+	for _, b := range []Plan{
+		{Clusters: []Cluster{{Apps: []int{1, 0}, Ways: 2}, {Apps: []int{2}, Ways: 9}}},
+		{Clusters: []Cluster{{Apps: []int{2}, Ways: 9}, {Apps: []int{0, 1}, Ways: 2}}},
+		{Clusters: []Cluster{{Apps: []int{0, 1}, Ways: 2}, {Apps: []int{2}, Ways: 8}}},
+		{Clusters: a.Clusters, Overlapping: true},
+		{Clusters: a.Clusters[:1]},
+	} {
+		if a.Equal(b) || b.Equal(a) {
+			t.Errorf("%+v equals %+v", a, b)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"slices"
+
 	"github.com/faircache/lfoc/internal/kmeans"
 	"github.com/faircache/lfoc/internal/plan"
 )
@@ -37,26 +39,39 @@ func (d Dunn) Decide(w *Workload) (plan.Plan, error) {
 	for i, t := range w.Tables {
 		stalls[i] = t.StallFrac[w.Plat.Ways]
 	}
-	return dunnPlan(stalls, w.Plat.Ways, d.KMin, d.KMax)
+	return new(dunnPlanner).build(stalls, w.Plat.Ways, d.KMin, d.KMax)
 }
 
-// dunnPlan builds the overlapping proportional plan from per-app stall
-// fractions; shared by the static and dynamic variants.
-func dunnPlan(stalls []float64, totalWays, kMin, kMax int) (plan.Plan, error) {
+// dunnPlanner builds Dunn's plans, shared by the static and dynamic
+// variants. It keeps the k-means session and the clusters' app lists
+// across calls, so the dynamic variant re-clusters at every activation
+// without allocating. The zero value is ready to use.
+type dunnPlanner struct {
+	km       kmeans.Clusterer
+	clusters []plan.Cluster
+}
+
+// build returns the overlapping proportional plan for per-app stall
+// fractions, with apps given by their positions in stalls. The plan
+// aliases the planner's buffers until its next call.
+//
+//lfoc:hotpath
+func (dp *dunnPlanner) build(stalls []float64, totalWays, kMin, kMax int) (plan.Plan, error) {
 	if kMin <= 0 {
 		kMin = 2
 	}
 	if kMax <= 0 {
 		kMax = 4
 	}
-	res, err := kmeans.ChooseK(stalls, kMin, kMax)
+	res, err := dp.km.ChooseK(stalls, kMin, kMax)
 	if err != nil {
 		return plan.Plan{}, err
 	}
-	clusters := make([]plan.Cluster, res.K)
+	clusters := slices.Grow(dp.clusters[:0], res.K)[:res.K]
+	dp.clusters = clusters
 	var sum float64
 	for c := 0; c < res.K; c++ {
-		clusters[c].Apps = nil
+		clusters[c].Apps = clusters[c].Apps[:0]
 		sum += res.Centroids[c]
 	}
 	for i, c := range res.Assignments {

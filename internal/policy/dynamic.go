@@ -23,6 +23,13 @@ type DunnDynamic struct {
 	history map[int]*stallWindow
 	current plan.Plan
 	have    bool
+	// assign is Assignment's map of current (nil = render anew). A map
+	// once returned is never modified, only dropped.
+	assign map[int]cat.WayMask
+
+	// stalls and planner are Reconfigure's reusable scratch.
+	stalls  []float64
+	planner dunnPlanner
 }
 
 type stallWindow struct {
@@ -116,51 +123,66 @@ func (d *DunnDynamic) OnWindow(id int, w pmc.Sample) bool {
 func (d *DunnDynamic) PassiveWindows() bool { return true }
 
 // Reconfigure re-runs the clustering over the smoothed stall fractions.
+// When the result equals the current plan, the current plan and the map
+// Assignment rendered from it stay.
+//
+//lfoc:hotpath
 func (d *DunnDynamic) Reconfigure() plan.Plan {
-	if len(d.order) == 0 {
-		d.current = plan.Plan{}
-		d.have = true
-		return d.current
-	}
-	stalls := make([]float64, len(d.order))
-	for i, id := range d.order {
-		stalls[i] = d.history[id].mean()
-	}
-	p, err := dunnPlan(stalls, d.ways, d.kMin, d.kMax)
-	if err != nil {
-		p = plan.SingleCluster(len(d.order), d.ways)
-	}
-	// dunnPlan works in positional indices; translate to app ids.
-	for ci := range p.Clusters {
-		ids := make([]int, len(p.Clusters[ci].Apps))
-		for j, pos := range p.Clusters[ci].Apps {
-			ids[j] = d.order[pos]
+	var p plan.Plan
+	if len(d.order) > 0 {
+		d.stalls = d.stalls[:0]
+		for _, id := range d.order {
+			d.stalls = append(d.stalls, d.history[id].mean())
 		}
-		p.Clusters[ci].Apps = ids
+		var err error
+		if p, err = d.planner.build(d.stalls, d.ways, d.kMin, d.kMax); err != nil {
+			p = plan.SingleCluster(len(d.order), d.ways)
+		}
+		// The planner works in positional indices; translate to app ids.
+		for _, c := range p.Clusters {
+			for j, pos := range c.Apps {
+				c.Apps[j] = d.order[pos]
+			}
+		}
 	}
-	d.current = p
+	if !p.Equal(d.current) {
+		d.current = p.Clone()
+		d.assign = nil
+	}
 	d.have = true
 	return d.current
 }
 
 // Assignment returns the masks of the current plan (overlapping layout).
+// It returns the same map until the plan changes; the caller must not
+// modify it.
+//
+//lfoc:hotpath
 func (d *DunnDynamic) Assignment() (map[int]cat.WayMask, error) {
 	if !d.have {
 		d.Reconfigure()
 	}
+	if d.assign != nil {
+		return d.assign, nil
+	}
+	return d.renderAssignment()
+}
+
+// renderAssignment builds Assignment's map and caches it.
+func (d *DunnDynamic) renderAssignment() (map[int]cat.WayMask, error) {
 	out := make(map[int]cat.WayMask, len(d.order))
-	if len(d.current.Clusters) == 0 {
-		return out, nil
-	}
-	masks, err := d.current.Masks(d.ways)
-	if err != nil {
-		return nil, err
-	}
-	for ci, c := range d.current.Clusters {
-		for _, id := range c.Apps {
-			out[id] = masks[ci]
+	if len(d.current.Clusters) > 0 {
+		masks, err := d.current.Masks(d.ways)
+		if err != nil {
+			return nil, err
+		}
+		for ci, c := range d.current.Clusters {
+			for _, id := range c.Apps {
+				out[id] = masks[ci]
+			}
 		}
 	}
+	d.assign = out
 	return out, nil
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"github.com/faircache/lfoc/internal/cat"
 	fp "github.com/faircache/lfoc/internal/fixedpoint"
+	"github.com/faircache/lfoc/internal/plan"
 	"github.com/faircache/lfoc/internal/pmc"
 )
 
@@ -195,6 +196,107 @@ func TestStockDynamicCachesUntilAppSetChanges(t *testing.T) {
 	}
 }
 
+// dunnWithStalls registers one app per stall fraction (milli) and fills
+// each app's stall window.
+func dunnWithStalls(t *testing.T, stalls ...uint64) *DunnDynamic {
+	t.Helper()
+	d := NewDunnDynamic(11)
+	for id, s := range stalls {
+		if err := d.AddApp(id); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			d.OnWindow(id, stallSample(s))
+		}
+	}
+	return d
+}
+
+// TestDunnDynamicSteadyStateAllocFree pins Dunn's reused scratch: when
+// the stall means yield the current plan again, an activation and the
+// mask lookup allocate nothing.
+func TestDunnDynamicSteadyStateAllocFree(t *testing.T) {
+	for name, d := range map[string]*DunnDynamic{
+		"empty":    NewDunnDynamic(11),
+		"one app":  dunnWithStalls(t, 300),
+		"six apps": dunnWithStalls(t, 700, 680, 50, 60, 400, 390),
+	} {
+		d.Reconfigure() // warm the scratch and the map
+		if _, err := d.Assignment(); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			d.Reconfigure()
+			if _, err := d.Assignment(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: unchanged Reconfigure+Assignment allocates %v times, want 0", name, allocs)
+		}
+	}
+}
+
+// TestDunnDynamicReturnedPlanAndMapNeverModified holds a plan and a map
+// across a plan change, an AddApp and a restore: Dunn must hand out new
+// ones and leave the held ones as they were.
+func TestDunnDynamicReturnedPlanAndMapNeverModified(t *testing.T) {
+	d := dunnWithStalls(t, 700, 680, 50, 60)
+	type held struct {
+		what string
+		plan plan.Plan
+		want plan.Plan
+		m    map[int]cat.WayMask
+		mw   map[int]cat.WayMask
+	}
+	var all []held
+	hold := func(what string, d *DunnDynamic) {
+		t.Helper()
+		p := d.Reconfigure()
+		m, err := d.Assignment()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(all); n > 0 && maps.Equal(m, all[n-1].mw) {
+			t.Errorf("%s left the assignment unchanged: %v", what, m)
+		}
+		all = append(all, held{what, p, p.Clone(), m, maps.Clone(m)})
+	}
+	hold("the first activation", d)
+	for i := 0; i < 5; i++ {
+		d.OnWindow(2, stallSample(900)) // app 2 joins the high-stall group
+	}
+	hold("a plan change", d)
+	if err := d.AddApp(4); err != nil {
+		t.Fatal(err)
+	}
+	hold("AddApp", d)
+
+	snap, err := d.PolicySnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A restored machine's kernel activates the fresh policy and reads
+	// its empty assignment before the restore.
+	r := NewDunnDynamic(11)
+	hold("an empty policy", r)
+	if err := r.PolicyRestore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if m, _ := r.Assignment(); !maps.Equal(m, all[2].mw) {
+		t.Errorf("restored assignment = %v, want %v", m, all[2].mw)
+	}
+	hold("a restore", r)
+	for _, h := range all {
+		if !reflect.DeepEqual(h.plan, h.want) {
+			t.Errorf("the plan of %s was modified: %s, was %s", h.what, h.plan.Canonical(), h.want.Canonical())
+		}
+		if !maps.Equal(h.m, h.mw) {
+			t.Errorf("the map of %s was modified: %v, was %v", h.what, h.m, h.mw)
+		}
+	}
+}
+
 func TestStallWindowSmoothing(t *testing.T) {
 	w := newStallWindow(3)
 	if w.mean() != 0 {
@@ -215,7 +317,7 @@ func TestStallWindowSmoothing(t *testing.T) {
 func TestDunnPlanDegenerateStalls(t *testing.T) {
 	// All-zero stalls: proportional allocation degenerates; every
 	// cluster must still get at least one way.
-	p, err := dunnPlan([]float64{0, 0, 0}, 11, 2, 4)
+	p, err := new(dunnPlanner).build([]float64{0, 0, 0}, 11, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

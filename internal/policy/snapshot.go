@@ -81,6 +81,7 @@ func (d *DunnDynamic) PolicyRestore(data []byte) error {
 	}
 	d.current = snap.Current
 	d.have = snap.Have
+	d.assign = nil
 	return nil
 }
 

@@ -69,7 +69,10 @@ import (
 // The map Assignment returns belongs to the policy: the caller must not
 // modify it. A policy may return the same map again from later calls,
 // but it never modifies a map it has returned, so a held map keeps the
-// layout it was returned with.
+// layout it was returned with. The same holds for the plan Reconfigure
+// returns: a policy never modifies a plan it has returned, so a policy
+// that keeps its plan when a rerun yields an equal one may return the
+// same plan again.
 type Dynamic interface {
 	AddApp(id int) error
 	RemoveApp(id int)

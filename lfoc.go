@@ -240,8 +240,10 @@ type SimResult = sim.Result
 
 // DynamicPolicy is the interface the simulator drives; *Controller,
 // *policy.DunnDynamic, *policy.StockDynamic, *policy.KPartDynaway and
-// *sim.FixedPlanPolicy implement it. A map returned by Assignment
-// belongs to the policy and must not be modified.
+// *sim.FixedPlanPolicy implement it. A map returned by Assignment and a
+// plan returned by Reconfigure belong to the policy and must not be
+// modified; an implementer may hand the same map or plan out again, but
+// never modifies one it has returned.
 type DynamicPolicy = sim.Dynamic
 
 // RunDynamic co-runs a workload under a dynamic policy with the paper's
