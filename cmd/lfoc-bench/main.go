@@ -9,10 +9,11 @@
 //	lfoc-bench -table 2 -json BENCH_table2.json   # machine-readable baseline
 //
 // The -scale flag divides all instruction quantities and the partitioner
-// period by the given factor (cadence ratios preserved); EXPERIMENTS.md
-// records the scale used for the published numbers. The -json flag
-// additionally writes the Table 2 timings as a JSON baseline so the perf
-// trajectory can be tracked across revisions (CI commits one per run).
+// period by the given factor (cadence ratios preserved); the default, 50,
+// is the scale of README.md's "Regenerating the paper's artifacts". The
+// -json flag additionally writes the Table 2 timings as a JSON baseline
+// so the perf trajectory can be tracked across revisions (CI commits one
+// per run).
 // The simulator's performance record is the benchmark module
 // (bash benchmark/run.sh, see benchmark/README.md).
 // -cpuprofile/-memprofile write pprof profiles, so perf work starts

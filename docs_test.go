@@ -1,6 +1,9 @@
 package lfoc_test
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -97,6 +100,59 @@ func TestMarkdownLinksResolve(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// mdPath matches a markdown file name or relative path, such as
+// DESIGN.md or docs/checkpoint-resume.md.
+var mdPath = regexp.MustCompile(`[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b`)
+
+// TestGoCommentDocPathsResolve checks every markdown path named in a Go
+// comment anywhere in the repository: it must exist next to the Go file
+// or at the repository root, so no comment points at a document that
+// was renamed, deleted or never written.
+func TestGoCommentDocPathsResolve(t *testing.T) {
+	fset := token.NewFileSet()
+	checked := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, group := range f.Comments {
+			for _, c := range group.List {
+				for _, name := range mdPath.FindAllString(c.Text, -1) {
+					checked++
+					if _, err := os.Stat(filepath.Join(filepath.Dir(path), name)); err == nil {
+						continue
+					}
+					if _, err := os.Stat(name); err == nil {
+						continue
+					}
+					t.Errorf("%s: comment names %s, which exists neither next to the file nor at the repository root",
+						fset.Position(c.Pos()), name)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("no markdown path found in any Go comment; the scan is broken")
 	}
 }
 

@@ -101,7 +101,6 @@ type Config struct {
 	// placement policy implementing PlacementSnapshotter and per-machine
 	// partitioning policies implementing sim.PolicySnapshotter; both are
 	// validated up-front with a typed *sim.SnapshotUnsupportedError.
-	// Incompatible with lifecycle events carrying per-event join configs.
 	Checkpoint *CheckpointConfig
 	// Resume, when set, restores the run from a decoded checkpoint (see
 	// ReadCheckpoint) instead of starting fresh. The scenario, fleet

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"github.com/faircache/lfoc/internal/cat"
-	fp "github.com/faircache/lfoc/internal/fixedpoint"
 	"github.com/faircache/lfoc/internal/plan"
 	"github.com/faircache/lfoc/internal/pmc"
 )
@@ -355,10 +354,14 @@ func (c *Controller) Assignment() (map[int]cat.WayMask, error) {
 	if !c.have {
 		c.rebuildPlan()
 	}
-	if c.planMap != nil {
-		return c.planMap, nil
+	if c.planMap == nil {
+		m, err := c.current.MaskMap(c.params.NrWays)
+		if err != nil {
+			return nil, err
+		}
+		c.planMap = m
 	}
-	return c.renderPlanMap()
+	return c.planMap, nil
 }
 
 // renderSampleMap builds the sampling layout for key and caches it.
@@ -380,33 +383,4 @@ func (c *Controller) renderSampleMap(key sampleKey) (map[int]cat.WayMask, error)
 	}
 	c.sampleMaps[key] = out
 	return out, nil
-}
-
-// renderPlanMap builds the current plan's map and caches it.
-func (c *Controller) renderPlanMap() (map[int]cat.WayMask, error) {
-	out := make(map[int]cat.WayMask, len(c.apps))
-	if len(c.current.Clusters) > 0 {
-		masks, err := c.current.Masks(c.params.NrWays)
-		if err != nil {
-			return nil, err
-		}
-		for ci, cl := range c.current.Clusters {
-			for _, id := range cl.Apps {
-				out[id] = masks[ci]
-			}
-		}
-	}
-	c.planMap = out
-	return out, nil
-}
-
-// SlowdownOf returns the app's fixed-point slowdown estimate at the given
-// way count (1.0 when the app has no profile yet); exposed for
-// diagnostics and tests.
-func (c *Controller) SlowdownOf(id int, ways int) fp.Value {
-	st, ok := c.apps[id]
-	if !ok || st.profile == nil {
-		return fp.One
-	}
-	return st.profile.Slowdown(ways)
 }

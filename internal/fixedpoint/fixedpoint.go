@@ -92,9 +92,6 @@ func Div(a, b Value) Value {
 	return Value((int64(a) << Shift) / int64(b))
 }
 
-// MulInt returns a scaled by the integer n.
-func MulInt(a Value, n int) Value { return a * Value(n) }
-
 // DivInt returns a divided by the integer n. n must be nonzero.
 func DivInt(a Value, n int) Value {
 	if n == 0 {

@@ -8,7 +8,8 @@
 // 100M/10M-instruction counter windows and a 500 ms partitioner period.
 // Config.Scale divides every instruction quantity and the partitioner
 // period by the same factor, preserving all cadence ratios while keeping
-// experiment runtime tractable; EXPERIMENTS.md records the scale used.
+// experiment runtime tractable (default 50, the scale of README.md's
+// "Regenerating the paper's artifacts").
 package harness
 
 import (

@@ -91,7 +91,7 @@ func TestFig2Structure(t *testing.T) {
 	}
 	// Paper reports >77%; our catalog has more moderately-sensitive apps
 	// (small critical sizes), so the share is lower but must remain the
-	// dominant placement pattern (recorded in EXPERIMENTS.md).
+	// dominant placement pattern.
 	if d.SensitiveIn4Plus < 0.4 {
 		t.Errorf("only %.0f%% of sensitive instances in >=4-way clusters (paper: >77%%)",
 			d.SensitiveIn4Plus*100)

@@ -53,30 +53,6 @@ type LifecycleSeries struct {
 // Add appends a lifecycle window point.
 func (s *LifecycleSeries) Add(p LifecyclePoint) { s.Points = append(s.Points, p) }
 
-// TotalDisruptions sums displaced applications over the series.
-func (s *LifecycleSeries) TotalDisruptions() int {
-	n := 0
-	for _, p := range s.Points {
-		n += p.Disruptions
-	}
-	return n
-}
-
-// MeanAvailability is the time-weighted mean availability over the
-// series (1 for an empty series — no window ever saw a machine down).
-func (s *LifecycleSeries) MeanAvailability() float64 {
-	up, t := 0.0, 0.0
-	for _, p := range s.Points {
-		w := p.End - p.Start
-		up += p.Availability * w
-		t += w
-	}
-	if t <= 0 {
-		return 1
-	}
-	return up / t
-}
-
 // Fingerprint renders the series compactly for determinism checks: two
 // series are byte-identical iff every lifecycle metric is.
 func (s *LifecycleSeries) Fingerprint() string {

@@ -95,6 +95,22 @@ func (p Plan) Masks(totalWays int) ([]cat.WayMask, error) {
 	return cat.SequentialLayout(counts, totalWays)
 }
 
+// MaskMap lays the plan out with Masks and maps every application the
+// plan lists to its cluster's mask. The map is sized to those entries.
+func (p Plan) MaskMap(totalWays int) (map[int]cat.WayMask, error) {
+	masks, err := p.Masks(totalWays)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[int]cat.WayMask, p.NumApps())
+	for ci, c := range p.Clusters {
+		for _, a := range c.Apps {
+			out[a] = masks[ci]
+		}
+	}
+	return out, nil
+}
+
 // AppMasks returns the per-application mask implied by the plan, indexed
 // by application index.
 func (p Plan) AppMasks(nApps, totalWays int) ([]cat.WayMask, error) {

@@ -100,6 +100,26 @@ func TestAppMasks(t *testing.T) {
 	if am[0] != cat.MaskRange(2, 9) {
 		t.Errorf("cluster-1 app mask wrong: %v", am)
 	}
+	// MaskMap keys the same masks by app id; the policies cache its map
+	// behind a nil check, so an empty plan must give a non-nil map.
+	mm, err := p.MaskMap(11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mm) != len(am) {
+		t.Errorf("MaskMap has %d entries, want %d", len(mm), len(am))
+	}
+	for a, m := range am {
+		if mm[a] != m {
+			t.Errorf("MaskMap[%d] = %v, AppMasks gives %v", a, mm[a], m)
+		}
+	}
+	if empty, err := (Plan{}).MaskMap(11); err != nil || empty == nil || len(empty) != 0 {
+		t.Errorf("empty plan: MaskMap = %v, %v; want an empty map", empty, err)
+	}
+	if _, err := (Plan{Clusters: []Cluster{{Apps: []int{0}, Ways: 12}}}).MaskMap(11); err == nil {
+		t.Error("MaskMap accepted a plan wider than the LLC")
+	}
 	// Missing app detection.
 	bad := Plan{Clusters: []Cluster{{Apps: []int{0}, Ways: 2}}}
 	if _, err := bad.AppMasks(2, 11); err == nil {

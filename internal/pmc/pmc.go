@@ -73,14 +73,6 @@ func (s Sample) LLCMPKC() fp.Value {
 	return fp.FromRatio(int64(s.LLCMisses)*1000, int64(s.Cycles))
 }
 
-// LLCMPKI returns LLC misses per kilo-instruction (the KPart/UCP metric).
-func (s Sample) LLCMPKI() fp.Value {
-	if s.Instructions == 0 {
-		return 0
-	}
-	return fp.FromRatio(int64(s.LLCMisses)*1000, int64(s.Instructions))
-}
-
 // StallFraction returns STALLS_L2_MISS / cycles — the fraction of time the
 // core was stalled on long-latency memory accesses (the Dunn metric).
 func (s Sample) StallFraction() fp.Value {

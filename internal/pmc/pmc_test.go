@@ -32,9 +32,6 @@ func TestDerivedMetrics(t *testing.T) {
 	if got := s.LLCMPKC().Float(); math.Abs(got-10.0) > 1e-3 {
 		t.Errorf("LLCMPKC = %v", got)
 	}
-	if got := s.LLCMPKI().Float(); math.Abs(got-5.0) > 1e-3 {
-		t.Errorf("LLCMPKI = %v", got)
-	}
 	if got := s.StallFraction().Float(); math.Abs(got-0.25) > 1e-3 {
 		t.Errorf("StallFraction = %v", got)
 	}
@@ -44,9 +41,6 @@ func TestDerivedMetricsZeroDenominators(t *testing.T) {
 	var s Sample
 	if s.IPC() != 0 || s.LLCMPKC() != 0 || s.StallFraction() != 0 {
 		t.Error("zero-cycle metrics should be 0")
-	}
-	if s.LLCMPKI() != 0 {
-		t.Error("zero-instruction LLCMPKI should be 0")
 	}
 }
 

@@ -37,6 +37,3 @@ func (h *History) Values() []fp.Value {
 	}
 	return out
 }
-
-// Cap returns the window capacity.
-func (h *History) Cap() int { return len(h.buf) }

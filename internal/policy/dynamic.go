@@ -162,28 +162,14 @@ func (d *DunnDynamic) Assignment() (map[int]cat.WayMask, error) {
 	if !d.have {
 		d.Reconfigure()
 	}
-	if d.assign != nil {
-		return d.assign, nil
-	}
-	return d.renderAssignment()
-}
-
-// renderAssignment builds Assignment's map and caches it.
-func (d *DunnDynamic) renderAssignment() (map[int]cat.WayMask, error) {
-	out := make(map[int]cat.WayMask, len(d.order))
-	if len(d.current.Clusters) > 0 {
-		masks, err := d.current.Masks(d.ways)
+	if d.assign == nil {
+		m, err := d.current.MaskMap(d.ways)
 		if err != nil {
 			return nil, err
 		}
-		for ci, c := range d.current.Clusters {
-			for _, id := range c.Apps {
-				out[id] = masks[ci]
-			}
-		}
+		d.assign = m
 	}
-	d.assign = out
-	return out, nil
+	return d.assign, nil
 }
 
 // StockDynamic is the no-partitioning dynamic baseline: every application

@@ -342,86 +342,3 @@ func TestProfileFromTableBoundary(t *testing.T) {
 		t.Errorf("fixed-point slowdown %v vs float %v", got, want)
 	}
 }
-
-func TestKPartDynawayLifecycle(t *testing.T) {
-	k := NewKPartDynaway(11)
-	if err := k.AddApp(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.AddApp(0); err == nil {
-		t.Error("duplicate accepted")
-	}
-	_ = k.AddApp(1)
-	if k.WindowInsns(0) != 10_000_000 {
-		t.Error("default window wrong")
-	}
-	k.SetWindow(1_000_000)
-	if k.WindowInsns(0) != 1_000_000 {
-		t.Error("SetWindow ignored")
-	}
-	// Bootstrap: stock plan until profiling completes.
-	p := k.Reconfigure()
-	if len(p.Clusters) != 1 {
-		t.Errorf("bootstrap plan = %s", p.Canonical())
-	}
-	// Drive the sweeps manually: app 0 flat/streaming, app 1 sensitive.
-	mkSample := func(ipcMilli, mpkiMilli uint64) pmc.Sample {
-		const insns = 1_000_000
-		return pmc.Sample{
-			Instructions: insns,
-			Cycles:       insns * 1000 / ipcMilli,
-			LLCMisses:    insns * mpkiMilli / 1000 / 1000,
-		}
-	}
-	for rounds := 0; rounds < 100 && k.Profiled() < 2; rounds++ {
-		masks, err := k.Assignment()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id := 0; id < 2; id++ {
-			ways := masks[id].Count()
-			if id == 0 {
-				k.OnWindow(id, mkSample(520, 50_000))
-			} else {
-				k.OnWindow(id, mkSample(uint64(300+70*ways), uint64(30_000/uint64(ways))))
-			}
-		}
-	}
-	if k.Profiled() != 2 {
-		t.Fatalf("profiled = %d", k.Profiled())
-	}
-	p = k.Reconfigure()
-	if err := p.Validate(2, 11); err != nil {
-		t.Fatalf("%v (%s)", err, p.Canonical())
-	}
-	// The sensitive app must receive more ways than the flat one when
-	// they end up in separate clusters.
-	if p.ClusterOf(0) != p.ClusterOf(1) {
-		if p.Clusters[p.ClusterOf(1)].Ways <= p.Clusters[p.ClusterOf(0)].Ways {
-			t.Errorf("miss-driven allocation wrong: %s", p.Canonical())
-		}
-	}
-	// Periodic resampling resets profiles.
-	k.ResampleEvery = 1
-	k.Reconfigure()
-	if k.Profiled() != 0 {
-		t.Error("periodic resample did not reset profiles")
-	}
-	k.RemoveApp(0)
-	k.RemoveApp(99) // no-op
-	p = k.Reconfigure()
-	if p.ClusterOf(0) != -1 {
-		t.Error("removed app still planned")
-	}
-}
-
-func TestKPartDynawayEmpty(t *testing.T) {
-	k := NewKPartDynaway(11)
-	if len(k.Reconfigure().Clusters) != 0 {
-		t.Error("empty plan expected")
-	}
-	masks, err := k.Assignment()
-	if err != nil || len(masks) != 0 {
-		t.Error("empty assignment expected")
-	}
-}

@@ -107,73 +107,3 @@ func (s *StockDynamic) PolicyRestore(data []byte) error {
 	s.plan, s.assign = plan.Plan{}, nil
 	return nil
 }
-
-type kdAppSnapshot struct {
-	ID       int       `json:"id"`
-	IPC      []float64 `json:"ipc"`
-	MPKI     []float64 `json:"mpki"`
-	NextWays int       `json:"next_ways"`
-	Done     bool      `json:"done"`
-}
-
-type kpartSnapshot struct {
-	Apps    []kdAppSnapshot `json:"apps"`
-	Active  int             `json:"active"`
-	Reconfs int             `json:"reconfs"`
-	Current plan.Plan       `json:"current"`
-	Have    bool            `json:"have"`
-}
-
-// PolicySnapshot implements sim.PolicySnapshotter.
-func (k *KPartDynaway) PolicySnapshot() ([]byte, error) {
-	snap := kpartSnapshot{
-		Active:  k.active,
-		Reconfs: k.reconfs,
-		Current: k.current,
-		Have:    k.have,
-	}
-	for _, id := range k.order {
-		st := k.apps[id]
-		snap.Apps = append(snap.Apps, kdAppSnapshot{
-			ID:       id,
-			IPC:      append([]float64(nil), st.ipc...),
-			MPKI:     append([]float64(nil), st.mpki...),
-			NextWays: st.nextWays,
-			Done:     st.done,
-		})
-	}
-	return json.Marshal(snap)
-}
-
-// PolicyRestore implements sim.PolicySnapshotter.
-func (k *KPartDynaway) PolicyRestore(data []byte) error {
-	if len(k.apps) != 0 {
-		return fmt.Errorf("kpart-dynaway: restore into a policy that already has %d apps", len(k.apps))
-	}
-	var snap kpartSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("kpart-dynaway: restore: %w", err)
-	}
-	k.order = k.order[:0]
-	for _, a := range snap.Apps {
-		if _, dup := k.apps[a.ID]; dup {
-			return fmt.Errorf("kpart-dynaway: restore: duplicate app %d", a.ID)
-		}
-		if len(a.IPC) != k.ways+1 || len(a.MPKI) != k.ways+1 {
-			return fmt.Errorf("kpart-dynaway: restore: app %d curves sized for %d ways, policy has %d",
-				a.ID, len(a.IPC)-1, k.ways)
-		}
-		k.apps[a.ID] = &kdApp{
-			ipc:      append([]float64(nil), a.IPC...),
-			mpki:     append([]float64(nil), a.MPKI...),
-			nextWays: a.NextWays,
-			done:     a.Done,
-		}
-		k.order = append(k.order, a.ID)
-	}
-	k.active = snap.Active
-	k.reconfs = snap.Reconfs
-	k.current = snap.Current
-	k.have = snap.Have
-	return nil
-}

@@ -38,12 +38,6 @@ func (c *CancelFlag) Canceled() bool {
 	return c != nil && c.v.Load() && !c.masked.Load()
 }
 
-// Requested reports whether Cancel was called, ignoring the mask.
-// Nil-safe.
-func (c *CancelFlag) Requested() bool {
-	return c != nil && c.v.Load()
-}
-
 // Mask suppresses Canceled until Unmask: the run is inside a compound
 // state transition that must complete atomically before a checkpoint
 // can be taken. Nil-safe no-op.

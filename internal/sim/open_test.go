@@ -230,7 +230,6 @@ func TestOpenPolicyStateReclaimed(t *testing.T) {
 	pols := map[string]sim.Dynamic{
 		"stock": policy.NewStockDynamic(cfg.Plat.Ways),
 		"dunn":  policy.NewDunnDynamic(cfg.Plat.Ways),
-		"kpart": policy.NewKPartDynaway(cfg.Plat.Ways),
 	}
 	ctrl, lfocPol := lfocPolicy(t, cfg.Plat)
 	pols["lfoc"] = lfocPol

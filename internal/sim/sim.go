@@ -59,12 +59,12 @@ import (
 )
 
 // Dynamic is the policy interface the simulator drives. core.Controller
-// (LFOC), policy.DunnDynamic, policy.StockDynamic, policy.KPartDynaway
-// and FixedPlanPolicy implement it. Ids are monitoring identities: the
-// kernel allocates a fresh id per admission (and per identity-reset
-// restart), and RemoveApp retires it when the application departs —
-// policies must release all per-app state there, or an open-system run
-// leaks monitoring state and classes of service.
+// (LFOC), policy.DunnDynamic, policy.StockDynamic and FixedPlanPolicy
+// implement it. Ids are monitoring identities: the kernel allocates a
+// fresh id per admission (and per identity-reset restart), and
+// RemoveApp retires it when the application departs — policies must
+// release all per-app state there, or an open-system run leaks
+// monitoring state and classes of service.
 //
 // The map Assignment returns belongs to the policy: the caller must not
 // modify it. A policy may return the same map again from later calls,
@@ -73,6 +73,15 @@ import (
 // returns: a policy never modifies a plan it has returned, so a policy
 // that keeps its plan when a rerun yields an equal one may return the
 // same plan again.
+//
+// Activations with no applications are idempotent. After one
+// Reconfigure with no applications registered, and until the next
+// AddApp, every further Reconfigure returns a plan Equal to that one,
+// every Assignment returns the same map, and a PolicySnapshotter's
+// PolicySnapshot bytes do not change. This holds for a fresh policy and
+// for one whose applications have all been removed, so once an idle
+// machine has made one activation, its later ones can be skipped
+// without changing anything its policy decides.
 type Dynamic interface {
 	AddApp(id int) error
 	RemoveApp(id int)
@@ -99,8 +108,8 @@ type Dynamic interface {
 // deferred: an app's windows reach the policy when the kernel next
 // brings that app up to date, but every window retired by tick T
 // reaches the policy before any Reconfigure or Assignment call at T.
-// Stock and Dunn qualify (they only record per-app samples between
-// activations); LFOC and KPartDynaway do not (their sampling episodes
+// Stock, Dunn and FixedPlanPolicy qualify (between activations they at
+// most record per-app samples); LFOC does not (its sampling episodes
 // reconfigure masks from OnWindow) and must not declare it.
 type PassiveWindows interface {
 	PassiveWindows() bool
@@ -317,13 +326,9 @@ func NewFixedPlanPolicy(p plan.Plan, nApps, ways int) (*FixedPlanPolicy, error) 
 	if err := p.Validate(nApps, ways); err != nil {
 		return nil, err
 	}
-	am, err := p.AppMasks(nApps, ways)
+	masks, err := p.MaskMap(ways)
 	if err != nil {
 		return nil, err
-	}
-	masks := make(map[int]cat.WayMask, nApps)
-	for i, m := range am {
-		masks[i] = m
 	}
 	return &FixedPlanPolicy{ways: ways, plan: p, masks: masks}, nil
 }

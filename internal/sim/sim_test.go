@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -329,43 +331,89 @@ func TestSamplingOverheadSmall(t *testing.T) {
 	}
 }
 
-// Extension (the paper's future work, §5.2): KPart-Dynaway must run to
-// completion under the simulator. Its full-sweep profiling is exactly
-// the overhead LFOC's early-stopping avoids, so dynamic LFOC should be
-// at least as fair on a mixed workload.
-func TestKPartDynawayExtension(t *testing.T) {
-	cfg := testConfig()
-	specs := specsOf("xalancbmk06", "soplex06", "lbm06", "libquantum06", "povray06")
-
-	kd := policy.NewKPartDynaway(cfg.Plat.Ways)
-	kdRes, err := RunDynamic(cfg, specs, kd)
-	if err != nil {
-		t.Fatal(err)
+// Dynamic's idle guarantee, for every policy that implements it: after
+// one activation with no applications, 100 more return an Equal plan
+// and the same map and leave the snapshot bytes as they were, both on a
+// fresh policy and on one that planned an application and lost it.
+func TestIdleActivationsIdempotent(t *testing.T) {
+	plat := machine.Skylake()
+	policies := []struct {
+		name string
+		mk   func(t *testing.T) Dynamic
+	}{
+		{"lfoc", func(t *testing.T) Dynamic {
+			ctrl, err := core.NewController(core.DefaultParams(plat.Ways), plat.WayBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ctrl
+		}},
+		{"dunn", func(*testing.T) Dynamic { return policy.NewDunnDynamic(plat.Ways) }},
+		{"stock", func(*testing.T) Dynamic { return policy.NewStockDynamic(plat.Ways) }},
+		{"fixed", func(t *testing.T) Dynamic {
+			f, err := NewFixedPlanPolicy(plan.SingleCluster(1, plat.Ways), 1, plat.Ways)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}},
 	}
-	if kdRes.Summary.STP <= 0 || kdRes.Summary.Unfairness < 1 {
-		t.Fatalf("bad summary: %+v", kdRes.Summary)
+	histories := []struct {
+		name string
+		run  func(t *testing.T, pol Dynamic)
+	}{
+		{"fresh", func(*testing.T, Dynamic) {}},
+		{"add-remove", func(t *testing.T, pol Dynamic) {
+			if err := pol.AddApp(0); err != nil {
+				t.Fatal(err)
+			}
+			pol.Reconfigure()
+			if _, err := pol.Assignment(); err != nil {
+				t.Fatal(err)
+			}
+			pol.RemoveApp(0)
+		}},
 	}
-	// After the workload ran, profiling must have finished and produced
-	// a real clustering (not the bootstrap single cluster).
-	p := kd.Reconfigure()
-	if err := p.Validate(len(specs), cfg.Plat.Ways); err != nil {
-		t.Fatalf("%v (%s)", err, p.Canonical())
-	}
-	if len(p.Clusters) < 2 {
-		t.Errorf("dynaway never moved beyond the bootstrap plan: %s", p.Canonical())
-	}
-
-	ctrl, err := core.NewController(core.DefaultParams(cfg.Plat.Ways), cfg.Plat.WayBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lfocRes, err := RunDynamic(cfg, specs, ctrl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lfocRes.Summary.Unfairness > kdRes.Summary.Unfairness*1.1 {
-		t.Errorf("LFOC (%.3f) clearly less fair than KPart-Dynaway (%.3f)",
-			lfocRes.Summary.Unfairness, kdRes.Summary.Unfairness)
+	for _, pc := range policies {
+		for _, hc := range histories {
+			t.Run(pc.name+"/"+hc.name, func(t *testing.T) {
+				pol := pc.mk(t)
+				hc.run(t, pol)
+				snapshot := func() []byte {
+					ps, ok := pol.(PolicySnapshotter)
+					if !ok {
+						return nil
+					}
+					data, err := ps.PolicySnapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					return data
+				}
+				first := pol.Reconfigure()
+				snap := snapshot()
+				held, err := pol.Assignment()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 1; i <= 100; i++ {
+					if p := pol.Reconfigure(); !p.Equal(first) {
+						t.Fatalf("activation %d: plan %s, first idle activation gave %s",
+							i, p.Canonical(), first.Canonical())
+					}
+					m, err := pol.Assignment()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if reflect.ValueOf(m).Pointer() != reflect.ValueOf(held).Pointer() {
+						t.Fatalf("activation %d: Assignment returned a new map", i)
+					}
+					if got := snapshot(); !bytes.Equal(got, snap) {
+						t.Fatalf("activation %d: snapshot changed:\n%s\nwas\n%s", i, got, snap)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -21,7 +21,6 @@ func snapPolicies(t *testing.T, plat *machine.Platform) map[string]func() sim.Dy
 	return map[string]func() sim.Dynamic{
 		"stock": func() sim.Dynamic { return policy.NewStockDynamic(plat.Ways) },
 		"dunn":  func() sim.Dynamic { return policy.NewDunnDynamic(plat.Ways) },
-		"kpart": func() sim.Dynamic { return policy.NewKPartDynaway(plat.Ways) },
 		"lfoc": func() sim.Dynamic {
 			ctrl, err := core.NewController(core.DefaultParams(plat.Ways), plat.WayBytes)
 			if err != nil {

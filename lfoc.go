@@ -202,12 +202,6 @@ func NewDunnDynamic(ways int) *policy.DunnDynamic { return policy.NewDunnDynamic
 // NewStockDynamic creates the dynamic no-partitioning baseline.
 func NewStockDynamic(ways int) *policy.StockDynamic { return policy.NewStockDynamic(ways) }
 
-// NewKPartDynaway creates the dynamic KPart runtime ("KPart-Dynaway") —
-// the paper's future-work item implemented here as an extension: full
-// downward profiling sweeps plus periodic re-profiling, i.e. exactly the
-// overheads LFOC's early-stopping sampling avoids.
-func NewKPartDynaway(ways int) *policy.KPartDynaway { return policy.NewKPartDynaway(ways) }
-
 // ---------------------------------------------------------------------
 // Optimal solver (PBBCache reimplementation).
 // ---------------------------------------------------------------------
@@ -239,11 +233,11 @@ type SimConfig = sim.Config
 type SimResult = sim.Result
 
 // DynamicPolicy is the interface the simulator drives; *Controller,
-// *policy.DunnDynamic, *policy.StockDynamic, *policy.KPartDynaway and
-// *sim.FixedPlanPolicy implement it. A map returned by Assignment and a
-// plan returned by Reconfigure belong to the policy and must not be
-// modified; an implementer may hand the same map or plan out again, but
-// never modifies one it has returned.
+// *policy.DunnDynamic, *policy.StockDynamic and *sim.FixedPlanPolicy
+// implement it. A map returned by Assignment and a plan returned by
+// Reconfigure belong to the policy and must not be modified; an
+// implementer may hand the same map or plan out again, but never
+// modifies one it has returned.
 type DynamicPolicy = sim.Dynamic
 
 // RunDynamic co-runs a workload under a dynamic policy with the paper's
