@@ -514,8 +514,8 @@ func TestWholeRunAllocations(t *testing.T) {
 	}{
 		{"closed-batch", 501, closed(w, "lfoc")},
 		{"open-churn", 601, openChurn},
-		{"cluster-4", 1412, cluster4},
-		{"cluster-1k", 53295, cluster1k},
+		{"cluster-4", 1417, cluster4},
+		{"cluster-1k", 54339, cluster1k},
 		{"closed-dunn", 240, closed(w, "dunn")},
 		{"closed-p1", 2526, closed(p1, "lfoc")},
 	} {

@@ -609,7 +609,7 @@ func runOpen(cfg harness.Config, w workloads.Workload, polName string, scn *scen
 	fmt.Printf("windowed means: unfairness %.3f    STP %.3f    throughput %.3f runs/s\n",
 		res.Series.MeanUnfairness(), res.Series.MeanSTP(), res.Series.TotalThroughput())
 	fmt.Printf("repartitions: %d    simulated: %.1fs    windows: %d × %.3fs\n",
-		res.Repartitions, res.SimSeconds, len(res.Series.Points), res.Series.Width)
+		res.Repartitions, res.SimSeconds, res.Series.Len(), res.Series.Width)
 
 	writeJSON(jsonOut, openJSON{Workload: w.Name, Policy: polName, Scale: cfg.Scale, Seed: seed, OpenResult: res})
 }
@@ -687,7 +687,7 @@ func runCluster(cfg harness.Config, w workloads.Workload, polName, placement str
 	fmt.Printf("windowed means: unfairness %.3f    STP %.3f    throughput %.3f runs/s\n",
 		res.Series.MeanUnfairness(), res.Series.MeanSTP(), res.Series.TotalThroughput())
 	fmt.Printf("repartitions: %d    simulated: %.1fs    windows: %d × %.3fs\n",
-		res.Repartitions, res.SimSeconds, len(res.Series.Points), res.Series.Width)
+		res.Repartitions, res.SimSeconds, res.Series.Len(), res.Series.Width)
 	if l := res.Lifecycle; l != nil {
 		fmt.Printf("\nlifecycle: %d events (%d joins, %d drains, %d failures",
 			l.Events, l.Joins, l.Drains, l.Failures)

@@ -17,6 +17,17 @@ import (
 // created in path's directory (rename is only atomic within one
 // filesystem) and removed on any failure.
 func WriteFile(path string, data []byte, perm os.FileMode) error {
+	return Write(path, perm, func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
+}
+
+// Write atomically replaces path with what write writes to the
+// temporary file, for contents too large to build in memory first.
+// write may seek or write at offsets; the file is synced, given perm
+// and renamed over path only when write returns nil.
+func Write(path string, perm os.FileMode, write func(f *os.File) error) error {
 	dir, base := filepath.Split(path)
 	if dir == "" {
 		dir = "."
@@ -31,7 +42,7 @@ func WriteFile(path string, data []byte, perm os.FileMode) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("atomicfile: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
+	if err := write(tmp); err != nil {
 		return cleanup(err)
 	}
 	if err := tmp.Sync(); err != nil {

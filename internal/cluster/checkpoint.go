@@ -25,11 +25,13 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/faircache/lfoc/internal/atomicfile"
@@ -134,22 +136,85 @@ func (c *Checkpoint) NextArrival() int { return c.payload.NextArrival }
 func (c *Checkpoint) Machines() int { return len(c.payload.Machines) }
 
 // writeCheckpointPayload serializes and atomically writes one
-// checkpoint. The payload is encoded once, straight behind a
-// placeholder header line; the checksum is fixed-width hex, so the real
-// header has the placeholder's length and overwrites it in place.
+// checkpoint. The payload is streamed to the file behind a placeholder
+// header line and hashed on the way; the checksum is fixed-width hex,
+// so the real header has the placeholder's length and overwrites it in
+// place.
 func writeCheckpointPayload(path string, p *checkpointPayload) error {
-	var buf bytes.Buffer
-	buf.Write(checkpointHeaderLine([sha256.Size]byte{}))
-	n := buf.Len()
-	if err := json.NewEncoder(&buf).Encode(p); err != nil { // Encode appends the trailing newline
-		return fmt.Errorf("cluster: marshal checkpoint: %w", err)
-	}
-	out := buf.Bytes()
-	copy(out, checkpointHeaderLine(sha256.Sum256(out[n:len(out)-1])))
-	if err := atomicfile.WriteFile(path, out, 0o644); err != nil {
+	err := atomicfile.Write(path, 0o644, func(f *os.File) error {
+		if _, err := f.Write(checkpointHeaderLine([sha256.Size]byte{})); err != nil {
+			return err
+		}
+		h := sha256.New()
+		w := bufio.NewWriter(io.MultiWriter(f, h))
+		if err := encodePayload(w, p); err != nil {
+			return err
+		}
+		if err := w.Flush(); err != nil {
+			return err
+		}
+		if _, err := f.Write([]byte{'\n'}); err != nil {
+			return err
+		}
+		var sum [sha256.Size]byte
+		h.Sum(sum[:0])
+		_, err := f.WriteAt(checkpointHeaderLine(sum), 0)
+		return err
+	})
+	if err != nil {
 		return fmt.Errorf("cluster: write checkpoint: %w", err)
 	}
 	return nil
+}
+
+// encodePayload writes the bytes json.NewEncoder(w).Encode(p) writes,
+// without the trailing newline, one machine snapshot at a time: a whole
+// fleet's snapshots encoded at once would sit in one buffer. It relies
+// on Machines and Lifecycle being the payload's last two fields. Write
+// errors surface when the caller flushes w.
+func encodePayload(w *bufio.Writer, p *checkpointPayload) error {
+	head := *p
+	head.Machines, head.Lifecycle = nil, nil
+	if err := json.NewEncoder(cutSuffix{w, []byte("null}\n")}).Encode(&head); err != nil {
+		return fmt.Errorf("marshal checkpoint: %w", err)
+	}
+	enc := json.NewEncoder(cutSuffix{w, []byte{'\n'}})
+	w.WriteByte('[')
+	for i, m := range p.Machines {
+		if i > 0 {
+			w.WriteByte(',')
+		}
+		if err := enc.Encode(m); err != nil {
+			return fmt.Errorf("marshal checkpoint: machine %d: %w", i, err)
+		}
+	}
+	w.WriteByte(']')
+	if p.Lifecycle != nil {
+		w.WriteString(`,"lifecycle":`)
+		if err := enc.Encode(p.Lifecycle); err != nil {
+			return fmt.Errorf("marshal checkpoint: lifecycle: %w", err)
+		}
+	}
+	w.WriteByte('}')
+	return nil
+}
+
+// cutSuffix passes each write on without its suffix. A json.Encoder
+// hands every value, newline included, to a single Write.
+type cutSuffix struct {
+	w      io.Writer
+	suffix []byte
+}
+
+func (c cutSuffix) Write(b []byte) (int, error) {
+	body, ok := bytes.CutSuffix(b, c.suffix)
+	if !ok {
+		return 0, fmt.Errorf("encoded JSON does not end in %q", c.suffix)
+	}
+	if _, err := c.w.Write(body); err != nil {
+		return 0, err
+	}
+	return len(b), nil
 }
 
 // checkpointHeaderLine renders the file's first line, newline included.

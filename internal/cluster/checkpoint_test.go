@@ -385,7 +385,7 @@ func TestCheckpointSizePerWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range res.PerMachine {
-			windows += len(m.Open.Series.Points)
+			windows += m.Open.Series.Len()
 		}
 		fi, err := os.Stat(cfg.Checkpoint.Path)
 		if err != nil {

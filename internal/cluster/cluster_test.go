@@ -400,12 +400,12 @@ func TestClusterSeriesConservation(t *testing.T) {
 	}
 	var wantArr, gotArr, wantRuns, gotRuns int
 	for _, m := range res.PerMachine {
-		for _, p := range m.Open.Series.Points {
+		for _, p := range m.Open.Series.All() {
 			wantArr += p.Arrivals
 			wantRuns += p.RunsCompleted
 		}
 	}
-	for _, p := range res.Series.Points {
+	for _, p := range res.Series.All() {
 		gotArr += p.Arrivals
 		gotRuns += p.RunsCompleted
 	}

@@ -1,6 +1,9 @@
 package metrics
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // LifecyclePoint is one fixed-width time window of a fleet's lifecycle
 // trajectory: how much of the fleet was up, and what disruption the
@@ -56,12 +59,13 @@ func (s *LifecycleSeries) Add(p LifecyclePoint) { s.Points = append(s.Points, p)
 // Fingerprint renders the series compactly for determinism checks: two
 // series are byte-identical iff every lifecycle metric is.
 func (s *LifecycleSeries) Fingerprint() string {
-	out := fmt.Sprintf("w=%.17g n=%d", s.Width, len(s.Points))
+	var b strings.Builder
+	fmt.Fprintf(&b, "w=%.17g n=%d", s.Width, len(s.Points))
 	for _, p := range s.Points {
-		out += fmt.Sprintf(";[%.17g,%.17g)av=%.17g up=%d/%d j=%d d=%d f=%d x=%d m=%d r=%d dl=%d ml=%.17g rl=%.17g",
+		fmt.Fprintf(&b, ";[%.17g,%.17g)av=%.17g up=%d/%d j=%d d=%d f=%d x=%d m=%d r=%d dl=%d ml=%.17g rl=%.17g",
 			p.Start, p.End, p.Availability, p.UpMachines, p.FleetSize,
 			p.Joins, p.Drains, p.Failures, p.Disruptions, p.Migrations, p.Requeues, p.DeadLettered,
 			p.MeanMigrationLatency, p.MeanRequeueLatency)
 	}
-	return out
+	return b.String()
 }

@@ -56,14 +56,15 @@ func (r *lifecycleRecords) UnmarshalText(text []byte) error {
 	return decodeRecords((*[]byte)(r), text, lifecycleWords, "lifecycle")
 }
 
-// Pack copies the series into packed form.
+// Pack copies the series into packed form, one record per window: an
+// idle run is written window by window, as the windows were added.
 func (s *WindowedSeries) Pack() PackedWindowedSeries {
 	p := PackedWindowedSeries{Width: s.Width}
-	if s.Points == nil {
+	if s.points == nil {
 		return p
 	}
-	b := make([]byte, 0, len(s.Points)*windowWords*8)
-	for _, pt := range s.Points {
+	b := make([]byte, 0, s.Len()*windowWords*8)
+	for _, pt := range s.All() {
 		b = appendFloat(b, pt.Start)
 		b = appendFloat(b, pt.End)
 		b = appendInt(b, pt.Active)
@@ -82,21 +83,23 @@ func (s *WindowedSeries) Pack() PackedWindowedSeries {
 	return p
 }
 
-// Unpack returns the series p packs, in freshly allocated storage.
+// Unpack returns the series p packs, in freshly allocated storage. It
+// adds the records in order, so idle records fold back into runs and
+// the result equals the series that was packed.
 func (p PackedWindowedSeries) Unpack() WindowedSeries {
 	s := WindowedSeries{Width: p.Width}
 	if p.Points == nil {
 		return s
 	}
-	s.Points = make([]WindowPoint, len(p.Points)/(windowWords*8))
-	r := wordReader{p.Points}
-	for i := range s.Points {
-		s.Points[i] = WindowPoint{
-			Start: r.float(), End: r.float(),
-			Active: r.int(), Arrivals: r.int(), Departures: r.int(), RunsCompleted: r.int(),
-			Throughput: r.float(), Unfairness: r.float(), STP: r.float(), MeanSlowdown: r.float(),
-			Samples: r.int(), MinSlowdown: r.float(), MaxSlowdown: r.float(),
+	busy := 0
+	for r := (wordReader{p.Points}); len(r.b) > 0; {
+		if !idle(r.window(), s.Width) {
+			busy++
 		}
+	}
+	s.points = make([]WindowPoint, 0, busy)
+	for r := (wordReader{p.Points}); len(r.b) > 0; {
+		s.Add(r.window())
 	}
 	return s
 }
@@ -186,3 +189,13 @@ func (r *wordReader) word() uint64 {
 
 func (r *wordReader) float() float64 { return math.Float64frombits(r.word()) }
 func (r *wordReader) int() int       { return int(int64(r.word())) }
+
+// window reads one packed WindowPoint record.
+func (r *wordReader) window() WindowPoint {
+	return WindowPoint{
+		Start: r.float(), End: r.float(),
+		Active: r.int(), Arrivals: r.int(), Departures: r.int(), RunsCompleted: r.int(),
+		Throughput: r.float(), Unfairness: r.float(), STP: r.float(), MeanSlowdown: r.float(),
+		Samples: r.int(), MinSlowdown: r.float(), MaxSlowdown: r.float(),
+	}
+}

@@ -45,6 +45,8 @@ func sameBits(a, b reflect.Value) bool {
 	switch a.Kind() {
 	case reflect.Float64:
 		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Int:
+		return a.Int() == b.Int()
 	case reflect.Struct:
 		for i := 0; i < a.NumField(); i++ {
 			if !sameBits(a.Field(i), b.Field(i)) {
@@ -69,7 +71,8 @@ func sameBits(a, b reflect.Value) bool {
 
 // Every field of every point survives pack, JSON and unpack bit for
 // bit — NaN payloads, infinities, -0, subnormals, negative and extreme
-// ints — and nil Points stay nil while empty Points stay empty.
+// ints — idle windows fold back into the same runs, and a nil series
+// stays nil while an empty one stays empty.
 func TestPackedSeriesRoundTrip(t *testing.T) {
 	wps := make([]WindowPoint, 2*windowWords)
 	for i := range wps {
@@ -79,10 +82,13 @@ func TestPackedSeriesRoundTrip(t *testing.T) {
 	for i := range lps {
 		fillPoint(&lps[i], i)
 	}
+	empty := WindowedSeries{Width: 0.01}
+	empty.Grow(0)
 	for _, in := range []any{
-		WindowedSeries{Width: 0.01, Points: wps},
+		*seriesOf(0.01, wps...),
+		*seriesOf(0.01, idleStretches(0.01)...),
 		WindowedSeries{Width: 0.01},
-		WindowedSeries{Width: 0.01, Points: []WindowPoint{}},
+		empty,
 		LifecycleSeries{Width: 0.5, Points: lps},
 		LifecycleSeries{},
 		LifecycleSeries{Width: 0.5, Points: []LifecyclePoint{}},
@@ -147,20 +153,22 @@ func TestPackedSeriesLayout(t *testing.T) {
 			}
 		}
 	}
-	ws := WindowedSeries{Width: 1, Points: make([]WindowPoint, 1)}
-	ordinal(&ws.Points[0])
-	check(t, windowWords, &ws.Points[0], ws.Pack().Points)
+	var wp WindowPoint
+	ordinal(&wp)
+	check(t, windowWords, &wp, seriesOf(1, wp).Pack().Points)
 	ls := LifecycleSeries{Width: 1, Points: make([]LifecyclePoint, 1)}
 	ordinal(&ls.Points[0])
 	check(t, lifecycleWords, &ls.Points[0], ls.Pack().Points)
 
-	// Nil and empty Points have distinct JSON forms.
+	// Nil and empty series have distinct JSON forms.
+	empty := WindowedSeries{Width: 0.01}
+	empty.Grow(0)
 	for _, tc := range []struct {
 		packed any
 		want   string
 	}{
 		{(&WindowedSeries{Width: 0.01}).Pack(), `{"width":0.01,"points":null}`},
-		{(&WindowedSeries{Width: 0.01, Points: []WindowPoint{}}).Pack(), `{"width":0.01,"points":""}`},
+		{empty.Pack(), `{"width":0.01,"points":""}`},
 		{(&LifecycleSeries{Width: 0.01}).Pack(), `{"width":0.01,"points":null}`},
 		{(&LifecycleSeries{Width: 0.01, Points: []LifecyclePoint{}}).Pack(), `{"width":0.01,"points":""}`},
 	} {
@@ -177,8 +185,9 @@ func TestPackedSeriesRejectsMalformedPoints(t *testing.T) {
 	// 112-byte lifecycle records.
 	oneWindow := `{"width":1,"points":"` + strings.Repeat("A", 139) + `="}`
 	var ws PackedWindowedSeries
-	if err := json.Unmarshal([]byte(oneWindow), &ws); err != nil || len(ws.Unpack().Points) != 1 {
-		t.Fatalf("104-byte window stream: %v (%d points), want one point", err, len(ws.Unpack().Points))
+	err := json.Unmarshal([]byte(oneWindow), &ws)
+	if u := ws.Unpack(); err != nil || u.Len() != 1 {
+		t.Fatalf("104-byte window stream: %v (%d points), want one point", err, u.Len())
 	}
 	for _, tc := range []struct {
 		json, reason string

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"github.com/faircache/lfoc/internal/appmodel"
 	"github.com/faircache/lfoc/internal/cat"
@@ -605,13 +604,19 @@ func (k *kernel) runUntil(until float64) error {
 	maxTime := k.cfg.MaxSimTime.Seconds()
 	if k.collect && !math.IsInf(until, 1) {
 		// Size the series once for the windows this call can close
-		// (an idle machine catching up closes hundreds at once).
+		// (a machine catching up closes hundreds at once). Idle windows
+		// fold into one run record, so a machine that stays empty up to
+		// end reserves none; Grow(0) still marks its series non-nil, as
+		// every reservation does.
 		end := min(until, maxTime)
 		if k.doneAt > 0 {
 			end = min(end, k.doneAt)
 		}
 		if n := int((end - k.winStart) / k.series.Width); n > 0 {
-			k.series.Points = slices.Grow(k.series.Points, n)
+			if k.nActive == 0 && (k.arrIdx == len(k.arrivals) || k.arrivals[k.arrIdx].Time >= end) {
+				n = 0
+			}
+			k.series.Grow(n)
 		}
 	}
 	for k.simTime < until && !k.done() {

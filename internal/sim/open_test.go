@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -97,16 +98,18 @@ func TestOpenPoissonChurn(t *testing.T) {
 	if res.PeakActive == 0 || res.PeakActive > cfg.Plat.Cores {
 		t.Errorf("peak active = %d (cores %d)", res.PeakActive, cfg.Plat.Cores)
 	}
-	if len(res.Series.Points) == 0 {
+	if res.Series.Len() == 0 {
 		t.Fatal("no windowed metrics collected")
 	}
-	for i, p := range res.Series.Points {
+	var prevEnd float64
+	for i, p := range res.Series.All() {
 		if p.End <= p.Start {
 			t.Errorf("window %d: degenerate bounds [%v,%v)", i, p.Start, p.End)
 		}
-		if i > 0 && p.Start != res.Series.Points[i-1].End {
+		if i > 0 && p.Start != prevEnd {
 			t.Errorf("window %d: not contiguous", i)
 		}
+		prevEnd = p.End
 	}
 	for _, a := range res.Apps {
 		if a.DepartedAt < 0 {
@@ -356,5 +359,42 @@ func TestOpenHorizonKeepsUnadmittedArrivalsVisible(t *testing.T) {
 	}
 	if unadmitted != 8 {
 		t.Errorf("%d unadmitted arrivals reported, want 8 (2 cores)", unadmitted)
+	}
+}
+
+// An empty machine closes one idle window per policy period for as
+// long as it stays empty. Once the stretch has begun, extending it
+// allocates nothing: the stretch is one run record, however long.
+func TestIdleMachineAllocatesNothing(t *testing.T) {
+	cfg := openConfig()
+	ctrl, err := core.NewController(core.DefaultParams(cfg.Plat.Ways), cfg.Plat.WayBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sim.NewOpenMachine(cfg, ctrl, "idle", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	period := cfg.PolicyPeriod.Seconds()
+	if err := m.AdvanceTo(period); err != nil {
+		t.Fatal(err)
+	}
+	const steps, periodsPerStep = 100, 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= steps; i++ {
+		if err := m.AdvanceTo(period * float64(1+i*periodsPerStep)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if bytes, n := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs; bytes != 0 || n != 0 {
+		t.Errorf("%d idle periods allocated %d bytes in %d allocations, want none", steps*periodsPerStep, bytes, n)
+	}
+	if err := m.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if res := m.Result(); res.Series.Len() < steps*periodsPerStep {
+		t.Errorf("%d windows recorded over %d idle periods", res.Series.Len(), steps*periodsPerStep)
 	}
 }

@@ -196,6 +196,37 @@ func TestCancelPausesWithoutPoisoning(t *testing.T) {
 	}
 }
 
+// An advance reserves its window series before closing any window, so
+// a machine paused before its first window checkpoints an empty series
+// ("") and not a nil one (null), holding applications or not: an idle
+// machine reserves no slots but must still mark its series non-nil.
+func TestCanceledAdvanceSnapshotsEmptySeries(t *testing.T) {
+	for _, initial := range [][]string{nil, {"lbm06"}} {
+		cfg := openConfig()
+		var flag sim.CancelFlag
+		flag.Cancel()
+		cfg.Cancel = &flag
+		m, err := sim.NewOpenMachine(cfg, policy.NewStockDynamic(cfg.Plat.Ways), "paused", openPool(initial...), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.AdvanceTo(1); !errors.Is(err, sim.ErrCanceled) {
+			t.Fatalf("AdvanceTo under cancellation = %v, want ErrCanceled", err)
+		}
+		snap, err := m.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(snap.Series)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := `{"width":0.1,"points":""}`; string(raw) != want {
+			t.Errorf("%d initial apps: paused series packs to %s, want %s", len(initial), raw, want)
+		}
+	}
+}
+
 func openConfigOn(plat *machine.Platform) sim.Config {
 	cfg := openConfig()
 	cfg.Plat = plat

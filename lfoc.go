@@ -276,7 +276,9 @@ type ScenarioArrival = scenario.Arrival
 // metric series.
 type OpenSimResult = sim.OpenResult
 
-// WindowedSeries is the time-windowed metric trajectory of a run.
+// WindowedSeries is the time-windowed metric trajectory of a run. Read
+// its windows with Len and All; a stretch of idle windows is stored as
+// one run record and read back window by window.
 type WindowedSeries = metrics.WindowedSeries
 
 // NewClosedScenario builds the closed scenario for a workload.
