@@ -7,19 +7,7 @@ import "fmt"
 // KPart and the optimal solver use: way counts must sum to at most the
 // total way count and every count must be positive.
 func SequentialLayout(counts []int, totalWays int) ([]WayMask, error) {
-	masks := make([]WayMask, len(counts))
-	next := 0
-	for i, w := range counts {
-		if w <= 0 {
-			return nil, fmt.Errorf("cat: cluster %d has non-positive way count %d", i, w)
-		}
-		if next+w > totalWays {
-			return nil, fmt.Errorf("cat: layout needs %d ways, platform has %d", next+w, totalWays)
-		}
-		masks[i] = MaskRange(next, w)
-		next += w
-	}
-	return masks, nil
+	return layoutAll(NewLayout(totalWays, false), counts)
 }
 
 // OverlappingLowLayout converts per-cluster way counts into masks that all
@@ -30,15 +18,52 @@ func SequentialLayout(counts []int, totalWays int) ([]WayMask, error) {
 // criticizes. Counts may exceed totalWays only in the sense that each
 // individual count is clamped to totalWays.
 func OverlappingLowLayout(counts []int, totalWays int) ([]WayMask, error) {
+	return layoutAll(NewLayout(totalWays, true), counts)
+}
+
+// Layout lays out cluster masks one cluster at a time, in cluster order,
+// under the rule of SequentialLayout or, when overlapping, of
+// OverlappingLowLayout. It lets a caller place each mask as it is made,
+// without a slice of counts or masks.
+type Layout struct {
+	totalWays   int
+	overlapping bool
+	cluster     int // index of the next cluster
+	next        int // first free way of the sequential layout
+}
+
+// NewLayout starts a layout on a totalWays-way LLC.
+func NewLayout(totalWays int, overlapping bool) Layout {
+	return Layout{totalWays: totalWays, overlapping: overlapping}
+}
+
+// Next returns the mask of the next cluster, which has ways ways.
+func (l *Layout) Next(ways int) (WayMask, error) {
+	i := l.cluster
+	l.cluster++
+	if ways <= 0 {
+		return 0, fmt.Errorf("cat: cluster %d has non-positive way count %d", i, ways)
+	}
+	if l.overlapping {
+		return MaskRange(0, min(ways, l.totalWays)), nil
+	}
+	if l.next+ways > l.totalWays {
+		return 0, fmt.Errorf("cat: layout needs %d ways, platform has %d", l.next+ways, l.totalWays)
+	}
+	m := MaskRange(l.next, ways)
+	l.next += ways
+	return m, nil
+}
+
+// layoutAll lays out every count in turn.
+func layoutAll(l Layout, counts []int) ([]WayMask, error) {
 	masks := make([]WayMask, len(counts))
 	for i, w := range counts {
-		if w <= 0 {
-			return nil, fmt.Errorf("cat: cluster %d has non-positive way count %d", i, w)
+		m, err := l.Next(w)
+		if err != nil {
+			return nil, err
 		}
-		if w > totalWays {
-			w = totalWays
-		}
-		masks[i] = MaskRange(0, w)
+		masks[i] = m
 	}
 	return masks, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -251,18 +252,17 @@ func (p *Partitioner) fitSensitive(availWays int) [][]AppInfo {
 // count fits availWays. It allocates, but it only runs when there are
 // more sensitive apps than ways.
 func mergeSensitive(groups [][]AppInfo, availWays int) [][]AppInfo {
-	sort.Slice(groups, func(i, j int) bool {
-		return groupRange(groups[i]) < groupRange(groups[j])
-	})
+	slices.SortFunc(groups, byRange)
 	for len(groups) > availWays {
 		merged := append(groups[0], groups[1]...)
 		groups = append([][]AppInfo{merged}, groups[2:]...)
-		sort.Slice(groups, func(i, j int) bool {
-			return groupRange(groups[i]) < groupRange(groups[j])
-		})
+		slices.SortFunc(groups, byRange)
 	}
 	return groups
 }
+
+// byRange orders groups ascending by groupRange.
+func byRange(a, b []AppInfo) int { return cmp.Compare(groupRange(a), groupRange(b)) }
 
 // groupRange returns the largest 1-way slowdown within the group.
 func groupRange(grp []AppInfo) fp.Value {

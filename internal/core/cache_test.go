@@ -75,9 +75,13 @@ func restoreFresh(t *testing.T, params Params, snap []byte) *Controller {
 // controller operations and applies it to two controllers with the same
 // Params. The reference drops every cache (stale, planMap, sampleMaps)
 // before every call, so it reruns Algorithm 1 at every activation and
-// renders a new map on every Assignment. After every operation the two
-// must agree on the operation's result, on Assignment, SamplingActive
-// and every WindowInsns; a snapshot also compares the checkpoint bytes.
+// renders a new map on every Assignment. It also reuses no storage: it
+// recycles no removed app's state, and each of its episodes starts from
+// a fresh sample slice and builds its profile in new tables, so a
+// reused buffer that leaks stale content shows up as a difference.
+// After every operation the two must agree on the operation's result,
+// on Assignment, SamplingActive and every WindowInsns; a snapshot also
+// compares the checkpoint bytes.
 //
 // The first byte picks the way count (2–12). The seeds cover a full
 // classification of streaming, sensitive and light apps, an AddApp
@@ -85,8 +89,9 @@ func restoreFresh(t *testing.T, params Params, snap []byte) *Controller {
 // still waits for its first activation, removal of the sampled app, a
 // restore in the middle of an episode, an app resampled twice under an
 // unchanged app set (its later episodes reuse the first one's sampling
-// maps), and an AddApp and a RemoveApp between episodes of one app
-// (each must drop them).
+// maps, samples and profile tables), an AddApp and a RemoveApp between
+// episodes of one app (each must drop them), and an app that arrives
+// after the sampled app left mid-episode and so inherits its state.
 func FuzzControllerCaches(f *testing.F) {
 	streaming := windowOp(0, 21, 130, 175, 11)
 	light := func(id byte) []byte { return windowOp(id, 85, 2, 12, 1) }
@@ -101,6 +106,7 @@ func FuzzControllerCaches(f *testing.F) {
 	// at full occupancy that triggers its resampling.
 	episode := slices.Concat(windowOp(0, 30, 60, 100, 1), windowOp(0, 60, 40, 100, 2), windowOp(0, 90, 2, 100, 3))
 	phase := repeatOps(5, windowOp(0, 30, 120, 200, 11))
+	short := func(id byte) []byte { return slices.Concat(windowOp(id, 30, 60, 100, 1), windowOp(id, 60, 2, 100, 2)) }
 	seeds := [][]byte{
 		// AddApp while app 0 is being sampled: the sampling layout
 		// must cover the new app at once.
@@ -128,6 +134,16 @@ func FuzzControllerCaches(f *testing.F) {
 		// leaves between the next two.
 		slices.Concat([]byte{9, opAdd, opAdd}, warm(0), episode, []byte{opReconfig, opAdd}, phase, episode,
 			[]byte{opReconfig, opRemove, 1}, phase, episode, []byte{opReconfig, opAssign}),
+		// App 0's resampling stops at two ways, where its first sweep
+		// went to three. It leaves in the middle of its next one, and
+		// app 2 takes over its state, with its samples and profile
+		// tables, for a first episode that also stops at two ways. App 2
+		// leaves in the middle of its resampling too, and a snapshot
+		// follows the arrival of app 3 in its place.
+		slices.Concat([]byte{9, opAdd, opAdd}, warm(0), episode, []byte{opReconfig}, phase, short(0),
+			[]byte{opReconfig, opSnapshot}, phase, windowOp(0, 30, 60, 100, 1), []byte{opRemove, 0, opAdd},
+			warm(2), short(2), []byte{opReconfig}, repeatOps(5, windowOp(2, 30, 120, 200, 11)),
+			windowOp(2, 30, 60, 100, 1), []byte{opRemove, 2, opAdd, opSnapshot, opAssign}),
 		// Two ways: the smallest LLC a controller accepts.
 		slices.Concat([]byte{0, opAdd, opAdd, opAdd}, warm(0), warm(1), warm(2),
 			repeatOps(3, windowOp(0, 20, 90, 200, 1), windowOp(1, 90, 1, 10, 1), windowOp(2, 50, 30, 90, 2)),
@@ -158,6 +174,18 @@ func FuzzControllerCaches(f *testing.F) {
 		drop := func() {
 			ref.stale, ref.planMap = true, nil
 			clear(ref.sampleMaps)
+			ref.free = nil
+			for _, st := range ref.apps {
+				if st.sampling == nil {
+					st.ownSampling = SamplingState{}
+				}
+				// The profile moves out of the app's own storage, so the
+				// next episode builds its table in new slices.
+				if st.profile == &st.ownProfile {
+					held := st.ownProfile
+					st.profile, st.ownProfile = &held, Profile{}
+				}
+			}
 		}
 		ids := 0 // ids handed out so far; removed ones stay valid arguments
 		for step := 0; len(data) > 0; step++ {
@@ -257,6 +285,64 @@ func TestControllerSteadyStateAllocFree(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: steady-state Reconfigure+Assignment allocates %v times, want 0", name, allocs)
 		}
+	}
+}
+
+// TestControllerEpisodeAllocFree pins the episode storage an app owns:
+// under an unchanged app set, an app's resample cycle allocates nothing
+// once its first episode has grown the buffers. A cycle is the phase
+// and episode ops of FuzzControllerCaches: five memory-intensive
+// windows, which trigger the resampling, a three-step sweep and an
+// activation, each followed by Assignment.
+func TestControllerEpisodeAllocFree(t *testing.T) {
+	params := DefaultParams(11)
+	c, err := NewController(params, testWayBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign := func() {
+		if _, err := c.Assignment(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	window := func(ipc, mpkc, stall, occ byte) {
+		c.OnWindow(0, fuzzWindow(c.WindowInsns(0), ipc, mpkc, stall, occ, params.NrWays))
+		assign()
+	}
+	episode := func() {
+		window(30, 60, 100, 1)
+		window(60, 40, 100, 2)
+		window(90, 2, 100, 3)
+		c.Reconfigure()
+		assign()
+	}
+	for id := 0; id < 2; id++ {
+		if err := c.AddApp(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		window(40, 40, 100, 4) // warm-up
+	}
+	episode()
+	if c.ClassOf(0) == ClassUnknown || c.SamplingActive() != -1 {
+		t.Fatalf("first episode left app 0 %v with app %d sampled", c.ClassOf(0), c.SamplingActive())
+	}
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, func() {
+		for i := 0; i < 5; i++ {
+			window(30, 120, 200, 11)
+		}
+		if c.SamplingActive() != 0 {
+			t.Fatal("the memory-intensive phase did not start a resampling")
+		}
+		episode()
+	})
+	if got := c.Resamples(0); got != runs+1 {
+		t.Errorf("%d resamples, want %d", got, runs+1)
+	}
+	if allocs != 0 {
+		t.Errorf("a resample cycle allocates %v times, want 0", allocs)
 	}
 }
 

@@ -25,11 +25,23 @@ type Profile struct {
 // strictly increasing, 1-based). Missing higher way counts are filled
 // with the last sample's values.
 func NewProfile(nrWays int, samples []ProfileSample) *Profile {
-	p := &Profile{
-		nrWays: nrWays,
-		ipc:    make([]fp.Value, nrWays+1),
-		mpkc:   make([]fp.Value, nrWays+1),
-	}
+	p := new(Profile)
+	p.rebuild(nrWays, samples)
+	return p
+}
+
+// rebuild is NewProfile in place: it refills p's tables from the sweep
+// samples, reusing their storage once it has grown to nrWays+1 entries.
+// Every entry, index 0 and maxW included, is rewritten, so nothing of
+// the previous table survives.
+//
+//lfoc:hotpath
+func (p *Profile) rebuild(nrWays int, samples []ProfileSample) {
+	p.nrWays = nrWays
+	p.ipc = resized(p.ipc, nrWays+1)
+	p.mpkc = resized(p.mpkc, nrWays+1)
+	p.ipc[0], p.mpkc[0] = 0, 0
+	p.maxW = 0
 	last := ProfileSample{Ways: 0, IPC: fp.One, MPKC: 0}
 	for w := 1; w <= nrWays; w++ {
 		for _, s := range samples {
@@ -48,7 +60,15 @@ func NewProfile(nrWays int, samples []ProfileSample) *Profile {
 	if p.maxW == 0 {
 		p.maxW = 1
 	}
-	return p
+}
+
+// resized returns buf with n entries of unspecified content, allocating
+// only when its capacity is short.
+func resized(buf []fp.Value, n int) []fp.Value {
+	if cap(buf) < n {
+		return make([]fp.Value, n)
+	}
+	return buf[:n]
 }
 
 // IPCAt returns the (possibly extrapolated) IPC at w ways.
@@ -87,6 +107,8 @@ func (p *Profile) SlowdownTable() []int64 {
 
 // CriticalWays returns the smallest way count whose slowdown is below
 // 1 + threshold — the §4.2 "critical size" in ways.
+//
+//lfoc:hotpath
 func (p *Profile) CriticalWays(threshold fp.Value) int {
 	limit := fp.One + threshold
 	for w := 1; w <= p.nrWays; w++ {
@@ -98,6 +120,8 @@ func (p *Profile) CriticalWays(threshold fp.Value) int {
 }
 
 // Classify applies the Table 1 criteria to the profile.
+//
+//lfoc:hotpath
 func Classify(p *Profile, params *Params) Class {
 	streamingWitness := false
 	allBelow := true

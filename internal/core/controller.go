@@ -38,6 +38,10 @@ type Controller struct {
 
 	apps  map[int]*appState
 	order []int // sorted ids for deterministic iteration
+	// free holds removed apps' states, which AddApp recycles with their
+	// buffers. It is never serialized; a restored controller starts
+	// with none.
+	free []*appState
 
 	sampleQueue    []int
 	activeSampling int // app id, or -1
@@ -64,6 +68,16 @@ type Controller struct {
 // of its sampling partition.
 type sampleKey struct{ app, ways int }
 
+// appState is one application's learned and monitoring state. It owns
+// the storage of its sampling episodes: sampling and profile are nil or
+// point at ownSampling and ownProfile, which each episode restarts and
+// rebuilds in place, so an episode allocates nothing once the app's
+// buffers have grown. That is safe because only rebuildPlan passes the
+// profile pointer on (in AppInfo) and the Partitioner keeps it only
+// until its next call; every other profile (policy.ProfileFromTable,
+// LFOCStatic, Table 2, FairnessAware.classOf) is its own NewProfile.
+// The rebuild runs at the end of an episode, before rebuildPlan, so
+// Partition never reads a half-built table.
 type appState struct {
 	id           int
 	class        Class
@@ -75,6 +89,9 @@ type appState struct {
 	sampling     *SamplingState
 	queued       bool
 	resamples    int
+
+	ownSampling SamplingState
+	ownProfile  Profile
 }
 
 // NewController creates a controller. wayBytes is the platform's per-way
@@ -100,13 +117,7 @@ func (c *Controller) AddApp(id int) error {
 	if _, dup := c.apps[id]; dup {
 		return fmt.Errorf("core: app %d already registered", id)
 	}
-	c.apps[id] = &appState{
-		id:         id,
-		class:      ClassUnknown,
-		warmupLeft: c.params.WarmupIntervals,
-		mpkcHist:   pmc.NewHistory(c.params.HistoryLen),
-		stallHist:  pmc.NewHistory(c.params.HistoryLen),
-	}
+	c.apps[id] = c.newAppState(id)
 	c.order = append(c.order, id)
 	sort.Ints(c.order)
 	// have and planMap stay set: the plan keeps omitting the new app
@@ -117,12 +128,44 @@ func (c *Controller) AddApp(id int) error {
 	return nil
 }
 
+// newAppState returns the state of a newly registered application. It
+// recycles a removed app's state when there is one: every field starts
+// over, and only the history, sample and profile buffers are kept.
+func (c *Controller) newAppState(id int) *appState {
+	var st *appState
+	if n := len(c.free); n > 0 {
+		st = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+		st.mpkcHist.Reset()
+		st.stallHist.Reset()
+	} else {
+		st = &appState{
+			mpkcHist:  pmc.NewHistory(c.params.HistoryLen),
+			stallHist: pmc.NewHistory(c.params.HistoryLen),
+		}
+	}
+	*st = appState{
+		id:          id,
+		class:       ClassUnknown,
+		warmupLeft:  c.params.WarmupIntervals,
+		mpkcHist:    st.mpkcHist,
+		stallHist:   st.stallHist,
+		ownSampling: SamplingState{samples: st.ownSampling.samples[:0]},
+		ownProfile:  Profile{ipc: st.ownProfile.ipc[:0], mpkc: st.ownProfile.mpkc[:0]},
+	}
+	return st
+}
+
 // RemoveApp deregisters an application.
 func (c *Controller) RemoveApp(id int) {
 	if c.activeSampling == id {
 		c.activeSampling = -1
 	}
-	delete(c.apps, id)
+	if st, ok := c.apps[id]; ok {
+		delete(c.apps, id)
+		c.free = append(c.free, st)
+	}
 	for i, v := range c.order {
 		if v == id {
 			c.order = append(c.order[:i], c.order[i+1:]...)
@@ -172,6 +215,8 @@ func (c *Controller) WindowInsns(id int) uint64 {
 
 // OnWindow delivers one completed counter window. The return value
 // reports whether the desired CAT configuration changed.
+//
+//lfoc:hotpath
 func (c *Controller) OnWindow(id int, w pmc.Sample) bool {
 	st, ok := c.apps[id]
 	if !ok {
@@ -194,13 +239,17 @@ func (c *Controller) OnWindow(id int, w pmc.Sample) bool {
 	return c.onNormalWindow(st, w)
 }
 
-// onSamplingWindow advances the active sweep.
+// onSamplingWindow advances the active sweep. At its end, the app's
+// profile is rebuilt in place from the sweep.
+//
+//lfoc:hotpath
 func (c *Controller) onSamplingWindow(st *appState, w pmc.Sample) bool {
 	done := st.sampling.Record(w.IPC(), w.LLCMPKC())
 	if !done {
 		return true // sampling partition grew
 	}
-	st.profile = st.sampling.Finish()
+	st.ownProfile.rebuild(c.params.NrWays, st.sampling.samples)
+	st.profile = &st.ownProfile
 	st.class = Classify(st.profile, &c.params)
 	st.criticalWays = st.profile.CriticalWays(c.params.CriticalSlowdown)
 	st.sampling = nil
@@ -215,6 +264,8 @@ func (c *Controller) onSamplingWindow(st *appState, w pmc.Sample) bool {
 
 // onNormalWindow updates monitoring state and runs the phase-change
 // heuristics of §4.2.
+//
+//lfoc:hotpath
 func (c *Controller) onNormalWindow(st *appState, w pmc.Sample) bool {
 	st.mpkcHist.Push(w.LLCMPKC())
 	st.stallHist.Push(w.StallFraction())
@@ -251,6 +302,10 @@ func (c *Controller) onNormalWindow(st *appState, w pmc.Sample) bool {
 	return false
 }
 
+// enqueueSampling queues st for a sampling episode unless it is
+// already queued or being sampled.
+//
+//lfoc:hotpath
 func (c *Controller) enqueueSampling(st *appState) {
 	if st.queued || c.activeSampling == st.id {
 		return
@@ -260,19 +315,24 @@ func (c *Controller) enqueueSampling(st *appState) {
 }
 
 // maybeStartSampling starts the next queued episode if none is active.
-// It returns true when the CAT configuration changed.
+// It returns true when the CAT configuration changed. The queue pops by
+// shifting in place, so the appends of enqueueSampling reuse its
+// capacity.
+//
+//lfoc:hotpath
 func (c *Controller) maybeStartSampling() bool {
 	if c.activeSampling >= 0 || len(c.sampleQueue) == 0 {
 		return false
 	}
 	id := c.sampleQueue[0]
-	c.sampleQueue = c.sampleQueue[1:]
+	c.sampleQueue = c.sampleQueue[:copy(c.sampleQueue, c.sampleQueue[1:])]
 	st, ok := c.apps[id]
 	if !ok {
 		return c.maybeStartSampling()
 	}
 	st.queued = false
-	st.sampling = NewSampling(&c.params)
+	st.ownSampling.restart(&c.params)
+	st.sampling = &st.ownSampling
 	st.mpkcHist.Reset()
 	st.stallHist.Reset()
 	c.activeSampling = id

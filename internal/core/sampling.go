@@ -21,7 +21,19 @@ type SamplingState struct {
 
 // NewSampling starts a sweep at a 1-way sampling partition.
 func NewSampling(params *Params) *SamplingState {
-	return &SamplingState{params: params, ways: 1}
+	s := new(SamplingState)
+	s.restart(params)
+	return s
+}
+
+// restart is NewSampling in place: it starts a new sweep on s, keeping
+// the storage of its samples.
+//
+//lfoc:hotpath
+func (s *SamplingState) restart(params *Params) {
+	s.params, s.ways = params, 1
+	s.samples = s.samples[:0]
+	s.flatSteps, s.done = 0, false
 }
 
 // CurrentWays returns the size of the sampling partition being measured.
@@ -33,6 +45,8 @@ func (s *SamplingState) Done() bool { return s.done }
 // Record consumes the metrics measured with the sampling partition at
 // CurrentWays ways and either advances the sweep or terminates it.
 // It returns true when the sweep is complete.
+//
+//lfoc:hotpath
 func (s *SamplingState) Record(ipc, mpkc fp.Value) bool {
 	if s.done {
 		return true

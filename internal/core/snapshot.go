@@ -6,7 +6,6 @@ import (
 
 	fp "github.com/faircache/lfoc/internal/fixedpoint"
 	"github.com/faircache/lfoc/internal/plan"
-	"github.com/faircache/lfoc/internal/pmc"
 )
 
 // The controller's checkpoint support implements sim.PolicySnapshotter:
@@ -116,16 +115,12 @@ func (c *Controller) PolicyRestore(data []byte) error {
 		if _, dup := c.apps[a.ID]; dup {
 			return fmt.Errorf("core: restore: duplicate app %d", a.ID)
 		}
-		st := &appState{
-			id:           a.ID,
-			class:        Class(a.Class),
-			criticalWays: a.CriticalWays,
-			warmupLeft:   a.WarmupLeft,
-			mpkcHist:     pmc.NewHistory(c.params.HistoryLen),
-			stallHist:    pmc.NewHistory(c.params.HistoryLen),
-			queued:       a.Queued,
-			resamples:    a.Resamples,
-		}
+		st := c.newAppState(a.ID)
+		st.class = Class(a.Class)
+		st.criticalWays = a.CriticalWays
+		st.warmupLeft = a.WarmupLeft
+		st.queued = a.Queued
+		st.resamples = a.Resamples
 		// Re-pushing oldest-first reproduces Mean, Last and the eviction
 		// order exactly (Push is rotation-invariant); overlong snapshots
 		// would silently drop readings, so reject them.
@@ -138,25 +133,29 @@ func (c *Controller) PolicyRestore(data []byte) error {
 		for _, v := range a.StallHist {
 			st.stallHist.Push(v)
 		}
+		// The restored profile and episode live in the app's own storage,
+		// as a live app's do.
 		if p := a.Profile; p != nil {
 			if p.NrWays != c.params.NrWays || len(p.IPC) != p.NrWays+1 || len(p.MPKC) != p.NrWays+1 {
 				return fmt.Errorf("core: restore: app %d profile sized for %d ways, params say %d", a.ID, p.NrWays, c.params.NrWays)
 			}
-			st.profile = &Profile{
+			st.ownProfile = Profile{
 				nrWays: p.NrWays,
-				ipc:    append([]fp.Value(nil), p.IPC...),
-				mpkc:   append([]fp.Value(nil), p.MPKC...),
+				ipc:    append(st.ownProfile.ipc, p.IPC...),
+				mpkc:   append(st.ownProfile.mpkc, p.MPKC...),
 				maxW:   p.MaxW,
 			}
+			st.profile = &st.ownProfile
 		}
 		if s := a.Sampling; s != nil {
-			st.sampling = &SamplingState{
+			st.ownSampling = SamplingState{
 				params:    &c.params,
 				ways:      s.Ways,
-				samples:   append([]ProfileSample(nil), s.Samples...),
+				samples:   append(st.ownSampling.samples, s.Samples...),
 				flatSteps: s.FlatSteps,
 				done:      s.Done,
 			}
+			st.sampling = &st.ownSampling
 		}
 		c.apps[a.ID] = st
 		c.order = append(c.order, a.ID)

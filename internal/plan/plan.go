@@ -95,17 +95,18 @@ func (p Plan) Masks(totalWays int) ([]cat.WayMask, error) {
 	return cat.SequentialLayout(counts, totalWays)
 }
 
-// MaskMap lays the plan out with Masks and maps every application the
-// plan lists to its cluster's mask. The map is sized to those entries.
+// MaskMap maps every application the plan lists to its cluster's mask,
+// laid out as Masks lays it out. The map is sized to those entries.
 func (p Plan) MaskMap(totalWays int) (map[int]cat.WayMask, error) {
-	masks, err := p.Masks(totalWays)
-	if err != nil {
-		return nil, err
-	}
 	out := make(map[int]cat.WayMask, p.NumApps())
-	for ci, c := range p.Clusters {
+	l := cat.NewLayout(totalWays, p.Overlapping)
+	for _, c := range p.Clusters {
+		m, err := l.Next(c.Ways)
+		if err != nil {
+			return nil, err
+		}
 		for _, a := range c.Apps {
-			out[a] = masks[ci]
+			out[a] = m
 		}
 	}
 	return out, nil

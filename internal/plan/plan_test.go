@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -119,6 +120,43 @@ func TestAppMasks(t *testing.T) {
 	}
 	if _, err := (Plan{Clusters: []Cluster{{Apps: []int{0}, Ways: 12}}}).MaskMap(11); err == nil {
 		t.Error("MaskMap accepted a plan wider than the LLC")
+	}
+	// MaskMap lays each cluster out as it fills the map; it must give
+	// Masks' masks and Masks' errors.
+	for _, c := range []struct {
+		p       Plan
+		wantErr string
+	}{
+		{p: Plan{Overlapping: true, Clusters: []Cluster{{Apps: []int{0, 3}, Ways: 3}, {Apps: []int{1}, Ways: 7}, {Apps: []int{2}, Ways: 13}}}},
+		{p: Plan{Clusters: []Cluster{{Apps: []int{0}, Ways: 2}, {Apps: []int{1}, Ways: 0}}},
+			wantErr: "cat: cluster 1 has non-positive way count 0"},
+		{p: Plan{Overlapping: true, Clusters: []Cluster{{Apps: []int{0}, Ways: 0}}},
+			wantErr: "cat: cluster 0 has non-positive way count 0"},
+		{p: Plan{Clusters: []Cluster{{Apps: []int{0}, Ways: 6}, {Apps: []int{1}, Ways: 6}}},
+			wantErr: "cat: layout needs 12 ways, platform has 11"},
+	} {
+		masks, err := c.p.Masks(11)
+		mm, mmErr := c.p.MaskMap(11)
+		if fmt.Sprint(err) != fmt.Sprint(mmErr) || (c.wantErr != "" && fmt.Sprint(err) != c.wantErr) {
+			t.Errorf("%s: Masks error %v, MaskMap error %v, want %q", c.p.Canonical(), err, mmErr, c.wantErr)
+			continue
+		}
+		if err != nil {
+			if masks != nil || mm != nil {
+				t.Errorf("%s: failed layout returned %v and %v", c.p.Canonical(), masks, mm)
+			}
+			continue
+		}
+		if len(mm) != c.p.NumApps() {
+			t.Errorf("%s: MaskMap has %d entries, want %d", c.p.Canonical(), len(mm), c.p.NumApps())
+		}
+		for ci, cl := range c.p.Clusters {
+			for _, a := range cl.Apps {
+				if mm[a] != masks[ci] {
+					t.Errorf("%s: MaskMap[%d] = %v, Masks gives %v", c.p.Canonical(), a, mm[a], masks[ci])
+				}
+			}
+		}
 	}
 	// Missing app detection.
 	bad := Plan{Clusters: []Cluster{{Apps: []int{0}, Ways: 2}}}

@@ -94,11 +94,12 @@ type kernelApp struct {
 	dueOK  bool
 }
 
-// equilState is one memoized contention-model fixed point, positional
-// over the active apps in slot order.
-type equilState struct {
-	perfs  []appmodel.Perf
-	shares []uint64
+// equilEntry is one app's part of a memoized contention-model fixed
+// point. A memo value holds one entry per active app, in slot order, in
+// a single slice: a miss allocates that slice and the key string.
+type equilEntry struct {
+	perf  appmodel.Perf
+	share uint64
 }
 
 const equilCacheMax = 4096
@@ -159,8 +160,8 @@ type kernel struct {
 	// equilPrev (cold, promoted back on touch); a full hot map rotates
 	// into the cold slot instead of being cleared, so eviction never
 	// dumps the working set (see storeEquil).
-	equil     map[string]*equilState
-	equilPrev map[string]*equilState
+	equil     map[string][]equilEntry
+	equilPrev map[string][]equilEntry
 	equilMax  int
 	equilHits uint64
 	equilMiss uint64
@@ -235,7 +236,7 @@ func newKernel(cfg Config, pol Dynamic, initial []*appmodel.Spec, closed *scenar
 		cfg:           cfg,
 		pol:           pol,
 		eval:          sharing.NewEvaluator(sharing.NewModel(cfg.Plat)),
-		equil:         make(map[string]*equilState),
+		equil:         make(map[string][]equilEntry),
 		equilMax:      equilCacheMax,
 		masks:         map[int]cat.WayMask{},
 		aloneIPSCache: map[*appmodel.PhaseSpec]float64{},
@@ -440,7 +441,7 @@ func (k *kernel) refreshPerf() {
 				if !a.active {
 					continue
 				}
-				k.setRate(a, st.perfs[idx], st.shares[idx])
+				k.setRate(a, st[idx].perf, st[idx].share)
 				idx++
 			}
 			return
@@ -457,18 +458,11 @@ func (k *kernel) refreshPerf() {
 		idx++
 	}
 	if !k.cfg.noEquilCache {
-		st := &equilState{
-			perfs:  make([]appmodel.Perf, len(k.shApps)),
-			shares: make([]uint64, len(k.shApps)),
-		}
-		idx = 0
+		st := make([]equilEntry, 0, len(k.shApps))
 		for _, a := range k.actives {
-			if !a.active {
-				continue
+			if a.active {
+				st = append(st, equilEntry{a.perf, a.share})
 			}
-			st.perfs[idx] = a.perf
-			st.shares[idx] = a.share
-			idx++
 		}
 		k.storeEquil(string(k.keyBuf), st)
 	}
@@ -497,10 +491,10 @@ func (k *kernel) setRate(a *kernelApp, perf appmodel.Perf, share uint64) {
 // the wholesale clear this replaces, the rotation can never dump the
 // working set — live configurations are promoted back on first touch —
 // so a long churn run keeps its hit rate through evictions.
-func (k *kernel) storeEquil(key string, st *equilState) {
+func (k *kernel) storeEquil(key string, st []equilEntry) {
 	if len(k.equil) >= k.equilMax {
 		k.equilPrev = k.equil
-		k.equil = make(map[string]*equilState, k.equilMax)
+		k.equil = make(map[string][]equilEntry, k.equilMax)
 	}
 	k.equil[key] = st
 }

@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -379,17 +378,21 @@ func TestIdleMachineAllocatesNothing(t *testing.T) {
 	if err := m.AdvanceTo(period); err != nil {
 		t.Fatal(err)
 	}
+	// AllocsPerRun runs the loop twice, a warm-up and the measured
+	// call, each advancing the machine another steps×periodsPerStep
+	// periods. Without an allocation no byte is allocated either.
 	const steps, periodsPerStep = 100, 100
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 1; i <= steps; i++ {
-		if err := m.AdvanceTo(period * float64(1+i*periodsPerStep)); err != nil {
-			t.Fatal(err)
+	step := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < steps; i++ {
+			step++
+			if err := m.AdvanceTo(period * float64(1+step*periodsPerStep)); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	runtime.ReadMemStats(&after)
-	if bytes, n := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs; bytes != 0 || n != 0 {
-		t.Errorf("%d idle periods allocated %d bytes in %d allocations, want none", steps*periodsPerStep, bytes, n)
+	})
+	if allocs != 0 {
+		t.Errorf("%d idle periods allocated %v times, want 0", steps*periodsPerStep, allocs)
 	}
 	if err := m.Drain(); err != nil {
 		t.Fatal(err)
