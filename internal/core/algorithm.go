@@ -29,9 +29,9 @@ type AppInfo struct {
 // the buffers have grown. The zero value is ready to use.
 //
 // A plan a Partitioner returns aliases its buffers and is valid until
-// its next call; Clone it to keep it. A Partitioner is not safe for
-// concurrent use. Its plans equal Partition's: the arithmetic is the
-// same, in the same order.
+// its next call. A Partitioner is not safe for concurrent use. Its
+// plans equal Partition's: the arithmetic is the same, in the same
+// order.
 type Partitioner struct {
 	st, cs, ls []AppInfo
 	groups     [][]AppInfo

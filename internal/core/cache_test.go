@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/faircache/lfoc/internal/cat"
 	"github.com/faircache/lfoc/internal/pmc"
 )
 
@@ -73,9 +72,8 @@ func restoreFresh(t *testing.T, params Params, snap []byte) *Controller {
 
 // FuzzControllerCaches decodes the fuzz bytes into a sequence of
 // controller operations and applies it to two controllers with the same
-// Params. The reference drops every cache (stale, planMap, sampleMaps)
-// before every call, so it reruns Algorithm 1 at every activation and
-// renders a new map on every Assignment. It also reuses no storage: it
+// Params. The reference marks its plan stale before every call, so it
+// reruns Algorithm 1 at every activation. It also reuses no storage: it
 // recycles no removed app's state, and each of its episodes starts from
 // a fresh sample slice and builds its profile in new tables, so a
 // reused buffer that leaks stale content shows up as a difference.
@@ -88,10 +86,11 @@ func restoreFresh(t *testing.T, params Params, snap []byte) *Controller {
 // during an active sampling episode, a snapshot taken while a new app
 // still waits for its first activation, removal of the sampled app, a
 // restore in the middle of an episode, an app resampled twice under an
-// unchanged app set (its later episodes reuse the first one's sampling
-// maps, samples and profile tables), an AddApp and a RemoveApp between
-// episodes of one app (each must drop them), and an app that arrives
-// after the sampled app left mid-episode and so inherits its state.
+// unchanged app set (its later episodes reuse the first one's samples
+// and profile tables), an AddApp and a RemoveApp between episodes of one
+// app (the next sampling layout must follow each), and an app that
+// arrives after the sampled app left mid-episode and so inherits its
+// state.
 func FuzzControllerCaches(f *testing.F) {
 	streaming := windowOp(0, 21, 130, 175, 11)
 	light := func(id byte) []byte { return windowOp(id, 85, 2, 12, 1) }
@@ -172,8 +171,7 @@ func FuzzControllerCaches(f *testing.F) {
 		}
 		ref, _ := NewController(params, testWayBytes)
 		drop := func() {
-			ref.stale, ref.planMap = true, nil
-			clear(ref.sampleMaps)
+			ref.stale = true
 			ref.free = nil
 			for _, st := range ref.apps {
 				if st.sampling == nil {
@@ -264,8 +262,8 @@ func classifiedController(t *testing.T) *Controller {
 }
 
 // TestControllerSteadyStateAllocFree pins the memoized activation: with
-// no input changed, Reconfigure reruns nothing and Assignment returns
-// its cached map, so the pair allocates nothing.
+// no input changed, Reconfigure reruns nothing and Assignment rewrites
+// its map in place, so the pair allocates nothing.
 func TestControllerSteadyStateAllocFree(t *testing.T) {
 	empty, err := NewController(DefaultParams(11), testWayBytes)
 	if err != nil {
@@ -344,58 +342,4 @@ func TestControllerEpisodeAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("a resample cycle allocates %v times, want 0", allocs)
 	}
-}
-
-// TestControllerReturnedMapNeverModified holds a map Assignment returned
-// across a change of layout: the controller must hand out a new map and
-// leave the held one as it was.
-func TestControllerReturnedMapNeverModified(t *testing.T) {
-	c := newTestController(t, 2)
-	apps := []*fakeApp{sensitiveFake(), lightFake()}
-	// Windows in id order: app 0 leaves warm-up first and is sampled.
-	for c.SamplingActive() < 0 {
-		for id, a := range apps {
-			masks, err := c.Assignment()
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.OnWindow(id, a.window(c.WindowInsns(id), masks[id].Count()))
-		}
-	}
-	check := func(what string, held, want map[int]cat.WayMask) {
-		t.Helper()
-		if !maps.Equal(held, want) {
-			t.Errorf("%s modified a returned map: %v, was %v", what, held, want)
-		}
-		now, err := c.Assignment()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if maps.Equal(now, want) {
-			t.Errorf("%s left the assignment unchanged: %v", what, now)
-		}
-	}
-
-	active := c.SamplingActive()
-	held, err := c.Assignment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := maps.Clone(held)
-	c.OnWindow(active, apps[active].window(c.WindowInsns(active), held[active].Count()))
-	if c.SamplingActive() != active {
-		t.Fatal("the sampling window ended the episode")
-	}
-	check("a sampling window", held, want)
-
-	drive(t, c, map[int]*fakeApp{0: apps[0], 1: apps[1]}, 60)
-	if held, err = c.Assignment(); err != nil {
-		t.Fatal(err)
-	}
-	want = maps.Clone(held)
-	if err := c.AddApp(2); err != nil {
-		t.Fatal(err)
-	}
-	c.Reconfigure()
-	check("AddApp and Reconfigure", held, want)
 }

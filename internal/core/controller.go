@@ -27,9 +27,10 @@ import (
 // Assignment() exposes the CAT masks the controller currently wants.
 // All internal arithmetic is integer/fixed-point.
 //
-// Reconfigure and Assignment are memoized. Partition and the mask
-// rendering are pure functions of the state that stale, planMap and
-// sampleMaps track, so the caches never change a decision.
+// Reconfigure is memoized: Partition is a pure function of the state
+// that stale tracks, so skipping a rerun never changes a decision.
+// Assignment renders the masks anew on every call, into the one map the
+// controller owns.
 type Controller struct {
 	params Params
 	// wayBytes is needed to compare CMT occupancy readings against a
@@ -51,22 +52,14 @@ type Controller struct {
 	// stale marks that an input of Partition changed since rebuildPlan
 	// last ran it.
 	stale bool
-	// part and infos are rebuildPlan's reusable scratch.
+	// part and infos are rebuildPlan's reusable scratch; current
+	// aliases part's buffers.
 	part  Partitioner
 	infos []AppInfo
 
-	// Assignment's cached maps. A map once returned is never modified,
-	// only dropped. planMap renders current (nil = render anew).
-	// sampleMaps holds the sampling layouts by sampled app and
-	// sampling-partition ways; it is valid while the app set is
-	// unchanged.
-	planMap    map[int]cat.WayMask
-	sampleMaps map[sampleKey]map[int]cat.WayMask
+	// masks is the map Assignment rewrites and returns.
+	masks map[int]cat.WayMask
 }
-
-// sampleKey identifies a sampling layout: the sampled app and the ways
-// of its sampling partition.
-type sampleKey struct{ app, ways int }
 
 // appState is one application's learned and monitoring state. It owns
 // the storage of its sampling episodes: sampling and profile are nil or
@@ -108,6 +101,7 @@ func NewController(params Params, wayBytes uint64) (*Controller, error) {
 		wayBytes:       wayBytes,
 		apps:           map[int]*appState{},
 		activeSampling: -1,
+		masks:          map[int]cat.WayMask{},
 	}, nil
 }
 
@@ -120,11 +114,9 @@ func (c *Controller) AddApp(id int) error {
 	c.apps[id] = c.newAppState(id)
 	c.order = append(c.order, id)
 	sort.Ints(c.order)
-	// have and planMap stay set: the plan keeps omitting the new app
-	// (it runs under the full mask) until the next activation reruns
-	// Algorithm 1.
+	// have stays set: the plan keeps omitting the new app (it runs
+	// under the full mask) until the next activation reruns Algorithm 1.
 	c.stale = true
-	clear(c.sampleMaps)
 	return nil
 }
 
@@ -180,7 +172,6 @@ func (c *Controller) RemoveApp(id int) {
 	}
 	c.sampleQueue = q
 	c.have = false // the next Plan, Assignment or activation reruns Algorithm 1
-	clear(c.sampleMaps)
 }
 
 // ClassOf returns the current classification of an application.
@@ -340,7 +331,8 @@ func (c *Controller) maybeStartSampling() bool {
 }
 
 // Reconfigure is the periodic partitioner activation. It returns the
-// (possibly updated) plan.
+// (possibly updated) plan, which is valid until the controller's next
+// call.
 //
 //lfoc:hotpath
 func (c *Controller) Reconfigure() plan.Plan {
@@ -350,8 +342,7 @@ func (c *Controller) Reconfigure() plan.Plan {
 }
 
 // rebuildPlan reruns Algorithm 1 over the current classifications,
-// unless none of them changed since its last run. When the rerun yields
-// the current plan, the current plan and its map stay.
+// unless none of them changed since its last run.
 //
 //lfoc:hotpath
 func (c *Controller) rebuildPlan() {
@@ -371,10 +362,7 @@ func (c *Controller) rebuildPlan() {
 			p = c.fallbackPlan()
 		}
 	}
-	if !p.Equal(c.current) {
-		c.current = p.Clone()
-		c.planMap = nil
-	}
+	c.current = p
 	c.have = true
 }
 
@@ -389,7 +377,8 @@ func (c *Controller) fallbackPlan() plan.Plan {
 	return p
 }
 
-// Plan returns the last plan produced by Reconfigure/rebuildPlan.
+// Plan returns the last plan produced by Reconfigure/rebuildPlan. It is
+// valid until the controller's next call.
 func (c *Controller) Plan() plan.Plan {
 	if !c.have {
 		c.rebuildPlan()
@@ -399,48 +388,31 @@ func (c *Controller) Plan() plan.Plan {
 
 // Assignment returns the CAT mask every application should run under
 // right now: the sampling layout while an episode is active, otherwise
-// the masks of the current plan. It returns the same map until the
-// layout changes; the caller must not modify it.
+// the masks of the current plan. The map is rewritten by every call; the
+// caller must not modify it.
 //
 //lfoc:hotpath
 func (c *Controller) Assignment() (map[int]cat.WayMask, error) {
-	if c.activeSampling >= 0 {
-		key := sampleKey{c.activeSampling, c.apps[c.activeSampling].sampling.CurrentWays()}
-		if m, ok := c.sampleMaps[key]; ok {
-			return m, nil
+	if c.activeSampling < 0 {
+		if !c.have {
+			c.rebuildPlan()
 		}
-		return c.renderSampleMap(key)
-	}
-	if !c.have {
-		c.rebuildPlan()
-	}
-	if c.planMap == nil {
-		m, err := c.current.MaskMap(c.params.NrWays)
-		if err != nil {
+		if err := c.current.MasksInto(c.masks, c.params.NrWays); err != nil {
 			return nil, err
 		}
-		c.planMap = m
+		return c.masks, nil
 	}
-	return c.planMap, nil
-}
-
-// renderSampleMap builds the sampling layout for key and caches it.
-func (c *Controller) renderSampleMap(key sampleKey) (map[int]cat.WayMask, error) {
-	sampleMask, restMask, err := cat.SamplingLayout(key.ways, c.params.NrWays)
+	sampleMask, restMask, err := cat.SamplingLayout(c.apps[c.activeSampling].sampling.CurrentWays(), c.params.NrWays)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[int]cat.WayMask, len(c.apps))
+	clear(c.masks)
 	for _, id := range c.order {
-		if id == key.app {
-			out[id] = sampleMask
+		if id == c.activeSampling {
+			c.masks[id] = sampleMask
 		} else {
-			out[id] = restMask
+			c.masks[id] = restMask
 		}
 	}
-	if c.sampleMaps == nil {
-		c.sampleMaps = map[sampleKey]map[int]cat.WayMask{}
-	}
-	c.sampleMaps[key] = out
-	return out, nil
+	return c.masks, nil
 }

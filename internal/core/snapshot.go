@@ -165,7 +165,5 @@ func (c *Controller) PolicyRestore(data []byte) error {
 	c.current = snap.Current
 	c.have = snap.Have
 	c.stale = true
-	c.planMap = nil
-	clear(c.sampleMaps)
 	return nil
 }

@@ -13,7 +13,6 @@ package plan
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"github.com/faircache/lfoc/internal/cat"
@@ -95,21 +94,21 @@ func (p Plan) Masks(totalWays int) ([]cat.WayMask, error) {
 	return cat.SequentialLayout(counts, totalWays)
 }
 
-// MaskMap maps every application the plan lists to its cluster's mask,
-// laid out as Masks lays it out. The map is sized to those entries.
-func (p Plan) MaskMap(totalWays int) (map[int]cat.WayMask, error) {
-	out := make(map[int]cat.WayMask, p.NumApps())
+// MasksInto clears dst and maps every application the plan lists to
+// its cluster's mask, laid out as Masks lays it out.
+func (p Plan) MasksInto(dst map[int]cat.WayMask, totalWays int) error {
+	clear(dst)
 	l := cat.NewLayout(totalWays, p.Overlapping)
 	for _, c := range p.Clusters {
 		m, err := l.Next(c.Ways)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, a := range c.Apps {
-			out[a] = m
+			dst[a] = m
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // AppMasks returns the per-application mask implied by the plan, indexed
@@ -155,33 +154,6 @@ func (p Plan) NumApps() int {
 		n += len(c.Apps)
 	}
 	return n
-}
-
-// Equal reports whether q has the same clusters as p, in the same
-// order, with the same applications in the same order, and the same
-// layout.
-func (p Plan) Equal(q Plan) bool {
-	return p.Overlapping == q.Overlapping && slices.EqualFunc(p.Clusters, q.Clusters, func(a, b Cluster) bool {
-		return a.Ways == b.Ways && slices.Equal(a.Apps, b.Apps)
-	})
-}
-
-// Clone returns a deep copy of the plan that shares no memory with it.
-// The clusters' app lists share one new backing array.
-func (p Plan) Clone() Plan {
-	out := Plan{Clusters: slices.Clone(p.Clusters), Overlapping: p.Overlapping}
-	n := 0
-	for _, c := range p.Clusters {
-		n += len(c.Apps)
-	}
-	apps := make([]int, 0, n)
-	for i, c := range p.Clusters {
-		if c.Apps != nil {
-			apps = append(apps, c.Apps...)
-			out.Clusters[i].Apps = apps[len(apps)-len(c.Apps) : len(apps) : len(apps)]
-		}
-	}
-	return out
 }
 
 // Canonical returns a deterministic rendering such as

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"github.com/faircache/lfoc/internal/cat"
@@ -101,27 +100,27 @@ func TestAppMasks(t *testing.T) {
 	if am[0] != cat.MaskRange(2, 9) {
 		t.Errorf("cluster-1 app mask wrong: %v", am)
 	}
-	// MaskMap keys the same masks by app id; the policies cache its map
-	// behind a nil check, so an empty plan must give a non-nil map.
-	mm, err := p.MaskMap(11)
-	if err != nil {
+	// MasksInto keys the same masks by app id, and it first clears
+	// the map it fills.
+	mm := map[int]cat.WayMask{7: cat.FullMask(11)}
+	if err := p.MasksInto(mm, 11); err != nil {
 		t.Fatal(err)
 	}
 	if len(mm) != len(am) {
-		t.Errorf("MaskMap has %d entries, want %d", len(mm), len(am))
+		t.Errorf("MasksInto wrote %d entries, want %d", len(mm), len(am))
 	}
 	for a, m := range am {
 		if mm[a] != m {
-			t.Errorf("MaskMap[%d] = %v, AppMasks gives %v", a, mm[a], m)
+			t.Errorf("MasksInto[%d] = %v, AppMasks gives %v", a, mm[a], m)
 		}
 	}
-	if empty, err := (Plan{}).MaskMap(11); err != nil || empty == nil || len(empty) != 0 {
-		t.Errorf("empty plan: MaskMap = %v, %v; want an empty map", empty, err)
+	if err := (Plan{}).MasksInto(mm, 11); err != nil || len(mm) != 0 {
+		t.Errorf("empty plan: MasksInto = %v, %v; want an empty map", mm, err)
 	}
-	if _, err := (Plan{Clusters: []Cluster{{Apps: []int{0}, Ways: 12}}}).MaskMap(11); err == nil {
-		t.Error("MaskMap accepted a plan wider than the LLC")
+	if err := (Plan{Clusters: []Cluster{{Apps: []int{0}, Ways: 12}}}).MasksInto(mm, 11); err == nil {
+		t.Error("MasksInto accepted a plan wider than the LLC")
 	}
-	// MaskMap lays each cluster out as it fills the map; it must give
+	// MasksInto lays each cluster out as it fills the map; it must give
 	// Masks' masks and Masks' errors.
 	for _, c := range []struct {
 		p       Plan
@@ -136,24 +135,25 @@ func TestAppMasks(t *testing.T) {
 			wantErr: "cat: layout needs 12 ways, platform has 11"},
 	} {
 		masks, err := c.p.Masks(11)
-		mm, mmErr := c.p.MaskMap(11)
+		mm := map[int]cat.WayMask{}
+		mmErr := c.p.MasksInto(mm, 11)
 		if fmt.Sprint(err) != fmt.Sprint(mmErr) || (c.wantErr != "" && fmt.Sprint(err) != c.wantErr) {
-			t.Errorf("%s: Masks error %v, MaskMap error %v, want %q", c.p.Canonical(), err, mmErr, c.wantErr)
+			t.Errorf("%s: Masks error %v, MasksInto error %v, want %q", c.p.Canonical(), err, mmErr, c.wantErr)
 			continue
 		}
 		if err != nil {
-			if masks != nil || mm != nil {
-				t.Errorf("%s: failed layout returned %v and %v", c.p.Canonical(), masks, mm)
+			if masks != nil {
+				t.Errorf("%s: failed layout returned %v", c.p.Canonical(), masks)
 			}
 			continue
 		}
 		if len(mm) != c.p.NumApps() {
-			t.Errorf("%s: MaskMap has %d entries, want %d", c.p.Canonical(), len(mm), c.p.NumApps())
+			t.Errorf("%s: MasksInto wrote %d entries, want %d", c.p.Canonical(), len(mm), c.p.NumApps())
 		}
 		for ci, cl := range c.p.Clusters {
 			for _, a := range cl.Apps {
 				if mm[a] != masks[ci] {
-					t.Errorf("%s: MaskMap[%d] = %v, Masks gives %v", c.p.Canonical(), a, mm[a], masks[ci])
+					t.Errorf("%s: MasksInto[%d] = %v, Masks gives %v", c.p.Canonical(), a, mm[a], masks[ci])
 				}
 			}
 		}
@@ -189,38 +189,5 @@ func TestCanonical(t *testing.T) {
 	}
 	if a.Canonical() != "{0,3}:2 {1,2}:9" {
 		t.Errorf("canonical = %q", a.Canonical())
-	}
-}
-
-// Clone is a deep copy that keeps nil lists nil (checkpoints serialize
-// plans, and JSON tells null from []); Equal is order-sensitive.
-func TestCloneAndEqual(t *testing.T) {
-	for _, p := range []Plan{
-		{},
-		{Clusters: []Cluster{{Apps: []int{3, 0}, Ways: 2}, {Apps: nil, Ways: 1}, {Apps: []int{}, Ways: 1}, {Apps: []int{1}, Ways: 7}}, Overlapping: true},
-	} {
-		c := p.Clone()
-		if !reflect.DeepEqual(c, p) || !c.Equal(p) {
-			t.Fatalf("Clone(%+v) = %+v", p, c)
-		}
-		if len(p.Clusters) > 0 {
-			c.Clusters[0].Apps[0] = 9
-			c.Clusters[0].Ways = 9
-			if p.Clusters[0].Apps[0] != 3 || p.Clusters[0].Ways != 2 {
-				t.Errorf("Clone shares memory with the plan: %+v", p)
-			}
-		}
-	}
-	a := Plan{Clusters: []Cluster{{Apps: []int{0, 1}, Ways: 2}, {Apps: []int{2}, Ways: 9}}}
-	for _, b := range []Plan{
-		{Clusters: []Cluster{{Apps: []int{1, 0}, Ways: 2}, {Apps: []int{2}, Ways: 9}}},
-		{Clusters: []Cluster{{Apps: []int{2}, Ways: 9}, {Apps: []int{0, 1}, Ways: 2}}},
-		{Clusters: []Cluster{{Apps: []int{0, 1}, Ways: 2}, {Apps: []int{2}, Ways: 8}}},
-		{Clusters: a.Clusters, Overlapping: true},
-		{Clusters: a.Clusters[:1]},
-	} {
-		if a.Equal(b) || b.Equal(a) {
-			t.Errorf("%+v equals %+v", a, b)
-		}
 	}
 }

@@ -21,11 +21,12 @@ type DunnDynamic struct {
 
 	order   []int
 	history map[int]*stallWindow
+	// current is the last plan Reconfigure built; it aliases planner's
+	// buffers.
 	current plan.Plan
 	have    bool
-	// assign is Assignment's map of current (nil = render anew). A map
-	// once returned is never modified, only dropped.
-	assign map[int]cat.WayMask
+	// masks is the map Assignment rewrites and returns.
+	masks map[int]cat.WayMask
 
 	// stalls and planner are Reconfigure's reusable scratch.
 	stalls  []float64
@@ -68,6 +69,7 @@ func NewDunnDynamic(ways int) *DunnDynamic {
 		kMin:        2,
 		kMax:        4,
 		history:     map[int]*stallWindow{},
+		masks:       map[int]cat.WayMask{},
 	}
 }
 
@@ -123,8 +125,7 @@ func (d *DunnDynamic) OnWindow(id int, w pmc.Sample) bool {
 func (d *DunnDynamic) PassiveWindows() bool { return true }
 
 // Reconfigure re-runs the clustering over the smoothed stall fractions.
-// When the result equals the current plan, the current plan and the map
-// Assignment rendered from it stay.
+// The plan it returns is valid until Dunn's next call.
 //
 //lfoc:hotpath
 func (d *DunnDynamic) Reconfigure() plan.Plan {
@@ -145,31 +146,23 @@ func (d *DunnDynamic) Reconfigure() plan.Plan {
 			}
 		}
 	}
-	if !p.Equal(d.current) {
-		d.current = p.Clone()
-		d.assign = nil
-	}
+	d.current = p
 	d.have = true
-	return d.current
+	return p
 }
 
 // Assignment returns the masks of the current plan (overlapping layout).
-// It returns the same map until the plan changes; the caller must not
-// modify it.
+// The map is rewritten by every call; the caller must not modify it.
 //
 //lfoc:hotpath
 func (d *DunnDynamic) Assignment() (map[int]cat.WayMask, error) {
 	if !d.have {
 		d.Reconfigure()
 	}
-	if d.assign == nil {
-		m, err := d.current.MaskMap(d.ways)
-		if err != nil {
-			return nil, err
-		}
-		d.assign = m
+	if err := d.current.MasksInto(d.masks, d.ways); err != nil {
+		return nil, err
 	}
-	return d.assign, nil
+	return d.masks, nil
 }
 
 // StockDynamic is the no-partitioning dynamic baseline: every application
@@ -177,20 +170,25 @@ func (d *DunnDynamic) Assignment() (map[int]cat.WayMask, error) {
 type StockDynamic struct {
 	ways int
 	ids  []int
-	// plan and assign cache Reconfigure's and Assignment's results until
-	// the app set changes (no clusters / nil = rebuild).
-	plan   plan.Plan
-	assign map[int]cat.WayMask
+	// plan and masks are Reconfigure's and Assignment's results, which
+	// every call rewrites.
+	plan  plan.Plan
+	masks map[int]cat.WayMask
 }
 
 // NewStockDynamic creates the baseline for a way count.
-func NewStockDynamic(ways int) *StockDynamic { return &StockDynamic{ways: ways} }
+func NewStockDynamic(ways int) *StockDynamic {
+	return &StockDynamic{
+		ways:  ways,
+		plan:  plan.Plan{Clusters: []plan.Cluster{{Ways: ways}}},
+		masks: map[int]cat.WayMask{},
+	}
+}
 
 // AddApp registers an application.
 func (s *StockDynamic) AddApp(id int) error {
 	s.ids = append(s.ids, id)
 	sort.Ints(s.ids)
-	s.plan, s.assign = plan.Plan{}, nil
 	return nil
 }
 
@@ -199,7 +197,6 @@ func (s *StockDynamic) RemoveApp(id int) {
 	for i, v := range s.ids {
 		if v == id {
 			s.ids = append(s.ids[:i], s.ids[i+1:]...)
-			s.plan, s.assign = plan.Plan{}, nil
 			return
 		}
 	}
@@ -215,23 +212,19 @@ func (s *StockDynamic) OnWindow(int, pmc.Sample) bool { return false }
 // does no monitoring at all.
 func (s *StockDynamic) PassiveWindows() bool { return true }
 
-// Reconfigure returns the single full-LLC cluster.
+// Reconfigure returns the single full-LLC cluster. The plan is valid
+// until stock's next call.
 func (s *StockDynamic) Reconfigure() plan.Plan {
-	if s.plan.Clusters == nil {
-		c := plan.Cluster{Apps: append([]int(nil), s.ids...), Ways: s.ways}
-		s.plan = plan.Plan{Clusters: []plan.Cluster{c}}
-	}
+	s.plan.Clusters[0].Apps = s.ids
 	return s.plan
 }
 
-// Assignment gives every app the full mask. It returns the same map
-// until the app set changes; the caller must not modify it.
+// Assignment gives every app the full mask. The map is rewritten by
+// every call; the caller must not modify it.
 func (s *StockDynamic) Assignment() (map[int]cat.WayMask, error) {
-	if s.assign == nil {
-		s.assign = make(map[int]cat.WayMask, len(s.ids))
-		for _, id := range s.ids {
-			s.assign[id] = cat.FullMask(s.ways)
-		}
+	clear(s.masks)
+	for _, id := range s.ids {
+		s.masks[id] = cat.FullMask(s.ways)
 	}
-	return s.assign, nil
+	return s.masks, nil
 }

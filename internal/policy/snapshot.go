@@ -81,7 +81,6 @@ func (d *DunnDynamic) PolicyRestore(data []byte) error {
 	}
 	d.current = snap.Current
 	d.have = snap.Have
-	d.assign = nil
 	return nil
 }
 
@@ -104,6 +103,5 @@ func (s *StockDynamic) PolicyRestore(data []byte) error {
 		return fmt.Errorf("stock: restore: %w", err)
 	}
 	s.ids = append(s.ids[:0], snap.IDs...)
-	s.plan, s.assign = plan.Plan{}, nil
 	return nil
 }

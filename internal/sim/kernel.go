@@ -43,6 +43,9 @@ type kernelApp struct {
 	fracStall  float64
 	perf       appmodel.Perf
 	share      uint64
+	// mask is the app's CAT mask, copied from the policy's assignment
+	// by refreshMasks (0 = not assigned: the full LLC).
+	mask cat.WayMask
 
 	active     bool
 	evicted    bool    // lifted out by a lifecycle extraction, not departed
@@ -178,7 +181,6 @@ type kernel struct {
 	aloneTicks      uint64
 	aloneFloatTicks uint64
 
-	masks     map[int]cat.WayMask
 	perfDirty bool
 	// maskRefresh forces a mask refresh at the next loop top: a passive
 	// policy's OnWindow returned true during a sync (a contract
@@ -238,7 +240,6 @@ func newKernel(cfg Config, pol Dynamic, initial []*appmodel.Spec, closed *scenar
 		eval:          sharing.NewEvaluator(sharing.NewModel(cfg.Plat)),
 		equil:         make(map[string][]equilEntry),
 		equilMax:      equilCacheMax,
-		masks:         map[int]cat.WayMask{},
 		aloneIPSCache: map[*appmodel.PhaseSpec]float64{},
 		freq:          float64(cfg.Plat.FreqHz),
 		dt:            cfg.PolicyPeriod.Seconds() / float64(cfg.TicksPerPeriod),
@@ -288,21 +289,28 @@ func newKernel(cfg Config, pol Dynamic, initial []*appmodel.Spec, closed *scenar
 // admit creates a slot for spec and registers it with the policy. The
 // caller has verified a core is free.
 func (k *kernel) admit(spec *appmodel.Spec, arrivedAt float64, tag int) error {
-	a := &kernelApp{
-		slot:       len(k.apps),
-		monID:      k.nextMonID,
+	return k.addSlot(&kernelApp{
 		spec:       spec,
 		inst:       appmodel.NewInstance(spec),
-		quota:      RunQuota(k.cfg.TargetInsns, spec),
-		active:     true,
-		stepsDirty: true,
-		synced:     k.tick,
 		tag:        tag,
 		arrivedAt:  arrivedAt,
 		admittedAt: k.simTime,
 		runStart:   k.simTime,
-		departedAt: -1,
-	}
+	})
+}
+
+// addSlot makes a, whose spec, instance and progress the caller has
+// set, the newest active slot and registers it with the policy under a
+// fresh monitoring id. Its mask stays zero (the full LLC) until the
+// next refreshMasks.
+func (k *kernel) addSlot(a *kernelApp) error {
+	a.slot = len(k.apps)
+	a.monID = k.nextMonID
+	a.quota = RunQuota(k.cfg.TargetInsns, a.spec)
+	a.active = true
+	a.stepsDirty = true
+	a.synced = k.tick
+	a.departedAt = -1
 	k.nextMonID++
 	if err := k.pol.AddApp(a.monID); err != nil {
 		return err
@@ -363,6 +371,7 @@ func (k *kernel) compactActives() {
 func (k *kernel) refreshIdentity(a *kernelApp) error {
 	k.pol.RemoveApp(a.monID)
 	a.monID = k.nextMonID
+	a.mask = 0
 	k.nextMonID++
 	if err := k.pol.AddApp(a.monID); err != nil {
 		return err
@@ -372,10 +381,12 @@ func (k *kernel) refreshIdentity(a *kernelApp) error {
 	return nil
 }
 
-// refreshMasks re-reads the policy's CAT assignment. A passive policy
-// may still hold deferred windows of lagging apps, and Assignment may
-// read every app's history (Dunn re-clusters after AddApp/RemoveApp),
-// so every app is brought up to date first.
+// refreshMasks re-reads the policy's CAT assignment and copies each
+// active app's mask into its slot: the map is the policy's, valid only
+// until its next call. A passive policy may still hold deferred windows
+// of lagging apps, and Assignment may read every app's history (Dunn
+// re-clusters after AddApp/RemoveApp), so every app is brought up to
+// date first.
 func (k *kernel) refreshMasks() error {
 	if k.passiveWin {
 		k.syncAll()
@@ -384,7 +395,9 @@ func (k *kernel) refreshMasks() error {
 	if err != nil {
 		return err
 	}
-	k.masks = m
+	for _, a := range k.actives {
+		a.mask = m[a.monID]
+	}
 	k.maskRefresh = false
 	k.perfDirty = true
 	return nil
@@ -403,7 +416,7 @@ func (k *kernel) refreshPerf() {
 		if !a.active {
 			continue
 		}
-		mask := k.masks[a.monID]
+		mask := a.mask
 		if mask == 0 {
 			mask = cat.FullMask(k.cfg.Plat.Ways)
 		}

@@ -110,36 +110,19 @@ func (k *kernel) injectResident(r Resident) error {
 	if err := inst.SeekTo(r.PhaseIndex, r.IntoPhase, r.RunInsns); err != nil {
 		return err
 	}
-	a := &kernelApp{
-		slot:       len(k.apps),
-		monID:      k.nextMonID,
+	err := k.addSlot(&kernelApp{
 		spec:       r.Spec,
 		inst:       inst,
-		quota:      RunQuota(k.cfg.TargetInsns, r.Spec),
-		active:     true,
-		stepsDirty: true,
-		synced:     k.tick,
 		tag:        r.Attempts,
 		arrivedAt:  r.ArrivedAt,
 		admittedAt: r.AdmittedAt,
 		runStart:   r.RunStartAt,
 		runInsns:   r.RunInsns,
 		aloneT:     r.AloneSeconds,
-		departedAt: -1,
-	}
-	k.nextMonID++
-	if err := k.pol.AddApp(a.monID); err != nil {
+	})
+	if err != nil {
 		return err
 	}
-	a.nextWin = k.pol.WindowInsns(a.monID)
-	k.apps = append(k.apps, a)
-	k.actives = append(k.actives, a)
-	k.nActive++
-	if k.nActive > k.peak {
-		k.peak = k.nActive
-	}
-	k.winArr++
-	k.perfDirty = true
 	// Injection happens between runUntil calls, so the post-admission
 	// mask refresh the arrival path gets from its loop must run here.
 	return k.refreshMasks()

@@ -66,19 +66,17 @@ import (
 // release all per-app state there, or an open-system run leaks
 // monitoring state and classes of service.
 //
-// The map Assignment returns belongs to the policy: the caller must not
-// modify it. A policy may return the same map again from later calls,
-// but it never modifies a map it has returned, so a held map keeps the
-// layout it was returned with. The same holds for the plan Reconfigure
-// returns: a policy never modifies a plan it has returned, so a policy
-// that keeps its plan when a rerun yields an equal one may return the
-// same plan again.
+// The map Assignment returns and the plan Reconfigure returns belong to
+// the policy and are valid until its next method call: the caller must
+// not modify them, and a caller that needs them later copies what it
+// needs (the kernel copies each active app's mask into its slot). A
+// policy may rewrite both in place on any later call.
 //
 // Activations with no applications are idempotent. After one
 // Reconfigure with no applications registered, and until the next
-// AddApp, every further Reconfigure returns a plan Equal to that one,
-// every Assignment returns the same map, and a PolicySnapshotter's
-// PolicySnapshot bytes do not change. This holds for a fresh policy and
+// AddApp, every further Reconfigure returns a plan with the same
+// clusters, every Assignment returns the same masks, and a
+// PolicySnapshotter's PolicySnapshot bytes do not change. This holds for a fresh policy and
 // for one whose applications have all been removed, so once an idle
 // machine has made one activation, its later ones can be skipped
 // without changing anything its policy decides.
@@ -326,8 +324,8 @@ func NewFixedPlanPolicy(p plan.Plan, nApps, ways int) (*FixedPlanPolicy, error) 
 	if err := p.Validate(nApps, ways); err != nil {
 		return nil, err
 	}
-	masks, err := p.MaskMap(ways)
-	if err != nil {
+	masks := make(map[int]cat.WayMask, nApps)
+	if err := p.MasksInto(masks, ways); err != nil {
 		return nil, err
 	}
 	return &FixedPlanPolicy{ways: ways, plan: p, masks: masks}, nil

@@ -2,15 +2,19 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"math"
 	"reflect"
 	"testing"
 	"time"
 
 	"github.com/faircache/lfoc/internal/appmodel"
+	"github.com/faircache/lfoc/internal/cat"
 	"github.com/faircache/lfoc/internal/core"
 	"github.com/faircache/lfoc/internal/machine"
 	"github.com/faircache/lfoc/internal/plan"
+	"github.com/faircache/lfoc/internal/pmc"
 	"github.com/faircache/lfoc/internal/policy"
 	"github.com/faircache/lfoc/internal/profiles"
 	"github.com/faircache/lfoc/internal/sim/scenario"
@@ -332,9 +336,10 @@ func TestSamplingOverheadSmall(t *testing.T) {
 }
 
 // Dynamic's idle guarantee, for every policy that implements it: after
-// one activation with no applications, 100 more return an Equal plan
-// and the same map and leave the snapshot bytes as they were, both on a
-// fresh policy and on one that planned an application and lost it.
+// one activation with no applications, 100 more return a plan with the
+// same clusters and the same masks and leave the snapshot bytes as they
+// were, both on a fresh policy and on one that planned an application
+// and lost it.
 func TestIdleActivationsIdempotent(t *testing.T) {
 	plat := machine.Skylake()
 	policies := []struct {
@@ -390,23 +395,25 @@ func TestIdleActivationsIdempotent(t *testing.T) {
 					}
 					return data
 				}
-				first := pol.Reconfigure()
+				// Plans and maps are valid until the policy's next call,
+				// so the first ones are kept as copies.
+				first := fmt.Sprint(pol.Reconfigure())
 				snap := snapshot()
 				held, err := pol.Assignment()
 				if err != nil {
 					t.Fatal(err)
 				}
+				held = maps.Clone(held)
 				for i := 1; i <= 100; i++ {
-					if p := pol.Reconfigure(); !p.Equal(first) {
-						t.Fatalf("activation %d: plan %s, first idle activation gave %s",
-							i, p.Canonical(), first.Canonical())
+					if p := fmt.Sprint(pol.Reconfigure()); p != first {
+						t.Fatalf("activation %d: plan %s, first idle activation gave %s", i, p, first)
 					}
 					m, err := pol.Assignment()
 					if err != nil {
 						t.Fatal(err)
 					}
-					if reflect.ValueOf(m).Pointer() != reflect.ValueOf(held).Pointer() {
-						t.Fatalf("activation %d: Assignment returned a new map", i)
+					if !maps.Equal(m, held) {
+						t.Fatalf("activation %d: masks %v, first idle activation gave %v", i, m, held)
 					}
 					if got := snapshot(); !bytes.Equal(got, snap) {
 						t.Fatalf("activation %d: snapshot changed:\n%s\nwas\n%s", i, got, snap)
@@ -414,6 +421,106 @@ func TestIdleActivationsIdempotent(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// scribbler wraps a policy as the Dynamic contract lets a policy
+// behave: every call first overwrites each mask of the map the policy
+// last returned with a one-way mask, as a policy that rewrites its map
+// in place would. A kernel that read a map after the policy's next call
+// would run under the scribbled masks.
+type scribbler struct {
+	Dynamic
+	last map[int]cat.WayMask
+}
+
+func (s *scribbler) scribble() {
+	for id := range s.last {
+		s.last[id] = cat.MaskRange(0, 1)
+	}
+}
+
+func (s *scribbler) AddApp(id int) error {
+	s.scribble()
+	return s.Dynamic.AddApp(id)
+}
+
+func (s *scribbler) RemoveApp(id int) {
+	s.scribble()
+	s.Dynamic.RemoveApp(id)
+}
+
+func (s *scribbler) WindowInsns(id int) uint64 {
+	s.scribble()
+	return s.Dynamic.WindowInsns(id)
+}
+
+func (s *scribbler) OnWindow(id int, w pmc.Sample) bool {
+	s.scribble()
+	return s.Dynamic.OnWindow(id, w)
+}
+
+func (s *scribbler) Reconfigure() plan.Plan {
+	s.scribble()
+	return s.Dynamic.Reconfigure()
+}
+
+func (s *scribbler) Assignment() (map[int]cat.WayMask, error) {
+	s.scribble()
+	m, err := s.Dynamic.Assignment()
+	s.last = m
+	return m, err
+}
+
+// PassiveWindows forwards the wrapped policy's refinement, so a wrapped
+// run takes the same kernel path as a plain one.
+func (s *scribbler) PassiveWindows() bool {
+	p, ok := s.Dynamic.(PassiveWindows)
+	return ok && p.PassiveWindows()
+}
+
+// TestAssignmentValidUntilNextCall pins the kernel's half of the
+// Dynamic contract: it uses a returned map only until the policy's next
+// call. Closed and open runs under a scribbler must equal the plain
+// runs under every dynamic policy.
+func TestAssignmentValidUntilNextCall(t *testing.T) {
+	cfg := testConfig()
+	cfg.TargetInsns = 300_000_000
+	specs := specsOf("xalancbmk06", "lbm06", "povray06", "soplex06")
+	scn, err := scenario.NewPoisson("scribble", specs, 8, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"lfoc", "dunn", "stock"} {
+		t.Run(name, func(t *testing.T) {
+			pol := func(wrap bool) Dynamic {
+				p := horizonPolicy(t, name, cfg.Plat)
+				if wrap {
+					return &scribbler{Dynamic: p}
+				}
+				return p
+			}
+			closed := func(wrap bool) *Result {
+				res, err := RunDynamic(cfg, specs, pol(wrap))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			open := func(wrap bool) *OpenResult {
+				res, err := RunOpen(cfg, scn, pol(wrap))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			if plain, wrapped := closed(false), closed(true); !reflect.DeepEqual(plain, wrapped) {
+				t.Errorf("closed run under a scribbler diverges:\nplain   %+v\nwrapped %+v", plain.Summary, wrapped.Summary)
+			}
+			if plain, wrapped := open(false), open(true); !reflect.DeepEqual(plain, wrapped) {
+				t.Errorf("open run under a scribbler diverges:\nplain   %+v\nwrapped %+v", plain.Summary, wrapped.Summary)
+			}
+		})
 	}
 }
 

@@ -235,9 +235,9 @@ type SimResult = sim.Result
 // DynamicPolicy is the interface the simulator drives; *Controller,
 // *policy.DunnDynamic, *policy.StockDynamic and *sim.FixedPlanPolicy
 // implement it. A map returned by Assignment and a plan returned by
-// Reconfigure belong to the policy and must not be modified; an
-// implementer may hand the same map or plan out again, but never
-// modifies one it has returned.
+// Reconfigure belong to the policy and are valid until its next method
+// call: the caller must not modify them and copies what it keeps, and
+// an implementer may rewrite both in place on any later call.
 type DynamicPolicy = sim.Dynamic
 
 // RunDynamic co-runs a workload under a dynamic policy with the paper's
