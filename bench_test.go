@@ -512,12 +512,12 @@ func TestWholeRunAllocations(t *testing.T) {
 		budget float64 // allocations per run
 		run    func() error
 	}{
-		{"closed-batch", 423, closed(w, "lfoc")},
-		{"open-churn", 443, openChurn},
-		{"cluster-4", 1172, cluster4},
-		{"cluster-1k", 45056, cluster1k},
-		{"closed-dunn", 232, closed(w, "dunn")},
-		{"closed-p1", 1157, closed(p1, "lfoc")},
+		{"closed-batch", 336, closed(w, "lfoc")},
+		{"open-churn", 330, openChurn},
+		{"cluster-4", 972, cluster4},
+		{"cluster-1k", 37197, cluster1k},
+		{"closed-dunn", 225, closed(w, "dunn")},
+		{"closed-p1", 534, closed(p1, "lfoc")},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var err error

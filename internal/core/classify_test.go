@@ -39,7 +39,7 @@ func TestProfileExtrapolation(t *testing.T) {
 	}
 	// Slowdown relative to the extrapolated full-size IPC.
 	want := fp.Div(fp.FromMilli(900), fp.FromMilli(500))
-	if got := p.Slowdown(1); fp.Abs(got-want) > fp.FromMilli(2) {
+	if got := p.Slowdown(1); max(got-want, want-got) > fp.FromMilli(2) {
 		t.Errorf("Slowdown(1) = %v, want %v", got, want)
 	}
 	if p.Slowdown(11) != fp.One {

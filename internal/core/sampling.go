@@ -27,13 +27,23 @@ func NewSampling(params *Params) *SamplingState {
 }
 
 // restart is NewSampling in place: it starts a new sweep on s, keeping
-// the storage of its samples.
+// the storage of its samples, which the first restart sizes for the
+// longest sweep.
 //
 //lfoc:hotpath
 func (s *SamplingState) restart(params *Params) {
 	s.params, s.ways = params, 1
-	s.samples = s.samples[:0]
+	s.samples = emptied(s.samples, params.NrWays-1)
 	s.flatSteps, s.done = 0, false
+}
+
+// emptied returns buf with length 0 and room for n samples: a sweep
+// records at most NrWays−1 of them.
+func emptied(buf []ProfileSample, n int) []ProfileSample {
+	if cap(buf) < n {
+		return make([]ProfileSample, 0, n)
+	}
+	return buf[:0]
 }
 
 // CurrentWays returns the size of the sampling partition being measured.

@@ -27,10 +27,6 @@ const One Value = 1 << Shift
 // Half is the fixed-point representation of 0.5.
 const Half Value = One / 2
 
-// Max is the largest representable Value that is still safe to multiply
-// by another Value of similar magnitude without overflowing int64.
-const Max Value = math.MaxInt32
-
 // FromInt converts an integer to fixed point.
 func FromInt(i int) Value { return Value(i) << Shift }
 
@@ -98,41 +94,6 @@ func DivInt(a Value, n int) Value {
 		panic("fixedpoint: division by zero in DivInt")
 	}
 	return a / Value(n)
-}
-
-// Min returns the smaller of a and b.
-func Min(a, b Value) Value {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Max2 returns the larger of a and b.
-func Max2(a, b Value) Value {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Abs returns the absolute value of v.
-func Abs(v Value) Value {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// Clamp limits v to the inclusive range [lo, hi].
-func Clamp(v, lo, hi Value) Value {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // Sqrt returns the fixed-point square root of v using integer Newton
