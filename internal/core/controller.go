@@ -393,26 +393,26 @@ func (c *Controller) Plan() plan.Plan {
 //
 //lfoc:hotpath
 func (c *Controller) Assignment() (map[int]cat.WayMask, error) {
-	if c.activeSampling < 0 {
-		if !c.have {
-			c.rebuildPlan()
-		}
-		if err := c.current.MasksInto(c.masks, c.params.NrWays); err != nil {
+	if c.activeSampling >= 0 {
+		sampleMask, restMask, err := cat.SamplingLayout(c.apps[c.activeSampling].sampling.CurrentWays(), c.params.NrWays)
+		if err != nil {
 			return nil, err
+		}
+		clear(c.masks)
+		for _, id := range c.order {
+			if id == c.activeSampling {
+				c.masks[id] = sampleMask
+			} else {
+				c.masks[id] = restMask
+			}
 		}
 		return c.masks, nil
 	}
-	sampleMask, restMask, err := cat.SamplingLayout(c.apps[c.activeSampling].sampling.CurrentWays(), c.params.NrWays)
-	if err != nil {
-		return nil, err
+	if !c.have {
+		c.rebuildPlan()
 	}
-	clear(c.masks)
-	for _, id := range c.order {
-		if id == c.activeSampling {
-			c.masks[id] = sampleMask
-		} else {
-			c.masks[id] = restMask
-		}
+	if err := c.current.MasksInto(c.masks, c.params.NrWays); err != nil {
+		return nil, err
 	}
 	return c.masks, nil
 }
