@@ -76,10 +76,10 @@ import (
 // Reconfigure with no applications registered, and until the next
 // AddApp, every further Reconfigure returns a plan with the same
 // clusters, every Assignment returns the same masks, and a
-// PolicySnapshotter's PolicySnapshot bytes do not change. This holds for a fresh policy and
-// for one whose applications have all been removed, so once an idle
-// machine has made one activation, its later ones can be skipped
-// without changing anything its policy decides.
+// PolicySnapshotter's PolicySnapshot bytes do not change. This holds
+// for a fresh policy and for one whose applications have all been
+// removed, so once an idle machine has made one activation, its later
+// ones can be skipped without changing anything its policy decides.
 type Dynamic interface {
 	AddApp(id int) error
 	RemoveApp(id int)
