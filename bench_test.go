@@ -438,6 +438,9 @@ func TestWholeRunAllocations(t *testing.T) {
 	if v := runtime.Version(); v != "go1.24" && !strings.HasPrefix(v, "go1.24.") {
 		t.Skipf("allocation budgets are for go1.24, not %s", v)
 	}
+	if raceEnabled {
+		t.Skip("the race detector's runtime adds allocations the budgets do not count")
+	}
 	cfg := harness.DefaultConfig()
 	w, err := workloads.Get("S1")
 	if err != nil {

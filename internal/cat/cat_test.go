@@ -251,16 +251,6 @@ func TestSharingGroups(t *testing.T) {
 	}
 }
 
-func TestUnionMask(t *testing.T) {
-	u := UnionMask([]WayMask{MaskRange(0, 2), MaskRange(4, 2)})
-	if u != 0b110011 {
-		t.Errorf("UnionMask = %b", u)
-	}
-	if UnionMask(nil) != 0 {
-		t.Error("UnionMask(nil) != 0")
-	}
-}
-
 // Property: SequentialLayout masks are disjoint, contiguous, and their
 // union has exactly sum(counts) ways.
 func TestQuickSequentialLayout(t *testing.T) {

@@ -126,12 +126,3 @@ func SharingGroups(masks []WayMask) [][]int {
 	}
 	return out
 }
-
-// UnionMask returns the union of the given masks.
-func UnionMask(masks []WayMask) WayMask {
-	var u WayMask
-	for _, m := range masks {
-		u |= m
-	}
-	return u
-}

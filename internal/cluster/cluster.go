@@ -119,18 +119,16 @@ type Config struct {
 	// with Interrupted set, exactly as StopAfter does.
 	Cancel *sim.CancelFlag
 
-	// Testing knobs (internal tests only). eagerAdvance puts the fleet
-	// queue in its every-machine-every-arrival mode — the reference the
-	// lazy queue is differentially tested against. statsSink, when set,
-	// receives the advancement counters after the run.
-	eagerAdvance bool
-	statsSink    *fleetStats
+	// statsSink, when set, receives the advancement counters after the
+	// run (testing knob, internal tests only).
+	statsSink *fleetStats
 }
 
 // fleetStats counts the fleet-advancement work a run performed — the
 // evidence behind the fleet event queue's headline claim (advancing
-// ~10× fewer machine-steps per arrival than the eager mode on sparse
-// fleets). Internal: reachable only through Config.statsSink.
+// ~10× fewer machine-steps per arrival than the eager every-machine
+// reference on sparse fleets). Internal: reachable only through
+// Config.statsSink.
 type fleetStats struct {
 	// Advances counts machine advancement calls (AdvanceTo jobs
 	// executed, whether or not the machine had anything to do).
@@ -406,7 +404,6 @@ func Run(cfg Config, scn *scenario.Open, newPolicy func(machine int) (sim.Dynami
 	}
 
 	pool := newFleetPool(machines, states, cfg.Workers)
-	pool.q.all = cfg.eagerAdvance
 	defer pool.close()
 	defer pool.reportStats(cfg.statsSink)
 
@@ -680,6 +677,11 @@ func (p *fleetPool) batchErr(due []int) error {
 	return nil
 }
 
+// dueMachines is advanceDue's due-set query, the fleet event queue's
+// collectDue. Tests swap in every machine at every instant, the eager
+// reference the lazy queue must reproduce; nothing else assigns it.
+var dueMachines = (*fleetQueue).collectDue
+
 // advanceDue advances only the machines whose event horizon has passed
 // t (per the fleet event queue), recomputes their horizons on the
 // workers and applies them to the queue serially. Machines left alone
@@ -688,7 +690,7 @@ func (p *fleetPool) batchErr(due []int) error {
 // have produced.
 func (p *fleetPool) advanceDue(t float64) error {
 	p.syncs++
-	p.dueBuf = p.q.collectDue(t, p.dueBuf[:0])
+	p.dueBuf = dueMachines(p.q, t, p.dueBuf[:0])
 	due := p.dueBuf
 	if len(due) == 0 {
 		return nil

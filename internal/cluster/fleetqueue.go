@@ -28,16 +28,11 @@ import "math"
 // an advance happens on the worker pool, into a side slice the serial
 // caller then applies one key at a time (updateAll), so the structure
 // is deterministic at any worker count.
-//
-// With all set, collectDue reports every machine at every instant: the
-// eager every-machine-every-arrival reference the lazy queue is
-// differentially tested against (internal tests only).
 type fleetQueue struct {
 	horizon []float64
 	heap    []int
 	pos     []int
 	stack   []int // collectDue descent scratch
-	all     bool
 }
 
 // newFleetQueue builds the queue with every machine due at time zero:
@@ -149,12 +144,6 @@ func (q *fleetQueue) grow(h float64) {
 // nodes — and leaves the heap untouched: the caller advances the due
 // machines and hands their recomputed horizons to updateAll.
 func (q *fleetQueue) collectDue(t float64, dst []int) []int {
-	if q.all {
-		for i := range q.horizon {
-			dst = append(dst, i)
-		}
-		return dst
-	}
 	if len(q.heap) == 0 || math.IsInf(t, -1) {
 		return dst
 	}

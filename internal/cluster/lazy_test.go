@@ -1,12 +1,12 @@
 package cluster
 
 // Differential tests for the lazy fleet event queue: the heap-driven
-// advancement path must be bit-identical to the queue's every-machine
-// mode (Config.eagerAdvance, kept for exactly this comparison) across
-// placements, worker counts, heterogeneous fleets and lifecycle
-// schedules — and must do strictly less machine-advancement work on
-// sparse fleets. CI runs this package under -race, which also
-// exercises the parallel horizon-recompute path.
+// advancement path must be bit-identical to the eager reference, which
+// advances every machine at every synchronization instant (allDue,
+// swapped in through dueMachines), across placements, worker counts,
+// heterogeneous fleets and lifecycle schedules — and must do strictly
+// less machine-advancement work on sparse fleets. CI runs this package
+// under -race, which also exercises the parallel horizon-recompute path.
 
 import (
 	"fmt"
@@ -51,6 +51,24 @@ func lazyScenario(t *testing.T, rate, window float64, seed int64) *scenario.Open
 	return scn
 }
 
+// allDue is the eager reference's due set: every machine, in index
+// order, at every instant.
+func allDue(q *fleetQueue, _ float64, dst []int) []int {
+	for i := range q.horizon {
+		dst = append(dst, i)
+	}
+	return dst
+}
+
+// eagerQueue makes advanceDue advance every machine (allDue) until the
+// returned function restores the lazy queue:
+//
+//	defer eagerQueue()()
+func eagerQueue() func() {
+	dueMachines = allDue
+	return func() { dueMachines = (*fleetQueue).collectDue }
+}
+
 func stockPolicyFactory(sims []sim.Config) func(int) (sim.Dynamic, error) {
 	return func(i int) (sim.Dynamic, error) {
 		return policy.NewStockDynamic(sims[i].Plat.Ways), nil
@@ -70,8 +88,10 @@ func sameResults(a, b *Result) bool {
 func runDiffPair(t *testing.T, mkCfg func() Config, rate, window float64, seed int64) (lazy, eager *Result, lazyStats, eagerStats fleetStats) {
 	t.Helper()
 	run := func(eagerMode bool) (*Result, fleetStats) {
+		if eagerMode {
+			defer eagerQueue()()
+		}
 		cfg := mkCfg()
-		cfg.eagerAdvance = eagerMode
 		var st fleetStats
 		cfg.statsSink = &st
 		sims, err := cfg.MachineConfigs()

@@ -53,22 +53,6 @@ func FromFloat(f float64) Value {
 // only.
 func (v Value) Float() float64 { return float64(v) / float64(One) }
 
-// Int returns v truncated toward zero to an integer.
-func (v Value) Int() int {
-	if v < 0 {
-		return -int((-v) >> Shift)
-	}
-	return int(v >> Shift)
-}
-
-// Round returns v rounded to the nearest integer.
-func (v Value) Round() int {
-	if v >= 0 {
-		return int((v + Half) >> Shift)
-	}
-	return -int((-v + Half) >> Shift)
-}
-
 // Milli returns v expressed in thousandths, rounded to nearest.
 func (v Value) Milli() int64 {
 	if v >= 0 {
@@ -86,63 +70,6 @@ func Div(a, b Value) Value {
 		panic("fixedpoint: division by zero in Div")
 	}
 	return Value((int64(a) << Shift) / int64(b))
-}
-
-// DivInt returns a divided by the integer n. n must be nonzero.
-func DivInt(a Value, n int) Value {
-	if n == 0 {
-		panic("fixedpoint: division by zero in DivInt")
-	}
-	return a / Value(n)
-}
-
-// Sqrt returns the fixed-point square root of v using integer Newton
-// iteration. It panics if v is negative.
-func Sqrt(v Value) Value {
-	if v < 0 {
-		panic("fixedpoint: Sqrt of negative value")
-	}
-	if v == 0 {
-		return 0
-	}
-	// Compute sqrt(raw << Shift) in the integer domain so the result is
-	// again Q16.16: sqrt(v/2^16) * 2^16 == sqrt(v * 2^16).
-	n := uint64(v) << Shift
-	// Initial guess must be >= sqrt(n) for the monotone-descent exit test
-	// below: with b the highest set bit, n < 2^(b+1), so
-	// sqrt(n) < 2^((b+1)/2) <= 2^(b/2+1).
-	x := uint64(1) << (bits64(n)/2 + 1)
-	for {
-		y := (x + n/x) / 2
-		if y >= x {
-			break
-		}
-		x = y
-	}
-	return Value(x)
-}
-
-// bits64 returns the position of the highest set bit of n (0-based), or 0
-// for n == 0.
-func bits64(n uint64) uint {
-	var b uint
-	for n > 1 {
-		n >>= 1
-		b++
-	}
-	return b
-}
-
-// Mean returns the arithmetic mean of vs, or 0 for an empty slice.
-func Mean(vs []Value) Value {
-	if len(vs) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, v := range vs {
-		sum += int64(v)
-	}
-	return Value(sum / int64(len(vs)))
 }
 
 // String formats v with three decimal places.

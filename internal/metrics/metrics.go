@@ -1,5 +1,5 @@
 // Package metrics implements the evaluation metrics of §2.1: per-program
-// Slowdown (Eq. 1/2), workload Unfairness (Eq. 3) and System Throughput /
+// Slowdown (Eq. 1), workload Unfairness (Eq. 3) and System Throughput /
 // STP, a.k.a. Weighted Speedup (Eq. 4), plus the geometric-mean helpers
 // the methodology of §5 relies on.
 package metrics
@@ -16,14 +16,6 @@ func Slowdown(ctShared, ctAlone float64) (float64, error) {
 		return 0, fmt.Errorf("metrics: completion times must be positive (shared=%v alone=%v)", ctShared, ctAlone)
 	}
 	return ctShared / ctAlone, nil
-}
-
-// SlowdownFromIPC computes IPC_alone / IPC_shared (Eq. 2).
-func SlowdownFromIPC(ipcAlone, ipcShared float64) (float64, error) {
-	if ipcAlone <= 0 || ipcShared <= 0 {
-		return 0, fmt.Errorf("metrics: IPC values must be positive (alone=%v shared=%v)", ipcAlone, ipcShared)
-	}
-	return ipcAlone / ipcShared, nil
 }
 
 // Unfairness computes MAX(slowdowns)/MIN(slowdowns) (Eq. 3, lower is
@@ -77,22 +69,6 @@ func GeoMean(vs []float64) (float64, error) {
 		logSum += math.Log(v)
 	}
 	return math.Exp(logSum / float64(len(vs))), nil
-}
-
-// Normalize divides each value by the corresponding baseline value, as
-// Figs. 6 and 7 normalize unfairness and STP to Stock-Linux.
-func Normalize(values, baseline []float64) ([]float64, error) {
-	if len(values) != len(baseline) {
-		return nil, fmt.Errorf("metrics: normalize length mismatch %d vs %d", len(values), len(baseline))
-	}
-	out := make([]float64, len(values))
-	for i := range values {
-		if baseline[i] == 0 {
-			return nil, fmt.Errorf("metrics: zero baseline at %d", i)
-		}
-		out[i] = values[i] / baseline[i]
-	}
-	return out, nil
 }
 
 // Summary bundles the two headline metrics for one workload under one

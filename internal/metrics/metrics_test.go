@@ -18,18 +18,6 @@ func TestSlowdown(t *testing.T) {
 	}
 }
 
-func TestSlowdownFromIPC(t *testing.T) {
-	if s, err := SlowdownFromIPC(2, 1); err != nil || s != 2 {
-		t.Errorf("SlowdownFromIPC = %v, %v", s, err)
-	}
-	if _, err := SlowdownFromIPC(-1, 1); err == nil {
-		t.Error("negative IPC accepted")
-	}
-	if _, err := SlowdownFromIPC(1, 0); err == nil {
-		t.Error("zero IPC accepted")
-	}
-}
-
 func TestUnfairness(t *testing.T) {
 	u, err := Unfairness([]float64{1.0, 2.0, 1.5})
 	if err != nil || u != 2.0 {
@@ -80,19 +68,6 @@ func TestGeoMean(t *testing.T) {
 	}
 	if _, err := GeoMean([]float64{1, 0}); err == nil {
 		t.Error("zero accepted")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out, err := Normalize([]float64{2, 6}, []float64{4, 3})
-	if err != nil || out[0] != 0.5 || out[1] != 2 {
-		t.Errorf("Normalize = %v, %v", out, err)
-	}
-	if _, err := Normalize([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := Normalize([]float64{1}, []float64{0}); err == nil {
-		t.Error("zero baseline accepted")
 	}
 }
 

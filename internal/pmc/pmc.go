@@ -100,7 +100,7 @@ type Counter struct {
 // reading, so adding n per-interval samples is field-identical to
 // adding their field-wise sum carrying the last interval's occupancy —
 // window totals and ReadWindow boundaries cannot tell the difference.
-// The simulator's event-horizon fast path relies on this to issue one
+// The simulator's event-horizon advancement relies on this to issue one
 // add per app per horizon instead of one per tick
 // (TestCounterBatchedAddEquivalence pins it).
 //

@@ -1,9 +1,10 @@
 package sim
 
-// Benchmarks contrasting the event-horizon batched advancement with the
-// legacy per-tick reference path at the default TicksPerPeriod=250 and
-// the harness's scale-50 cadences — the measured speedups quoted in
-// DESIGN.md §2 "Time advancement" come from these.
+// Benchmarks contrasting the event-horizon batched advancement
+// ("horizon") with the per-tick reference path ("legacy", advanceTick)
+// at the default TicksPerPeriod=250 and the harness's scale-50 cadences
+// — the measured speedups quoted in DESIGN.md §2 "Time advancement"
+// come from these.
 
 import (
 	"fmt"
@@ -15,13 +16,20 @@ import (
 	"github.com/faircache/lfoc/internal/workloads"
 )
 
-func benchOpenConfig(legacy bool) Config {
+func benchOpenConfig() Config {
 	return Config{
 		Plat:           machine.Skylake(),
 		TargetInsns:    3_000_000_000,
 		PolicyPeriod:   10 * time.Millisecond,
 		TicksPerPeriod: 250,
-		noEventHorizon: legacy,
+	}
+}
+
+// benchMode switches runUntil to the per-tick reference path for the
+// rest of a "legacy" sub-benchmark.
+func benchMode(b *testing.B, mode string) {
+	if mode == "legacy" {
+		b.Cleanup(perTick())
 	}
 }
 
@@ -31,7 +39,8 @@ func BenchmarkKernelOpenChurn(b *testing.B) {
 	pool := specsOf("xalancbmk06", "lbm06", "povray06", "soplex06", "omnetpp06")
 	for _, mode := range []string{"horizon", "legacy"} {
 		b.Run(mode, func(b *testing.B) {
-			cfg := benchOpenConfig(mode == "legacy")
+			benchMode(b, mode)
+			cfg := benchOpenConfig()
 			var ticks float64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -56,7 +65,8 @@ func BenchmarkKernelClosed(b *testing.B) {
 	specs := specsOf("xalancbmk06", "lbm06", "povray06", "soplex06")
 	for _, mode := range []string{"horizon", "legacy"} {
 		b.Run(mode, func(b *testing.B) {
-			cfg := benchOpenConfig(mode == "legacy")
+			benchMode(b, mode)
+			cfg := benchOpenConfig()
 			var ticks float64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -86,7 +96,8 @@ func BenchmarkKernelChurnSweep(b *testing.B) {
 		for _, polName := range []string{"stock", "dunn", "lfoc"} {
 			for _, mode := range []string{"horizon", "legacy"} {
 				b.Run(fmt.Sprintf("rate%g/%s/%s", rate, polName, mode), func(b *testing.B) {
-					cfg := benchOpenConfig(mode == "legacy")
+					benchMode(b, mode)
+					cfg := benchOpenConfig()
 					var ticks float64
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {

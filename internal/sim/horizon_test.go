@@ -1,23 +1,24 @@
 package sim
 
-// Tests for the event-horizon fast path (advanceHorizon) and the
-// two-generation equilibrium memo: the batched and legacy per-tick
-// advancement must be bit-identical on every field of every result, for
-// every scenario shape, machine shape and tick granularity, and cache
-// eviction must never dump the equilibrium working set.
+// Tests for the event-horizon path (advanceHorizon) and the
+// two-generation equilibrium memo: the batched advancement and the
+// per-tick reference (advanceTick, pertick_test.go) must be bit-identical
+// on every field of every result, for every scenario shape, machine
+// shape and tick granularity, and cache eviction must never dump the
+// equilibrium working set.
 
 import (
 	"fmt"
 	"math"
 	"reflect"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"github.com/faircache/lfoc/internal/appmodel"
 	"github.com/faircache/lfoc/internal/core"
 	"github.com/faircache/lfoc/internal/machine"
 	"github.com/faircache/lfoc/internal/policy"
+	"github.com/faircache/lfoc/internal/sim/binade"
 	"github.com/faircache/lfoc/internal/sim/scenario"
 )
 
@@ -124,9 +125,10 @@ func TestEventHorizonDifferential(t *testing.T) {
 				scn = uniformTrace(t, pool, 0.11, 10+int(seed))
 			}
 			run := func(legacy bool) *OpenResult {
-				c := cfg
-				c.noEventHorizon = legacy
-				res, err := RunOpen(c, scn, horizonPolicy(t, polName, plat))
+				if legacy {
+					defer perTick()()
+				}
+				res, err := RunOpen(cfg, scn, horizonPolicy(t, polName, plat))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -152,11 +154,12 @@ func TestEventHorizonDifferentialClosed(t *testing.T) {
 				cfg.PolicyPeriod = 10 * time.Millisecond
 				cfg.TicksPerPeriod = tpp
 				run := func(legacy bool) *Result {
-					c := cfg
-					c.noEventHorizon = legacy
+					if legacy {
+						defer perTick()()
+					}
 					scn := scenario.NewClosed(specs, 3)
 					scn.ResetIdentityOnRestart = reset
-					res, err := RunClosed(c, scn, horizonPolicy(t, "lfoc", c.Plat))
+					res, err := RunClosed(cfg, scn, horizonPolicy(t, "lfoc", cfg.Plat))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -229,11 +232,13 @@ func TestEventHorizonDifferentialMigration(t *testing.T) {
 	for _, polName := range []string{"stock", "lfoc"} {
 		t.Run(polName, func(t *testing.T) {
 			run := func(legacy bool) [2]*OpenResult {
+				if legacy {
+					defer perTick()()
+				}
 				cfg := Config{
-					Plat:           machine.Small(8, 4),
-					TargetInsns:    1_500_000_000, // both apps outlive the migration
-					PolicyPeriod:   10 * time.Millisecond,
-					noEventHorizon: legacy,
+					Plat:         machine.Small(8, 4),
+					TargetInsns:  1_500_000_000, // both apps outlive the migration
+					PolicyPeriod: 10 * time.Millisecond,
 				}
 				src, err := NewOpenMachine(cfg, horizonPolicy(t, polName, cfg.Plat), "src",
 					specsOf("lbm06", "povray06"), 0)
@@ -299,9 +304,9 @@ func TestLazyAppAdvanceSavings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyCfg := cfg
-	legacyCfg.noEventHorizon = true
-	legacy, err := RunClosed(legacyCfg, scenario.NewClosed(specs, 0), horizonPolicy(t, "lfoc", cfg.Plat))
+	restore := perTick()
+	legacy, err := RunClosed(cfg, scenario.NewClosed(specs, 0), horizonPolicy(t, "lfoc", cfg.Plat))
+	restore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,70 +395,6 @@ func TestEquilCacheRotationKeepsWorkingSet(t *testing.T) {
 	}
 }
 
-// TestCarryBatchMatchesFloatTicks is the focused exactness pin for the
-// integer carry advancement (carryGrid/carryRun/carryBatch): for random
-// steps across magnitudes — including sub-1 steps and binade edges that
-// must take the float fallback — and random starting carries, a batched
-// advance must reproduce the legacy per-tick float loop bit-for-bit:
-// same total output, same final carry.
-func TestCarryBatchMatchesFloatTicks(t *testing.T) {
-	f := func(stepBits uint32, fracBits uint16, ticksRaw uint16, scale uint8) bool {
-		// Steps spread over magnitudes 2^-8 .. 2^24-ish.
-		step := float64(stepBits) / 256 * math.Pow(2, float64(scale%16))
-		frac := float64(fracBits) / 65536 // [0,1)
-		ticks := int(ticksRaw)%2000 + 1
-
-		// Reference: the legacy per-tick float loop.
-		refFrac := frac
-		var refSum uint64
-		for i := 0; i < ticks; i++ {
-			refFrac += step
-			v := uint64(refFrac)
-			refFrac -= float64(v)
-			refSum += v
-		}
-
-		g := carryGrid(step)
-		gotFrac := frac
-		gotSum := carryBatch(&gotFrac, step, &g, ticks)
-		return gotSum == refSum && math.Float64bits(gotFrac) == math.Float64bits(refFrac)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestCarryGridEdges pins the fallback decisions: sub-1 steps, binade
-// edges and huge steps must refuse the integer path rather than risk a
-// rounding divergence.
-func TestCarryGridEdges(t *testing.T) {
-	for _, step := range []float64{0, 0.25, 0.999999, 1 << 52, math.Inf(1), math.NaN()} {
-		if g := carryGrid(step); g.ok {
-			t.Errorf("step %v must take the float path", step)
-		}
-	}
-	// ⌊step⌋+2 crossing the binade: step+1 could round past 2^17.
-	if g := carryGrid(131071.5); g.ok {
-		t.Error("binade-edge step must take the float path")
-	}
-	if g := carryGrid(80000.25); !g.ok || g.base != 80000 {
-		t.Errorf("well-formed step rejected: %+v", g)
-	}
-}
-
-// legacyClock is the per-tick clock loop advanceClock must reproduce:
-// one float add per tick until n ticks, stop or maxTime.
-func legacyClock(simTime, dt float64, n int, stop, maxTime float64) (float64, int) {
-	ticks := 0
-	for {
-		simTime += dt
-		ticks++
-		if ticks >= n || simTime >= stop || simTime > maxTime {
-			return simTime, ticks
-		}
-	}
-}
-
 // legacyInsnsChain is advanceTick's instruction and alone-clock chain,
 // one float tick at a time, stopping after maxTicks ticks or at the
 // first tick whose cumulative retirement reaches winLeft — the contract
@@ -475,26 +416,24 @@ func legacyInsnsChain(frac, aloneT, step, ips float64, winLeft uint64, maxTicks 
 	return ticks, cum, frac, aloneT
 }
 
-// FuzzBinadeSum pins the binade-exact float sums (gridOf, ulpsOf) bit
-// for bit against the per-tick loops they replace. From an accumulator
-// acc, an addend x, an instruction step (stepRaw: exponent mod 24 and
-// a free 52-bit mantissa, so every step is in [1, 2^24)), a starting
-// carry, a tick count and threshold selectors, it checks
-//   - the clock: advanceClock from simTime acc by dt x against
-//     legacyClock, with stop and maxTime on a tick's exact time, one
-//     ulp below it, one ulp above it or absent (edge bits 0–3), at
-//     ticks chosen by at: same final bits, same breaking tick;
-//   - the alone-clock: advanceInsnsChain from aloneT acc at solo rate
-//     ⌊step⌋/x (so the tick quotients are about x and x·(1+1/⌊step⌋))
-//     against legacyInsnsChain, with the window threshold on a tick's
-//     cumulative retirement, one below, one above or absent (edge bits
-//     4–5): same clock bits, carry bits, retirement and ticks.
+// FuzzBinadeSum pins the alone-clock's binade-exact sum
+// (binade.AloneRun, reached through advanceInsnsChain) bit for bit
+// against the per-tick loop it replaces. From an accumulator acc, an
+// addend x, an instruction step (stepRaw: exponent mod 24 and a free
+// 52-bit mantissa, so every step is in [1, 2^24)), a starting carry, a
+// tick count and a threshold selector, it runs advanceInsnsChain from
+// aloneT acc at solo rate ⌊step⌋/x (so the tick quotients are about x
+// and x·(1+1/⌊step⌋)) against legacyInsnsChain, with the window
+// threshold on the cumulative retirement of the tick chosen by at, one
+// below, one above or absent (edge mod 4): same clock bits, carry bits,
+// retirement and ticks. The clock's sum is pinned by binade's
+// FuzzAdvanceClock.
 //
 // The seeds cover a zero accumulator, accumulators just below a power
 // of two, ties (x is 1.5 or 2.5 ulps of acc), addends below half an ulp
 // (d = 0), addends larger than the accumulator, a subnormal addend, a
 // dyadic tick, binade crossings inside one call, a window reached with
-// no remainder, and the step magnitudes of
+// no remainder, and the step magnitudes of binade's
 // TestCarryBatchMatchesFloatTicks.
 func FuzzBinadeSum(f *testing.F) {
 	stepBits := func(step float64) uint64 { // inverse of the decoding below, for step in [1, 2^24)
@@ -508,22 +447,22 @@ func FuzzBinadeSum(f *testing.F) {
 		at           uint32
 		edge         uint8
 	}{
-		{0, 0.01 / 250, 44153.87, 0x5555555555555555, 3000, 0x07d00bb8, 0x00},
-		{math.Nextafter(1, 0), 0.01 / 617, 80000.25, 1 << 62, 4000, 0x00020003, 0x05},
-		{math.Nextafter(1024, 0), 1.0 / 1024, 1.5, 0, 2000, 0x03e801f4, 0x1a},
-		{1, 3 * 0x1p-53, 6.25, 0, 512, 0x01000100, 0x20},         // tie: x/u = 1.5 (ips = 2^54, so inc0 = x)
-		{1, 5 * 0x1p-53, 10.25, 0, 512, 0x01000100, 0x3f},        // tie: x/u = 2.5, and inc1 = 2.75 ulps flips K's parity
-		{1, 0x1p-54, 6.25, 1 << 40, 700, 0x00100200, 0x09},       // d = 0: x/u = 1/4
-		{0x1p60, 0.01 / 250, 44153.87, 0, 900, 0x0300012c, 0x16}, // d = 0 on a huge accumulator
-		{1e-9, 0.01 / 250, 7.125, 12345, 1500, 0x000a0005, 0x2f}, // addend ≫ accumulator
-		{0.5, 0x1p-10, 2048.75, 0, 4095, 0x0c000400, 0x00},       // dyadic: every add exact
-		{0.5, 0x1p-10, 2048.75, 0, 4095, 0x0c010401, 0x26},
-		{3.7, 0.01 / 617, 131071.5, 99, 3000, 0x0bb80064, 0x11}, // binade-edge step: float chain
-		{12.25, 0.01 / 50, 0x1p23 + 0.5, 1 << 50, 2500, 0x09c40032, 0x3e},
-		{0.01, 0.01 / 250, 1.0000001, 7, 1024, 0x00400400, 0x31},
-		{2.5, 0.01 / 250, 1000, 0, 800, 0x00c80190, 0x00},     // integer step, zero carry: a window reached exactly
-		{0x1p-1000, 0x1p-1060, 5.5, 0, 300, 0x00100020, 0x05}, // subnormal addend
-		{1, 1e-3, 2.5, 1 << 52, 4000, 0x0fa00fa0, 0x3f},       // d1 ≈ 1.5·d0, several binade crossings
+		{0, 0.01 / 250, 44153.87, 0x5555555555555555, 3000, 0x07d00bb8, 0},
+		{math.Nextafter(1, 0), 0.01 / 617, 80000.25, 1 << 62, 4000, 0x00020003, 0},
+		{math.Nextafter(1024, 0), 1.0 / 1024, 1.5, 0, 2000, 0x03e801f4, 1},
+		{1, 3 * 0x1p-53, 6.25, 0, 512, 0x01000100, 2},         // tie: x/u = 1.5 (ips = 2^54, so inc0 = x)
+		{1, 5 * 0x1p-53, 10.25, 0, 512, 0x01000100, 3},        // tie: x/u = 2.5, and inc1 = 2.75 ulps flips K's parity
+		{1, 0x1p-54, 6.25, 1 << 40, 700, 0x00100200, 0},       // d = 0: x/u = 1/4
+		{0x1p60, 0.01 / 250, 44153.87, 0, 900, 0x0300012c, 1}, // d = 0 on a huge accumulator
+		{1e-9, 0.01 / 250, 7.125, 12345, 1500, 0x000a0005, 2}, // addend ≫ accumulator
+		{0.5, 0x1p-10, 2048.75, 0, 4095, 0x0c000400, 0},       // dyadic: every add exact
+		{0.5, 0x1p-10, 2048.75, 0, 4095, 0x0c010401, 2},
+		{3.7, 0.01 / 617, 131071.5, 99, 3000, 0x0bb80064, 1}, // binade-edge step: float chain
+		{12.25, 0.01 / 50, 0x1p23 + 0.5, 1 << 50, 2500, 0x09c40032, 3},
+		{0.01, 0.01 / 250, 1.0000001, 7, 1024, 0x00400400, 3},
+		{2.5, 0.01 / 250, 1000, 0, 800, 0x00c80190, 0},     // integer step, zero carry: a window reached exactly
+		{0x1p-1000, 0x1p-1060, 5.5, 0, 300, 0x00100020, 0}, // subnormal addend
+		{1, 1e-3, 2.5, 1 << 52, 4000, 0x0fa00fa0, 3},       // d1 ≈ 1.5·d0, several binade crossings
 	}
 	for _, s := range seeds {
 		f.Add(s.acc, s.x, stepBits(s.step), s.carry, s.ticks, s.at, s.edge)
@@ -531,36 +470,12 @@ func FuzzBinadeSum(f *testing.F) {
 	f.Fuzz(func(t *testing.T, acc, x float64, stepRaw, carry uint64, ticks uint16, at uint32, edge uint8) {
 		acc, x = math.Abs(acc), math.Abs(x)
 		n := int(ticks)%4096 + 1
-		near := func(v float64, sel uint8) float64 {
-			switch sel % 4 {
-			case 1:
-				return math.Nextafter(v, math.Inf(-1))
-			case 2:
-				return math.Nextafter(v, math.Inf(1))
-			case 3:
-				return math.Inf(1)
-			}
-			return v
-		}
-
-		// Clock.
-		tStop, _ := legacyClock(acc, x, int(at)%n+1, math.Inf(1), math.Inf(1))
-		tMax, _ := legacyClock(acc, x, int(at>>16)%n+1, math.Inf(1), math.Inf(1))
-		stop, maxTime := near(tStop, edge), near(tMax, edge>>2)
-		wantT, wantTicks := legacyClock(acc, x, n, stop, maxTime)
-		k := &kernel{simTime: acc, dt: x}
-		if got := k.advanceClock(n, stop, maxTime); got != wantTicks || math.Float64bits(k.simTime) != math.Float64bits(wantT) {
-			t.Fatalf("clock from %v by %v over %d ticks (stop %v, maxTime %v): got %v after %d ticks, want %v after %d",
-				acc, x, n, stop, maxTime, k.simTime, got, wantT, wantTicks)
-		}
-
-		// Alone-clock.
 		step := math.Float64frombits((1023+(stepRaw>>52)%24)<<52 | stepRaw&(1<<52-1))
 		frac := float64(carry>>11) / (1 << 53) // [0, 1)
 		ips := math.Floor(step) / x
 		_, cumAt, _, _ := legacyInsnsChain(frac, acc, step, ips, math.MaxUint64, int(at)%n+1)
 		var winLeft uint64 = math.MaxUint64
-		switch (edge >> 4) % 4 {
+		switch edge % 4 {
 		case 0:
 			winLeft = cumAt
 		case 1:
@@ -569,7 +484,8 @@ func FuzzBinadeSum(f *testing.F) {
 			winLeft = cumAt + 1
 		}
 		wantTicks, wantCum, wantFrac, wantAlone := legacyInsnsChain(frac, acc, step, ips, winLeft, n)
-		a := &kernelApp{insnStep: step, insnGrid: carryGrid(step), fracInsns: frac, aloneT: acc, aloneIPS: ips, nextWin: winLeft}
+		k := &kernel{}
+		a := &kernelApp{insnStep: step, insnGrid: binade.CarryGrid(step), fracInsns: frac, aloneT: acc, aloneIPS: ips, nextWin: winLeft}
 		gotTicks, gotCum := k.advanceInsnsChain(a, nil, n)
 		if gotTicks != wantTicks || gotCum != wantCum ||
 			math.Float64bits(a.fracInsns) != math.Float64bits(wantFrac) ||

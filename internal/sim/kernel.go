@@ -1,7 +1,9 @@
-// This file holds the event-horizon carry chains whose float
-// trajectories must be bit-identical across architectures; floatpin
-// (cmd/lfoc-vet) checks every multiply-add here for an explicit
-// float64(...) rounding pin. See docs/static-analysis.md.
+// This file holds the per-tick rate products and the horizon estimate
+// of the event-horizon kernel, whose float results must be bit-identical
+// across architectures; floatpin (cmd/lfoc-vet) checks every
+// multiply-add here for an explicit float64(...) rounding pin. See
+// docs/static-analysis.md. The exact carry and clock arithmetic, with
+// its proofs, lives in internal/sim/binade.
 //
 //lfoc:floatstrict
 package sim
@@ -10,13 +12,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"github.com/faircache/lfoc/internal/appmodel"
 	"github.com/faircache/lfoc/internal/cat"
 	"github.com/faircache/lfoc/internal/metrics"
 	"github.com/faircache/lfoc/internal/pmc"
 	"github.com/faircache/lfoc/internal/sharing"
+	"github.com/faircache/lfoc/internal/sim/binade"
 	"github.com/faircache/lfoc/internal/sim/scenario"
 )
 
@@ -62,27 +64,26 @@ type kernelApp struct {
 	alonePhase *appmodel.PhaseSpec
 	aloneIPS   float64
 
-	// Rate-invariant state of the event-horizon fast path, derived
-	// from perf (and the kernel's fixed freq/dt) by refreshSteps when
-	// stepsDirty: the per-tick rate products in the legacy expression
-	// shape, their integer carry grids, and the reciprocal rate the
-	// horizon bound divides by. Refreshed only when setRate installs a
-	// different perf or share.
+	// Rate-invariant advancement state, derived from perf (and the
+	// kernel's fixed freq/dt) by refreshSteps when stepsDirty: the
+	// per-tick rate products, their integer carry grids, and the
+	// reciprocal rate the horizon bound divides by. Refreshed only when
+	// setRate installs a different perf or share.
 	stepsDirty bool
 	insnStep   float64
 	cycleStep  float64
 	missStep   float64
 	stallStep  float64
-	insnGrid   carryParams
-	cycleGrid  carryParams
-	missGrid   carryParams
-	stallGrid  carryParams
+	insnGrid   binade.CarryParams
+	cycleGrid  binade.CarryParams
+	missGrid   binade.CarryParams
+	stallGrid  binade.CarryParams
 	horizonInv float64 // 1/(insnStep·(1+horizonSlack))
 
 	// Alone-clock increment memo: with the carry in [0,1) a tick
 	// retires base or base+1 instructions, so the clock only ever adds
 	// one of two quotients, computed once per (base, aloneIPS) pair;
-	// aloneRun turns runs of those adds into integer steps.
+	// binade.AloneRun turns runs of those adds into integer steps.
 	incBase    uint64
 	incIPS     float64
 	inc0, inc1 float64
@@ -174,9 +175,9 @@ type kernel struct {
 	// eager batch loop advancing every app would have done.
 	chainSyncs   uint64
 	batchActives uint64
-	// Binade-sum statistics (testing): fast-path clock ticks that took
-	// the per-tick float add (of tick), and the alone-clock ticks after
-	// each segment's first tick, with those of them that took it.
+	// Binade-sum statistics (testing): clock ticks that took the
+	// per-tick float add (of tick), and the alone-clock ticks after each
+	// segment's first tick, with those of them that took it.
 	clockFloatTicks uint64
 	aloneTicks      uint64
 	aloneFloatTicks uint64
@@ -196,15 +197,13 @@ type kernel struct {
 	nextPolicy   float64
 	repartitions int
 
-	// Event-horizon fast path (see advanceHorizon). fastPath is set
-	// unless the testing knob Config.noEventHorizon forces the per-tick
-	// reference path; doneAt is an open run's horizon, the only instant
-	// at which done can flip as a function of time alone (0 = none;
-	// drained only ever flips between runUntil calls); passiveWin is set
-	// when the policy declares PassiveWindows, letting window deliveries
-	// happen inside a batch instead of bounding it; tick counts the fast
-	// path's ticks, the clock of every app's synced and due.
-	fastPath   bool
+	// Event-horizon advancement (see advanceHorizon). doneAt is an open
+	// run's horizon, the only instant at which done can flip as a
+	// function of time alone (0 = none; drained only ever flips between
+	// runUntil calls); passiveWin is set when the policy declares
+	// PassiveWindows, letting window deliveries happen inside a batch
+	// instead of bounding it; tick counts the batches' ticks, the clock
+	// of every app's synced and due.
 	doneAt     float64
 	passiveWin bool
 	tick       uint64
@@ -254,8 +253,7 @@ func newKernel(cfg Config, pol Dynamic, initial []*appmodel.Spec, closed *scenar
 		}
 		k.freshIdentity = closed.ResetIdentityOnRestart
 	}
-	k.fastPath = !cfg.noEventHorizon
-	if p, ok := pol.(PassiveWindows); ok && p.PassiveWindows() && k.fastPath {
+	if p, ok := pol.(PassiveWindows); ok && p.PassiveWindows() {
 		k.passiveWin = true
 	}
 	if k.collect {
@@ -572,6 +570,11 @@ func (k *kernel) done() bool {
 	return k.drained && k.arrIdx == len(k.arrivals) && len(k.waitQ) == 0 && k.nActive == 0
 }
 
+// advance is runUntil's advancement step, advanceHorizon. Tests swap
+// in the per-tick reference loop the batched path must reproduce bit
+// for bit; nothing else assigns it.
+var advance = (*kernel).advanceHorizon
+
 // run executes the experiment to completion. The per-tick structure —
 // termination check, arrival delivery, equilibrium refresh, time
 // advance, per-app integration, mask refresh, partitioner activation,
@@ -595,13 +598,14 @@ func (k *kernel) run() error {
 // machines without perturbing any single machine's trajectory.
 //
 // Between state-changing events the equilibrium and every rate are
-// constant, so on the fast path (fastPath) the loop body
-// advances a whole event horizon per iteration (advanceHorizon) instead
-// of a single tick (advanceTick); both paths are bit-identical (pinned
-// by TestEventHorizonDifferential and the goldens) because the batched
-// path reproduces every per-tick float sum exactly (grid-exact carries,
-// binade-exact clocks) and every event lands on an iteration boundary,
-// where the shared delivery code runs in the legacy order.
+// constant, so the loop body advances a whole event horizon per
+// iteration (advanceHorizon, through advance) instead of a single tick.
+// It is bit-identical to the per-tick loop, the reference the tests
+// swap in (pinned by TestEventHorizonDifferential and the goldens),
+// because a batch reproduces every per-tick float sum exactly
+// (grid-exact carries, binade-exact clocks; see internal/sim/binade)
+// and every event lands on an iteration boundary, where the shared
+// delivery code runs in the per-tick order.
 //
 // Inside the loop an app may lag behind the clock (see sync); every app
 // is brought up to date on the way out, so no code outside runUntil
@@ -663,13 +667,7 @@ func (k *kernel) runUntil(until float64) error {
 		if k.perfDirty {
 			k.refreshPerf()
 		}
-		var anyChange bool
-		var err error
-		if k.fastPath {
-			anyChange, err = k.advanceHorizon(until, maxTime)
-		} else {
-			anyChange, err = k.advanceTick()
-		}
+		anyChange, err := advance(k, until, maxTime)
 		if err != nil {
 			return err
 		}
@@ -701,80 +699,13 @@ func (k *kernel) runUntil(until float64) error {
 	return nil
 }
 
-// advanceTick is the legacy reference path: one fixed tick with every
-// event check inline, exactly the historical per-tick operation order
-// (the closed golden pins it bit-for-bit).
-//
-// The explicit float64 conversions around the per-tick rate products
-// are bit-level no-ops that force the product to round before the
-// accumulating add, so a compiler may not contract the pair into an
-// FMA on platforms where it otherwise could (arm64): both advancement
-// paths — and the goldens — stay identical across architectures, and
-// the batched path may hoist the products out of its inner loop.
-//
-//lfoc:hotpath
-func (k *kernel) advanceTick() (bool, error) {
-	k.simTime += k.dt
-	anyChange := false
-	for _, a := range k.actives {
-		if !a.active {
-			continue
-		}
-		// Progress.
-		ips := a.perf.IPC * k.freq
-		a.fracInsns += float64(ips * k.dt)
-		insns := uint64(a.fracInsns)
-		a.fracInsns -= float64(insns)
-		if insns > 0 {
-			// Alone-clock: charge the retired instructions at the
-			// solo rate of the phase they retired under (phase
-			// boundaries inside one tick are charged to the phase
-			// the tick started in — a sub-tick approximation).
-			ph := a.inst.Phase()
-			if ph != a.alonePhase {
-				a.alonePhase = ph
-				a.aloneIPS = k.alonePhaseIPS(ph)
-			}
-			a.aloneT += float64(insns) / a.aloneIPS
-			if a.inst.Advance(insns) {
-				k.perfDirty = true
-			}
-		}
-		// Counters.
-		a.fracCycles += float64(k.freq * k.dt)
-		cycles := uint64(a.fracCycles)
-		a.fracCycles -= float64(cycles)
-		a.fracMiss += float64(a.perf.MPKC / 1000 * k.freq * k.dt)
-		miss := uint64(a.fracMiss)
-		a.fracMiss -= float64(miss)
-		a.fracStall += float64(a.perf.StallFrac * k.freq * k.dt)
-		stall := uint64(a.fracStall)
-		a.fracStall -= float64(stall)
-		a.counter.Add(pmc.Sample{
-			Instructions:   insns,
-			Cycles:         cycles,
-			LLCMisses:      miss,
-			LLCAccesses:    miss * 2,
-			StallsL2Miss:   stall,
-			OccupancyBytes: a.share,
-		})
-		a.runInsns += insns
-		changed, err := k.appEvents(a)
-		if err != nil {
-			return false, err
-		}
-		anyChange = anyChange || changed
-	}
-	return anyChange, nil
-}
-
 // appEvents runs one application's post-integration event checks —
 // counter-window delivery and run completion — on an app whose chains,
-// counter and runInsns are up to date. It is shared verbatim by the
-// per-tick path (every app, every tick) and the batched path, which
-// calls it only for the apps whose due tick has arrived (the horizon
-// guarantees no other app can have an event there), in slot order at
-// the same point of the operation order as the legacy tick.
+// counter and runInsns are up to date. The batched path calls it only
+// for the apps whose due tick has arrived (the horizon guarantees no
+// other app can have an event there), in slot order at the same point
+// of the operation order as a per-tick loop, which calls it for every
+// app at every tick.
 func (k *kernel) appEvents(a *kernelApp) (bool, error) {
 	anyChange := false
 	// Window delivery.
@@ -813,188 +744,21 @@ func (k *kernel) appEvents(a *kernelApp) (bool, error) {
 	return anyChange, nil
 }
 
-// carryParams is the integer decomposition of one per-tick carry step
-// (see carryGrid); ok is false when the step needs the float path.
-type carryParams struct {
-	base  uint64
-	sfrac uint64
-	mask  uint64
-	sh    uint
-	ok    bool
-}
-
-// carryGrid decomposes a per-tick carry step for the exact integer
-// advancement of a fractional accumulator.
-//
-// Exactness argument. Let g = ulp(step) = 2^(e−52) with e = ⌊log2
-// step⌋, and suppose (a) 1 ≤ step < 2^52, and (b) ⌊step⌋+2 ≤ 2^(e+1).
-// step is by definition a multiple of g, and so are ⌊step⌋ (an integer;
-// 1/g = 2^(52−e) is an integer) and sfrac = step−⌊step⌋. If the carry
-// f ∈ [0,1) is also a multiple of g, the true sum f+step is a multiple
-// of g inside [2^e, 2^(e+1)] by (b) — exactly representable, so the
-// float add `f += step` performs NO rounding, and the floor/subtract
-// pair is always exact (Sterbenz). The whole per-tick sequence
-// therefore equals integer arithmetic on multiples of g: F += S;
-// carry-out = F ≫ (52−e); F &= 2^(52−e)−1 — and the chain can even be
-// advanced m ticks in closed form (carryRun). The carry IS a multiple
-// of g after one float tick under the current step (the add rounds the
-// sum onto the grid, floor and subtract are exact), which is why batch
-// chains run tick 1 in the legacy float shape first.
-//
-// The decomposition itself is pure bit arithmetic: step = mant·g with
-// mant = 2^52 | mantissa-bits, so base = mant ≫ (52−e) and sfrac =
-// mant & (2^(52−e)−1), with no float operation that could round.
-//
-// ok is false for steps outside (a)/(b) — less than one unit per tick,
-// at a binade edge, or absurdly large — which fall back to legacy
-// float ticks.
-//
-//lfoc:hotpath
-func carryGrid(step float64) carryParams {
-	if !(step >= 1) || step >= 1<<52 {
-		return carryParams{}
-	}
-	b := math.Float64bits(step)
-	e := int(b>>52) - 1023      // exponent, 0..51 given the range check
-	mant := b&(1<<52-1) | 1<<52 // step/ulp(step), exact
-	sh := uint(52 - e)
-	mask := uint64(1)<<sh - 1
-	base := mant >> sh
-	if base+2 > 2<<uint(e) { // binade margin: ⌊step⌋+2 ≤ 2^(e+1)
-		return carryParams{}
-	}
-	return carryParams{base: base, sfrac: mant & mask, mask: mask, sh: sh, ok: true}
-}
-
-// carryRun advances one carry chain m ticks in closed form: the chain's
-// total output is m·base plus the number of fractional wrap-arounds,
-// (F₀ + m·sfrac) div 2^sh, with the final carry the matching mod —
-// exact in 128-bit integer arithmetic (carryGrid's grid argument). ok
-// is false only when the wrap count would overflow the shift; the
-// caller then runs legacy float ticks.
-//
-//lfoc:hotpath
-func carryRun(frac *float64, g *carryParams, m int) (sum uint64, ok bool) {
-	hi, lo := bits.Mul64(g.sfrac, uint64(m))
-	var c uint64
-	lo, c = bits.Add64(lo, uint64(*frac*float64(g.mask+1)), 0)
-	hi += c
-	if hi>>g.sh != 0 {
-		return 0, false
-	}
-	*frac = float64(lo&g.mask) / float64(g.mask+1)
-	return uint64(m)*g.base + (hi<<(64-g.sh) | lo>>g.sh), true
-}
-
-// carryBatch advances one side-effect-free carry chain a whole batch:
-// tick 1 in the legacy float shape (grid alignment, see carryGrid),
-// the remaining ticks in closed form when the step allows it and tick
-// by tick otherwise. A zero step is skipped outright: adding +0.0 to a
-// non-negative carry and flooring is a bitwise no-op.
-//
-//lfoc:hotpath
-func carryBatch(frac *float64, step float64, g *carryParams, ticks int) uint64 {
-	if step == 0 {
-		return 0
-	}
-	f := *frac + step
-	sum := uint64(f)
-	f -= float64(sum)
-	*frac = f
-	if m := ticks - 1; m > 0 {
-		if g.ok {
-			if s, ok := carryRun(frac, g, m); ok {
-				return sum + s
-			}
-		}
-		for i := 0; i < m; i++ {
-			f += step
-			v := uint64(f)
-			f -= float64(v)
-			sum += v
-		}
-		*frac = f
-	}
-	return sum
-}
-
-// gridOf returns the integer significand K ∈ [2^52, 2^53) and the biased
-// exponent e of a positive normal float: x = K·u with u = 2^(e−1075),
-// the spacing of the floats in x's binade [2^(e−1023), 2^(e−1022)). ok
-// is false for zero, subnormals, negatives, ±Inf and NaN.
-//
-// Exactness argument (binade-exact sums). Adding x ≥ 0 to K·u rounds
-// the exact sum K·u + x to the nearest multiple of u while the sum stays
-// inside the binade, so the float add yields exactly (K + d)·u with d =
-// round(x/u) — provided (a) x/u is not a half-integer, where
-// ties-to-even would make the step depend on K's parity (ulpsOf refuses
-// those), and (b) K + d ≤ 2^53 − 1, which keeps the exact sum below the
-// binade's top (x/u < d + 1/2). A run of float adds of addends with
-// known d inside one binade is therefore integer addition on K, in any
-// grouping: K += Σd, and fromGrid converts back by bit assembly. A sum
-// leaving the binade, a tie or a zero accumulator takes one float add.
-//
-//lfoc:hotpath
-func gridOf(x float64) (K, e uint64, ok bool) {
-	b := math.Float64bits(x)
-	e = b >> 52
-	if e == 0 || e >= 0x7ff { // zero or subnormal; Inf, NaN or the sign bit
-		return 0, 0, false
-	}
-	return b&(1<<52-1) | 1<<52, e, true
-}
-
-// fromGrid is gridOf's inverse: the float K·2^(e−1075) for K ∈ [2^52,
-// 2^53), assembled from its bits.
-//
-//lfoc:hotpath
-func fromGrid(K, e uint64) float64 {
-	return math.Float64frombits(e<<52 | K&(1<<52-1))
-}
-
-// ulpsOf returns d = round(x/u) for the spacing u = 2^(e−1075) of the
-// binade with biased exponent e (see gridOf), from x's significand bits
-// alone. ok is false when the dropped bits are exactly one half (a tie,
-// condition (a)) and when x is not below the binade's bottom 2^(e−1023)
-// — negative, ±Inf, NaN, or too large for any add to stay in the binade
-// (d ≥ 2^52 breaks condition (b) for every K).
-//
-//lfoc:hotpath
-func ulpsOf(x float64, e uint64) (d uint64, ok bool) {
-	b := math.Float64bits(x)
-	ex := b >> 52
-	mant := b & (1<<52 - 1)
-	if ex == 0 {
-		ex = 1 // zero or subnormal: no implicit bit
-	} else {
-		mant |= 1 << 52
-	}
-	if ex >= e {
-		return 0, false
-	}
-	s := e - ex // x/u = mant/2^s
-	if s > 53 {
-		return 0, true // mant < 2^53 ≤ 2^(s−1): below half an ulp
-	}
-	half := uint64(1) << (s - 1)
-	d, rem := mant>>s, mant&(half<<1-1)
-	if rem == half {
-		return 0, false
-	}
-	if rem > half {
-		d++
-	}
-	return d, true
-}
-
 // refreshSteps rederives an application's rate-invariant advancement
-// state after a rate change: the per-tick rate products (in the legacy
-// expression shape — see advanceTick — so re-adding the precomputed
-// value every tick is bit-identical to the legacy recomputation), their
-// integer carry grids, and the reciprocal rate rebound multiplies by
-// (its 1-ulp rounding is absorbed by horizonSlack). The app must be up
-// to date (setRate syncs it before marking the steps dirty); its due
-// tick is invalidated.
+// state after a rate change: the per-tick rate products, their integer
+// carry grids, and the reciprocal rate rebound multiplies by (its 1-ulp
+// rounding is absorbed by horizonSlack). The app must be up to date
+// (setRate syncs it before marking the steps dirty); its due tick is
+// invalidated.
+//
+// The products keep the historical per-tick expression shape, so
+// re-adding the precomputed value every tick is bit-identical to
+// recomputing it every tick. The explicit float64 conversions are
+// bit-level no-ops that force each product to round before the
+// accumulating add, so a compiler may not contract the pair into an FMA
+// on platforms where it otherwise could (arm64): the batched path, the
+// per-tick reference and the goldens stay identical across
+// architectures.
 //
 //lfoc:hotpath
 func (k *kernel) refreshSteps(a *kernelApp) {
@@ -1003,10 +767,10 @@ func (k *kernel) refreshSteps(a *kernelApp) {
 	a.cycleStep = float64(k.freq * k.dt)
 	a.missStep = float64(a.perf.MPKC / 1000 * k.freq * k.dt)
 	a.stallStep = float64(a.perf.StallFrac * k.freq * k.dt)
-	a.insnGrid = carryGrid(a.insnStep)
-	a.cycleGrid = carryGrid(a.cycleStep)
-	a.missGrid = carryGrid(a.missStep)
-	a.stallGrid = carryGrid(a.stallStep)
+	a.insnGrid = binade.CarryGrid(a.insnStep)
+	a.cycleGrid = binade.CarryGrid(a.cycleStep)
+	a.missGrid = binade.CarryGrid(a.missStep)
+	a.stallGrid = binade.CarryGrid(a.stallStep)
 	a.horizonInv = 1 / (a.insnStep * (1 + horizonSlack))
 	a.stepsDirty = false
 	a.dueOK = false
@@ -1123,9 +887,6 @@ func (k *kernel) nextEventTime() float64 {
 	if k.done() {
 		return math.Inf(1)
 	}
-	if !k.fastPath {
-		return k.simTime // legacy per-tick path: treat every instant as an event
-	}
 	h := math.Inf(1)
 	if k.arrIdx < len(k.arrivals) {
 		h = k.arrivals[k.arrIdx].Time
@@ -1147,7 +908,7 @@ func (k *kernel) nextEventTime() float64 {
 	return h
 }
 
-// advanceHorizon is the event-horizon fast path: it advances the clock
+// advanceHorizon is runUntil's advancement step: it advances the clock
 // over all whole ticks until the earliest next event — due arrival,
 // policy activation, metrics-window close, the until pause point,
 // MaxSimTime, the run's horizon (doneAt), or any app's due tick
@@ -1157,18 +918,18 @@ func (k *kernel) nextEventTime() float64 {
 // ticks, so nothing they would do here is observable before their next
 // sync point.
 //
-// Bit-exactness: the clock is the per-tick float sum of dt (a closed-form
-// n·dt would round differently), advanced a binade at a time in exact
-// integer steps (advanceClock), and sync reproduces the per-tick chains
-// over any span (see sync), so where an app's advancement is cut into
-// spans is invisible.
+// Bit-exactness: the clock is the per-tick float sum of dt (a
+// closed-form n·dt would round differently), advanced a binade at a time
+// in exact integer steps (binade.AdvanceClock), and sync reproduces the
+// per-tick chains over any span (see sync), so where an app's
+// advancement is cut into spans is invisible.
 //
 //lfoc:hotpath
 func (k *kernel) advanceHorizon(until, maxTime float64) (bool, error) {
 	n := k.horizonTicks()
 	// Time-driven events: stop at the first tick that reaches one. The
 	// post-batch checks (and the next loop top) then handle it exactly
-	// like the legacy path, which also only acts on tick boundaries.
+	// like a per-tick loop, which also only acts on tick boundaries.
 	stop := until
 	if k.arrIdx < len(k.arrivals) && k.arrivals[k.arrIdx].Time < stop {
 		stop = k.arrivals[k.arrIdx].Time
@@ -1184,7 +945,10 @@ func (k *kernel) advanceHorizon(until, maxTime float64) (bool, error) {
 	if k.doneAt > 0 && k.doneAt < stop {
 		stop = k.doneAt
 	}
-	ticks := k.advanceClock(n, stop, maxTime)
+	var ticks int
+	var floatTicks uint64
+	k.simTime, ticks, floatTicks = binade.AdvanceClock(k.simTime, k.dt, n, stop, maxTime)
+	k.clockFloatTicks += floatTicks
 	k.tick += uint64(ticks)
 	k.batchActives += uint64(k.nActive)
 
@@ -1205,73 +969,6 @@ func (k *kernel) advanceHorizon(until, maxTime float64) (bool, error) {
 	return anyChange, nil
 }
 
-// advanceClock advances simTime by whole ticks of dt, stopping at the
-// first tick that reaches n ticks, reaches stop or passes maxTime (at
-// least one tick), and returns the ticks advanced. It is bit-identical
-// to the per-tick loop `simTime += dt` under the same break test: runs
-// of ticks inside one binade are one integer step (clockRun), and only a
-// zero clock, a tie and the ticks crossing a binade edge take the float
-// add.
-//
-//lfoc:hotpath
-func (k *kernel) advanceClock(n int, stop, maxTime float64) int {
-	ticks := 0
-	for {
-		j := k.clockRun(n-ticks, stop, maxTime)
-		if j == 0 {
-			k.simTime += k.dt
-			k.clockFloatTicks++
-			j = 1
-		}
-		ticks += j
-		if ticks >= n || k.simTime >= stop || k.simTime > maxTime {
-			return ticks
-		}
-	}
-}
-
-// clockRun advances simTime in closed form by up to limit ticks inside its
-// binade (gridOf): with d = ulpsOf(dt), the time after j ticks is
-// exactly fromGrid(K + j·d) while K + j·d ≤ 2^53 − 1. It stops at the
-// first tick whose time reaches stop or passes maxTime, found by
-// bisection over those exact times (they never decrease, so the test is
-// monotone in j). It returns the ticks advanced; 0 when no tick can be
-// taken in closed form.
-//
-//lfoc:hotpath
-func (k *kernel) clockRun(limit int, stop, maxTime float64) int {
-	K, e, ok := gridOf(k.simTime)
-	if !ok || limit <= 0 {
-		return 0
-	}
-	d, ok := ulpsOf(k.dt, e)
-	if !ok {
-		return 0
-	}
-	room := uint64(limit)
-	if hi, lo := bits.Mul64(room, d); hi != 0 || lo > 1<<53-1-K {
-		room = (1<<53 - 1 - K) / d
-	}
-	if room == 0 {
-		return 0
-	}
-	// Invariant: the first stopping tick, or room if none, is in [lo, hi].
-	lo, hi := uint64(1), room
-	if t := fromGrid(K+room*d, e); !(t >= stop || t > maxTime) {
-		lo = room
-	}
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if t := fromGrid(K+mid*d, e); t >= stop || t > maxTime {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	k.simTime = fromGrid(K+lo*d, e)
-	return int(lo)
-}
-
 // sync brings one app up to date: it advances the app's chains,
 // counter and instance from a.synced to the kernel's current tick, at
 // the rate installed for that whole span. An app is synced only when
@@ -1284,15 +981,15 @@ func (k *kernel) clockRun(limit int, stop, maxTime float64) int {
 //
 // Bit-exactness: the four carry chains touch disjoint state, so they
 // commute across the span: they are processed chain-major instead of
-// tick-major (bit-identical to the legacy interleaving), each
-// grid-exact from its first tick on (carryGrid), so cutting the span
-// anywhere changes nothing. The integer counter deltas are summed and
+// tick-major (bit-identical to the per-tick interleaving), each
+// grid-exact from its first tick on (binade.CarryGrid), so cutting the
+// span anywhere changes nothing. The integer counter deltas are summed and
 // issued as one pmc add per segment — exact because integer sums are
 // associative and occupancy adopts the latest reading (pinned in
 // internal/pmc). No instruction event can fall strictly inside the span
 // (the app's due tick bounds it), except the counter windows of a
 // passive policy: those end a segment and are delivered right there, in
-// the legacy delivery loop, per app instead of in global tick order —
+// the per-tick delivery loop, per app instead of in global tick order —
 // indistinguishable by the PassiveWindows contract. A window landing on
 // a due tick under a non-passive policy is left to appEvents.
 //
@@ -1311,22 +1008,22 @@ func (k *kernel) sync(a *kernelApp) {
 		seg, segInsns := k.advanceInsnsChain(a, ph, remaining)
 		insnsSum += segInsns
 		// Cycle, miss and stall chains have no per-tick side effects:
-		// tick 1 in the legacy float shape, remainder in closed form (or
-		// legacy float ticks for degenerate steps).
-		missSum := carryBatch(&a.fracMiss, a.missStep, &a.missGrid, seg)
+		// tick 1 in the per-tick float shape, remainder in closed form
+		// (or per-tick float adds for degenerate steps).
+		missSum := binade.CarryBatch(&a.fracMiss, a.missStep, &a.missGrid, seg)
 		a.counter.Add(pmc.Sample{
 			Instructions:   segInsns,
-			Cycles:         carryBatch(&a.fracCycles, a.cycleStep, &a.cycleGrid, seg),
+			Cycles:         binade.CarryBatch(&a.fracCycles, a.cycleStep, &a.cycleGrid, seg),
 			LLCMisses:      missSum,
 			LLCAccesses:    missSum * 2,
-			StallsL2Miss:   carryBatch(&a.fracStall, a.stallStep, &a.stallGrid, seg),
+			StallsL2Miss:   binade.CarryBatch(&a.fracStall, a.stallStep, &a.stallGrid, seg),
 			OccupancyBytes: a.share,
 		})
 		remaining -= seg
 		if remaining == 0 && !k.passiveWin {
 			break
 		}
-		// Window delivery, the legacy delivery loop verbatim. OnWindow
+		// Window delivery, the per-tick delivery loop verbatim. OnWindow
 		// must return false here (the policy declared its windows
 		// passive); a true is still honored best-effort at the next loop
 		// top, but a policy that violates the contract forfeits
@@ -1368,17 +1065,16 @@ func (k *kernel) syncAll() {
 // the segment length the sibling chains must then advance — and the
 // instructions retired.
 //
-// Tick 1 runs in the legacy float shape (grid alignment, lazy
-// alone-phase resolution). When the step allows it (carryGrid) the
-// remaining ticks cost O(1) plus the alone-clock's binade crossings:
-// the carry is exact integer arithmetic, so the segment's length and
-// retirement follow in closed form (ticksToReach, carryRun's wrap
-// count), and the alone-clock, which adds one of two memoized per-tick
-// quotients — base or base+1 instructions at the solo rate — advances a
-// binade at a time (aloneRun). The per-tick rate product is
-// loop-invariant (cached by refreshSteps in the legacy expression
-// shape): re-adding the identical value every tick is bit-identical to
-// the legacy recomputation.
+// Tick 1 runs in the per-tick float shape (grid alignment, lazy
+// alone-phase resolution). When the step allows it (binade.CarryGrid)
+// the remaining ticks cost O(1) plus the alone-clock's binade
+// crossings: the carry is exact integer arithmetic, so the segment's
+// length and retirement follow in closed form (binade.TicksToReach and
+// the wrap count), and the alone-clock, which adds one of two memoized
+// per-tick quotients — base or base+1 instructions at the solo rate —
+// advances a binade at a time (binade.AloneRun). The per-tick rate
+// product is loop-invariant (cached by refreshSteps): re-adding the
+// identical value every tick is bit-identical to recomputing it.
 //
 //lfoc:hotpath
 func (k *kernel) advanceInsnsChain(a *kernelApp, ph *appmodel.PhaseSpec, maxTicks int) (int, uint64) {
@@ -1391,7 +1087,7 @@ func (k *kernel) advanceInsnsChain(a *kernelApp, ph *appmodel.PhaseSpec, maxTick
 	}
 	winLeft := a.nextWin - a.counter.Total().Instructions // ≥ 1 between deliveries
 
-	// Tick 1, legacy shape.
+	// Tick 1, per-tick shape.
 	a.fracInsns += insnStep
 	insns := uint64(a.fracInsns)
 	a.fracInsns -= float64(insns)
@@ -1406,27 +1102,28 @@ func (k *kernel) advanceInsnsChain(a *kernelApp, ph *appmodel.PhaseSpec, maxTick
 	}
 	done := 1
 	if m := maxTicks - 1; m > 0 && cum < winLeft {
-		if g := &a.insnGrid; g.ok {
+		if g := &a.insnGrid; g.OK {
 			// base ≥ 1, so tick 1 retired instructions and resolved the
 			// alone-clock rate.
-			if a.incBase != g.base || a.incIPS != a.aloneIPS {
-				a.incBase, a.incIPS = g.base, a.aloneIPS
-				a.inc0 = float64(g.base) / a.aloneIPS
-				a.inc1 = float64(g.base+1) / a.aloneIPS
+			if a.incBase != g.Base || a.incIPS != a.aloneIPS {
+				a.incBase, a.incIPS = g.Base, a.aloneIPS
+				a.inc0 = float64(g.Base) / a.aloneIPS
+				a.inc1 = float64(g.Base+1) / a.aloneIPS
 			}
-			f := uint64(a.fracInsns * float64(g.mask+1))
+			f := uint64(a.fracInsns * float64(g.Mask+1))
 			seg := uint64(m)
-			if j := ticksToReach(winLeft-cum, f, g); j < seg {
+			if j := binade.TicksToReach(winLeft-cum, f, g); j < seg {
 				seg = j
 			}
-			var wraps uint64
-			a.aloneT, f, wraps = k.aloneRun(a.aloneT, f, g, a.inc0, a.inc1, seg)
-			a.fracInsns = float64(f) / float64(g.mask+1)
-			cum += seg*g.base + wraps
+			var wraps, floatTicks uint64
+			a.aloneT, f, wraps, floatTicks = binade.AloneRun(a.aloneT, f, g, a.inc0, a.inc1, seg)
+			k.aloneFloatTicks += floatTicks
+			a.fracInsns = float64(f) / float64(g.Mask+1)
+			cum += seg*g.Base + wraps
 			done += int(seg)
 		} else {
 			// Degenerate steps (< 1 instruction per tick, or at a
-			// binade edge): legacy float ticks.
+			// binade edge): per-tick float adds.
 			fracInsns, aloneT := a.fracInsns, a.aloneT
 			for i := 0; i < m; i++ {
 				fracInsns += insnStep
@@ -1451,75 +1148,6 @@ func (k *kernel) advanceInsnsChain(a *kernelApp, ph *appmodel.PhaseSpec, maxTick
 		k.aloneTicks += uint64(done - 1)
 	}
 	return done, cum
-}
-
-// ticksToReach returns the first tick j ≥ 1 at which a grid-exact carry
-// chain (carryGrid) starting from carry f, in units of ulp(step), has
-// retired at least need ≥ 1 units. Its output after j ticks is ⌊(f +
-// j·mant)/2^sh⌋ with mant = base·2^sh + sfrac = step/ulp(step)
-// (carryRun), so j = ⌈(need·2^sh − f)/mant⌉, exact in 128-bit integers
-// (the quotient fits: need·2^sh < 2^64·mant).
-//
-//lfoc:hotpath
-func ticksToReach(need, f uint64, g *carryParams) uint64 {
-	hi, lo := need>>(64-g.sh), need<<g.sh
-	lo, borrow := bits.Sub64(lo, f, 0)
-	hi -= borrow
-	j, rem := bits.Div64(hi, lo, g.base<<g.sh|g.sfrac)
-	if rem != 0 {
-		j++
-	}
-	return j
-}
-
-// aloneRun advances an alone-clock over n ticks of the instruction
-// chain's integer carry f (on grid g): each tick adds inc0, or inc1 when
-// the carry wraps. It returns the clock, the final carry and the wrap
-// count. Inside the clock's binade (gridOf) the adds are integer steps
-// d0 ≤ d1 on its significand (inc0 < inc1), so a chunk of ticks that
-// cannot leave the binade even at d1 per tick advances at once: its
-// wraps n1 follow from carryRun's formula and K += (chunk − n1)·d0 +
-// n1·d1. A zero clock, a tie or a tick at the binade's top runs one tick
-// of the per-tick loop body instead.
-//
-//lfoc:hotpath
-func (k *kernel) aloneRun(aloneT float64, f uint64, g *carryParams, inc0, inc1 float64, n uint64) (float64, uint64, uint64) {
-	var wraps uint64
-	for n > 0 {
-		var chunk uint64
-		K, e, ok := gridOf(aloneT)
-		d0, ok0 := ulpsOf(inc0, e) // e = 0 when !ok: ulpsOf refuses
-		d1, ok1 := ulpsOf(inc1, e)
-		if ok && ok0 && ok1 {
-			chunk = n
-			if hi, lo := bits.Mul64(chunk, d1); hi != 0 || lo > 1<<53-1-K {
-				chunk = (1<<53 - 1 - K) / d1
-			}
-		}
-		if chunk == 0 {
-			f += g.sfrac
-			extra := f >> g.sh
-			f &= g.mask
-			inc := inc0
-			if extra != 0 {
-				inc = inc1
-			}
-			aloneT += inc
-			wraps += extra
-			n--
-			k.aloneFloatTicks++
-			continue
-		}
-		hi, lo := bits.Mul64(g.sfrac, chunk)
-		lo, c := bits.Add64(lo, f, 0)
-		hi += c
-		n1 := hi<<(64-g.sh) | lo>>g.sh
-		f = lo & g.mask
-		aloneT = fromGrid(K+(chunk-n1)*d0+n1*d1, e)
-		wraps += n1
-		n -= chunk
-	}
-	return aloneT, f, wraps
 }
 
 // finish closes the trailing partial metrics window once the run is

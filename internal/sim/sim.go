@@ -90,7 +90,7 @@ type Dynamic interface {
 }
 
 // PassiveWindows is an optional Dynamic refinement the kernel's
-// event-horizon fast path consults. A policy reporting true promises
+// event-horizon advancement consults. A policy reporting true promises
 // that its counter-window delivery is application-local:
 //
 //   - OnWindow always returns false (it never requests a mask refresh
@@ -139,12 +139,6 @@ type Config struct {
 	// noEquilCache disables the equilibrium memoization (testing knob:
 	// the memoized and direct paths must agree exactly).
 	noEquilCache bool
-
-	// noEventHorizon forces the legacy per-tick reference path,
-	// disabling the kernel's event-horizon batched advancement (testing
-	// knob: the batched and per-tick paths must produce bit-identical
-	// results, pinned by the randomized differential test).
-	noEventHorizon bool
 }
 
 // Validate applies defaults and checks consistency.

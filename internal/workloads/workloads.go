@@ -298,20 +298,6 @@ func SplitArrivals(arrivals []scenario.Arrival, assignment []int, machines int) 
 	return out, nil
 }
 
-// SplitRoundRobin partitions a trace round-robin across machines — the
-// static counterpart of the cluster's RoundRobin placement, useful for
-// building per-machine scenarios without running a cluster.
-func SplitRoundRobin(arrivals []scenario.Arrival, machines int) ([][]scenario.Arrival, error) {
-	if machines < 1 {
-		return nil, fmt.Errorf("workloads: need at least one machine, got %d", machines)
-	}
-	assignment := make([]int, len(arrivals))
-	for i := range assignment {
-		assignment[i] = i % machines
-	}
-	return SplitArrivals(arrivals, assignment, machines)
-}
-
 // RandomMix draws a size-app mix (max two instances per benchmark, at
 // least one streaming and one sensitive app) from the whole catalog —
 // used by the Fig. 2/3 optimal-solution studies.
