@@ -13,7 +13,9 @@
 // is the scale of README.md's "Regenerating the paper's artifacts". The
 // -json flag additionally writes the Table 2 timings as a JSON baseline
 // so the perf trajectory can be tracked across revisions (CI commits one
-// per run).
+// per run). A flag that only some artifacts read (-json, -iters, -mixes,
+// -mixes-per-n, -workloads, -budget) is a usage error when no selected
+// artifact reads it.
 // The simulator's performance record is the benchmark module
 // (bash benchmark/run.sh, see benchmark/README.md).
 // -cpuprofile/-memprofile write pprof profiles, so perf work starts
@@ -26,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -80,6 +83,31 @@ func main() {
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	// Each flag below is read only by the artifacts of its row (-all
+	// counts as every figure and Table 2); set anywhere else, it would be
+	// ignored.
+	explicit := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	figs := func(ns ...int) bool { return *all || slices.Contains(ns, *fig) }
+	table2 := *all || *table == 2
+	for _, row := range []struct {
+		flag  string
+		ok    bool
+		where string
+	}{
+		{"json", table2, "-table 2 or -all"},
+		{"iters", table2, "-table 2 or -all"},
+		{"mixes", figs(2), "Fig. 2"},
+		{"mixes-per-n", figs(3), "Fig. 3"},
+		{"workloads", figs(6, 7) || *ablation || *ucp, "Fig. 6, Fig. 7, -ablation or -ucp"},
+		{"budget", figs(2, 3, 6), "Fig. 2, 3 or 6"},
+	} {
+		if explicit[row.flag] && !row.ok {
+			fmt.Fprintf(os.Stderr, "lfoc-bench: -%s applies only to %s\n", row.flag, row.where)
+			flag.Usage()
+			os.Exit(2)
+		}
+	}
 	stopProfiles, err := profiling.Start(*cpuProf, *memProf)
 	exitOn(err)
 	profileCleanup = stopProfiles

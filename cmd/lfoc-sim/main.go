@@ -21,6 +21,17 @@
 //
 // Policies: stock (no partitioning), dunn, lfoc (all dynamic).
 //
+// Each invocation is one of three runs, picked by at most one of five
+// selectors: a grid (-sweep, -spec-sweep); one run of an arrival source
+// (-arrivals, -workload-spec, -replay-trace), on a fleet when a fleet
+// flag (-machines above 1, -placement, -machine-mix), a lifecycle flag
+// (-events, -mtbf, -autoscale) or a checkpoint flag (-checkpoint,
+// -resume, -stop-after) is set; otherwise the closed batch. Every flag
+// that depends on the run has one row in main's applicability table,
+// mirrored by the "Applies to" column of README's flag table; a flag set
+// explicitly outside its row is a usage error, so no input is accepted
+// and then ignored.
+//
 // -arrivals switches to the open system: applications arrive by a
 // seeded Poisson process (poisson:<rate>, arrivals per simulated
 // second) or a fixed cadence (uniform:<interval seconds>) over
@@ -29,8 +40,7 @@
 // unfairness/STP/throughput series. -sweep runs a grid over a list of
 // Poisson rates: at each rate every policy (stock, dunn, lfoc) faces
 // the identical trace, and an explicit -policy narrows the grid to one.
-// -seed makes every open run reproducible; a closed run, which has no
-// arrival trace, rejects -duration and -seed. -json writes the
+// -seed makes every seeded trace reproducible. -json writes the
 // machine-readable result (mirroring lfoc-bench -json).
 //
 // -machines N spreads the arrival stream across a fleet of N identical
@@ -50,43 +60,41 @@
 // machines whose next-event horizon has passed are touched per
 // arrival, so 1000-machine fleets simulate in seconds while producing
 // results bit-identical to an eager every-machine loop.
-// -record-assignments adds the per-arrival machine assignment log to a
-// single cluster run's JSON result (off by default — it costs
-// O(arrivals) memory); anywhere else it is a usage error.
+// -record-assignments adds the per-arrival machine assignment log to the
+// JSON result of one run on a fleet (off by default — it costs
+// O(arrivals) memory).
 //
-// -events, -mtbf and -autoscale (each implies cluster mode) add the
-// machine lifecycle layer: -events schedules joins/drains/failures
-// (drain:t=5,m=1;fail:t=7,m=0;join:t=9), -mtbf injects seeded random
-// machine failures with the given mean time between failures, and
-// -autoscale (i=<interval>[,up=][,down=][,min=][,max=]) scales the
-// fleet with load. Drained machines migrate their residents when the
-// cost-aware policy finds it worth it (-migration-cost tunes the
-// tradeoff; negative disables migration); failed machines requeue them
-// with exponential backoff bounded by -max-retries. Without -events,
-// -mtbf or -autoscale there is no lifecycle to tune, so -max-retries,
-// -retry-backoff and -migration-cost are usage errors. The identical
-// (seed, trace, schedule) inputs reproduce the identical run at any
-// -machines/worker configuration. With -sweep or -spec-sweep every grid
-// cell runs the lifecycle these flags configure, so the cells of one
-// trace face the same disruption schedule too.
+// -events, -mtbf and -autoscale add the machine lifecycle layer:
+// -events schedules joins/drains/failures (drain:t=5,m=1;fail:t=7,m=0;
+// join:t=9), -mtbf injects seeded random machine failures with the
+// given mean time between failures, and -autoscale
+// (i=<interval>[,up=][,down=][,min=][,max=]) scales the fleet with
+// load. Drained machines migrate their residents when the cost-aware
+// policy finds it worth it (-migration-cost tunes the tradeoff;
+// negative disables migration); failed machines requeue them with
+// exponential backoff bounded by -max-retries. These three tuning flags
+// apply only with a lifecycle. The identical (seed, trace, schedule)
+// inputs reproduce the identical run at any -machines/worker
+// configuration. With -sweep or -spec-sweep every grid cell runs the
+// lifecycle these flags configure, so the cells of one trace face the
+// same disruption schedule too.
 //
 // -workload-spec replaces -arrivals with a declarative scenario file
 // (YAML or JSON, see docs/workload-spec.md): cohorts with diurnal rate
 // curves, MMPP calm/burst episodes, heavy-tailed job sizes and weighted
-// application mixes. The spec carries its own duration and seed (an
-// explicit -seed overrides the spec's; an explicit -duration is a usage
-// error — the spec defines it), and generation is a pure function of
-// (spec, -scale), so a spec file is a complete reproducible experiment.
-// -record-trace writes the open-system arrival trace (whatever its
-// source) to a versioned file; -replay-trace runs from such a file
-// instead of generating, reproducing the recorded arrivals bit for bit
-// — record once, then replay under different -placement/-policy/
-// -machines settings to compare them on the identical stream. A trace
-// bakes in its -scale (replay adopts it; a conflicting explicit -scale
-// is an error). -spec-sweep is the spec-file counterpart of -sweep: one
-// grid trace per spec file, over the fleet and lifecycle flags, with an
-// explicit -seed overriding every spec's seed; like -workload-spec it
-// rejects -duration.
+// application mixes. The spec carries its own applications, duration
+// and seed (an explicit -seed overrides the spec's), and generation is
+// a pure function of (spec, -scale), so a spec file is a complete
+// reproducible experiment. -record-trace writes the open-system arrival
+// trace (whatever its source) to a versioned file; -replay-trace runs
+// from such a file instead of generating, reproducing the recorded
+// arrivals bit for bit — record once, then replay under different
+// -placement/-policy/-machines settings to compare them on the
+// identical stream. A trace bakes in its -scale (replay adopts it; a
+// conflicting explicit -scale is an error). -spec-sweep is the
+// spec-file counterpart of -sweep: one grid trace per spec file, over
+// the fleet and lifecycle flags, with an explicit -seed overriding
+// every spec's seed.
 //
 // -checkpoint <path> makes a cluster run crash-safe: the run's full
 // coordinate (per-machine kernel state, placement state, lifecycle
@@ -100,8 +108,7 @@
 // it splits a long run into resumable legs. SIGINT/SIGTERM interrupt a
 // cluster run the same way: the run pauses at the next arrival
 // boundary, writes the final checkpoint, emits the partial result, and
-// exits 130 (a second signal kills immediately). Each of these flags
-// implies cluster mode; none is compatible with -sweep/-spec-sweep.
+// exits 130 (a second signal kills immediately).
 //
 // -cpuprofile/-memprofile write pprof profiles of the run, so perf
 // investigations start from a profile instead of a guess.
@@ -170,102 +177,18 @@ type clusterJSON struct {
 	// Events and MTBF echo the -events schedule and -mtbf setting of a
 	// lifecycle run (omitted otherwise, keeping lifecycle-free JSON
 	// byte-identical to earlier releases).
-	Events []workloads.FleetEvent `json:"events,omitempty"`
-	MTBF   float64                `json:"mtbf,omitempty"`
+	Events []cluster.Event `json:"events,omitempty"`
+	MTBF   float64         `json:"mtbf,omitempty"`
 	*cluster.Result
 }
 
 // gridJSON is the -json schema of a -sweep or -spec-sweep grid. Events
 // and MTBF echo the lifecycle flags, as in clusterJSON.
 type gridJSON struct {
-	Scale  uint64                 `json:"scale"`
-	Events []workloads.FleetEvent `json:"events,omitempty"`
-	MTBF   float64                `json:"mtbf,omitempty"`
+	Scale  uint64          `json:"scale"`
+	Events []cluster.Event `json:"events,omitempty"`
+	MTBF   float64         `json:"mtbf,omitempty"`
 	harness.GridData
-}
-
-// checkpointFlags bundles the crash-safety flags of a cluster run.
-type checkpointFlags struct {
-	path      string  // -checkpoint
-	every     float64 // -checkpoint-every
-	resume    string  // -resume
-	stopAfter float64 // -stop-after
-}
-
-func (c checkpointFlags) active() bool {
-	return c.path != "" || c.resume != "" || c.stopAfter > 0
-}
-
-// lifecycleConfig bundles the parsed lifecycle flags.
-type lifecycleConfig struct {
-	events        []workloads.FleetEvent
-	mtbf          float64
-	autoscale     *cluster.Autoscale
-	maxRetries    int
-	retryBackoff  float64
-	migrationCost float64
-}
-
-func (l lifecycleConfig) active() bool {
-	return len(l.events) > 0 || l.mtbf > 0 || l.autoscale != nil
-}
-
-// template converts the flags to the cluster lifecycle they configure
-// (nil when none is active); callers add FailureSeed and JoinPolicy.
-func (l lifecycleConfig) template() (*cluster.Lifecycle, error) {
-	if !l.active() {
-		return nil, nil
-	}
-	events, err := harness.ClusterEvents(l.events)
-	if err != nil {
-		return nil, err
-	}
-	return &cluster.Lifecycle{
-		Events:        events,
-		MTBF:          l.mtbf,
-		MaxRetries:    l.maxRetries,
-		RetryBackoff:  l.retryBackoff,
-		MigrationCost: l.migrationCost,
-		Autoscale:     l.autoscale,
-	}, nil
-}
-
-// parseAutoscale parses -autoscale: comma-separated key=value with keys
-// i/interval (required), up, down, min, max.
-func parseAutoscale(s string) (*cluster.Autoscale, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
-	as := &cluster.Autoscale{Up: 1, Down: 0.1, Min: 1}
-	for _, kv := range strings.Split(s, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return nil, fmt.Errorf("-autoscale: malformed field %q (want key=value)", kv)
-		}
-		var err error
-		switch key {
-		case "i", "interval":
-			as.Interval, err = strconv.ParseFloat(val, 64)
-		case "up":
-			as.Up, err = strconv.ParseFloat(val, 64)
-		case "down":
-			as.Down, err = strconv.ParseFloat(val, 64)
-		case "min":
-			as.Min, err = strconv.Atoi(val)
-		case "max":
-			as.Max, err = strconv.Atoi(val)
-		default:
-			return nil, fmt.Errorf("-autoscale: unknown field %q (want i, up, down, min or max)", key)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("-autoscale: bad %s value %q", key, val)
-		}
-	}
-	if as.Interval <= 0 {
-		return nil, fmt.Errorf("-autoscale: needs a positive check interval (i=<seconds>)")
-	}
-	return as, nil
 }
 
 func main() {
@@ -305,88 +228,104 @@ func main() {
 	exitOn(err)
 	profileCleanup = stopProfiles
 	defer stopProfiles()
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	if flag.NArg() > 0 {
 		fail(fmt.Errorf("unexpected arguments: %s", strings.Join(flag.Args(), " ")))
 	}
+	// Go's flag parser accepts NaN and ±Inf, which no float flag can
+	// mean; -mtbf and -stop-after also count forward from time zero.
+	explicit := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) {
+		explicit[f.Name] = true
+		v, ok := f.Value.(flag.Getter).Get().(float64)
+		if ok && (math.IsNaN(v) || math.IsInf(v, 0) || v < 0 && (f.Name == "mtbf" || f.Name == "stop-after")) {
+			fail(fmt.Errorf("-%s %v: want a finite number (nonnegative for -mtbf and -stop-after)", f.Name, v))
+		}
+	})
 	if *machines < 1 {
 		fail(fmt.Errorf("-machines must be at least 1, got %d", *machines))
 	}
 	if *scale == 0 {
 		fail(fmt.Errorf("-scale must be at least 1 (1 = paper scale)"))
 	}
-	sources := 0
-	for _, set := range []bool{*arrivals != "", *workloadSpec != "", *replayTrace != ""} {
-		if set {
-			sources++
+
+	// The run: a grid, one run of an arrival source (on a fleet when a
+	// fleet, lifecycle or checkpoint flag is set), or the closed batch.
+	selectors := 0
+	for _, s := range []string{*sweep, *specSweep, *arrivals, *workloadSpec, *replayTrace} {
+		if s != "" {
+			selectors++
 		}
 	}
-	if sources > 1 {
-		fail(fmt.Errorf("-arrivals, -workload-spec and -replay-trace are mutually exclusive arrival sources"))
+	if selectors > 1 {
+		fail(fmt.Errorf("-sweep, -spec-sweep, -arrivals, -workload-spec and -replay-trace are mutually exclusive"))
 	}
-	if *sweep != "" && sources > 0 {
-		fail(fmt.Errorf("-sweep and -arrivals/-workload-spec/-replay-trace are mutually exclusive (a sweep generates its own traces)"))
-	}
-	if *specSweep != "" && (*workload != "" || *apps != "" || *sweep != "" || sources > 0 || *recordTrace != "" || explicit["duration"]) {
-		fail(fmt.Errorf("-spec-sweep conflicts with -workload, -apps, -sweep, -arrivals, -workload-spec, -replay-trace, -record-trace and -duration: each spec defines its applications and window"))
-	}
-	if *workloadSpec != "" && explicit["duration"] {
-		fail(fmt.Errorf("-duration conflicts with -workload-spec: the spec's duration_seconds defines the window"))
-	}
-	if *replayTrace != "" && (explicit["duration"] || explicit["seed"]) {
-		fail(fmt.Errorf("-duration and -seed conflict with -replay-trace: the trace is already fixed"))
-	}
-	if (*workloadSpec != "" || *replayTrace != "") && (*workload != "" || *apps != "") {
-		fail(fmt.Errorf("-workload/-apps conflict with -workload-spec/-replay-trace: the spec or trace defines the applications"))
-	}
-	if *recordTrace != "" && sources == 0 {
-		fail(fmt.Errorf("-record-trace needs an open-system arrival source (-arrivals or -workload-spec)"))
-	}
-	ckf := checkpointFlags{path: *checkpoint, every: *ckptEvery, resume: *resume, stopAfter: *stopAfter}
-	if ckf.every < 0 {
-		fail(fmt.Errorf("-checkpoint-every must be nonnegative, got %v", ckf.every))
-	}
-	if ckf.stopAfter < 0 {
-		fail(fmt.Errorf("-stop-after must be nonnegative, got %v", ckf.stopAfter))
-	}
-	if ckf.every > 0 && ckf.path == "" {
-		fail(fmt.Errorf("-checkpoint-every needs -checkpoint"))
-	}
-	if ckf.active() && (*sweep != "" || *specSweep != "") {
-		fail(fmt.Errorf("-checkpoint/-resume/-stop-after apply to a single cluster run, not a sweep"))
-	}
-	clustered := *machines > 1 || *placement != "" || *mix != "" ||
-		*events != "" || *mtbf > 0 || *autoscale != "" || ckf.active()
-	if *placement == "" {
-		*placement = "rr"
-	}
-	if clustered && *sweep == "" && *specSweep == "" && sources == 0 {
-		fail(fmt.Errorf("cluster mode needs an open system: set -arrivals, -workload-spec, -replay-trace or -sweep"))
-	}
-	if !clustered && *sweep == "" && *specSweep == "" && sources == 0 && (explicit["duration"] || explicit["seed"]) {
-		fail(fmt.Errorf("-duration and -seed shape an open-system arrival trace; a closed run has none"))
-	}
-	if *recordAssign && (!clustered || *sweep != "" || *specSweep != "") {
-		fail(fmt.Errorf("-record-assignments applies to a single cluster run, not a sweep, an open run on one machine or a closed run"))
-	}
-	if *mtbf < 0 {
-		fail(fmt.Errorf("-mtbf must be nonnegative, got %v", *mtbf))
-	}
-	fleetEvents, err := workloads.ParseFleetEvents(*events)
+	grid := *sweep != "" || *specSweep != ""
+	open := selectors == 1 && !grid
+	lc := &cluster.Lifecycle{MTBF: *mtbf, MaxRetries: *maxRetries, RetryBackoff: *retryBackoff, MigrationCost: *migrationCost}
+	lc.Events, err = cluster.ParseEvents(*events)
 	exitOn(err)
-	autoscaleCfg, err := parseAutoscale(*autoscale)
+	lc.Autoscale, err = cluster.ParseAutoscale(*autoscale)
 	exitOn(err)
-	lifecycle := lifecycleConfig{
-		events:        fleetEvents,
-		mtbf:          *mtbf,
-		autoscale:     autoscaleCfg,
-		maxRetries:    *maxRetries,
-		retryBackoff:  *retryBackoff,
-		migrationCost: *migrationCost,
+	lifecycle := len(lc.Events) > 0 || lc.MTBF > 0 || lc.Autoscale != nil
+	fleet := open && (*machines > 1 || *placement != "" || *mix != "" || lifecycle ||
+		*checkpoint != "" || *resume != "" || *stopAfter > 0)
+	needsWorkload := *specSweep == "" && *workloadSpec == "" && *replayTrace == ""
+
+	// Where each flag that depends on the run applies (README's "Applies
+	// to" column). Set anywhere else, it would be ignored.
+	const (
+		oneSource     = "one run of an arrival source"
+		sourceOrGrid  = "one run of an arrival source, or a grid"
+		withLifecycle = "a run with -events, -mtbf or -autoscale"
+	)
+	for _, row := range []struct {
+		flag  string
+		ok    bool
+		where string
+	}{
+		{"workload", needsWorkload, "a closed run, -arrivals or -sweep"},
+		{"apps", needsWorkload && *workload == "", "a closed run, -arrivals or -sweep, in place of -workload"},
+		{"duration", *arrivals != "" || *sweep != "", "-arrivals or -sweep"},
+		{"seed", grid || *workloadSpec != "" || strings.HasPrefix(*arrivals, "poisson:"),
+			"a seeded trace: Poisson arrivals, a spec or a sweep"},
+		{"record-trace", open, oneSource},
+		{"machines", open || grid, sourceOrGrid},
+		{"machine-mix", open || grid, sourceOrGrid},
+		{"placement", open || grid, sourceOrGrid},
+		{"events", open || grid, sourceOrGrid},
+		{"mtbf", open || grid, sourceOrGrid},
+		{"autoscale", open || grid, sourceOrGrid},
+		{"max-retries", lifecycle, withLifecycle},
+		{"retry-backoff", lifecycle, withLifecycle},
+		{"migration-cost", lifecycle, withLifecycle},
+		{"record-assignments", fleet, "one run of an arrival source, on a fleet"},
+		{"checkpoint", open, oneSource},
+		{"checkpoint-every", *checkpoint != "", "a run with -checkpoint"},
+		{"resume", open, oneSource},
+		{"stop-after", open, oneSource},
+	} {
+		if explicit[row.flag] && !row.ok {
+			fail(fmt.Errorf("-%s applies only to %s", row.flag, row.where))
+		}
 	}
-	if !lifecycle.active() && (explicit["max-retries"] || explicit["retry-backoff"] || explicit["migration-cost"]) {
-		fail(fmt.Errorf("-max-retries, -retry-backoff and -migration-cost tune the lifecycle layer: add -events, -mtbf or -autoscale"))
+
+	var w workloads.Workload
+	switch {
+	case *workload != "":
+		w, err = workloads.Get(*workload)
+		exitOn(err)
+	case *apps != "":
+		var names []string
+		for _, n := range strings.Split(*apps, ",") {
+			name := strings.TrimSpace(n)
+			if _, err := profiles.Get(name); err != nil {
+				exitOn(err)
+			}
+			names = append(names, name)
+		}
+		w = workloads.Workload{Name: *apps, Benchmarks: names}
+	case needsWorkload:
+		fail(fmt.Errorf("need -workload, -apps, -workload-spec, -replay-trace or -spec-sweep"))
 	}
 
 	cfg := harness.DefaultConfig()
@@ -400,64 +339,38 @@ func main() {
 		fleetSize = 0
 	}
 
-	var w workloads.Workload
-	switch {
-	case *workload != "":
-		var err error
-		w, err = workloads.Get(*workload)
-		exitOn(err)
-	case *apps != "":
-		var names []string
-		for _, n := range strings.Split(*apps, ",") {
-			name := strings.TrimSpace(n)
-			if _, err := profiles.Get(name); err != nil {
-				exitOn(err)
-			}
-			names = append(names, name)
-		}
-		w = workloads.Workload{Name: *apps, Benchmarks: names}
-	case *workloadSpec != "" || *replayTrace != "" || *specSweep != "":
-		// The specs or the trace carry their own applications.
-	default:
-		fail(fmt.Errorf("need -workload, -apps, -workload-spec, -replay-trace or -spec-sweep"))
-	}
-
-	if *sweep != "" || *specSweep != "" {
+	if grid {
 		// An explicit -placement or -policy narrows its grid axis (and an
 		// invalid name fails the run rather than being ignored).
-		g := harness.Grid{Seed: *seed, Machines: fleetSize, Mix: *mix}
+		g := harness.Grid{Workload: w, Window: *duration, Seed: *seed, Machines: fleetSize, Mix: *mix, Lifecycle: lc}
 		if explicit["placement"] {
 			g.Placements = []string{*placement}
 		}
 		if explicit["policy"] {
 			g.Policies = []string{*polName}
 		}
-		g.Lifecycle, err = lifecycle.template()
-		exitOn(err)
 		if *sweep != "" {
-			g.Workload, g.Window = w, *duration
 			for _, s := range strings.Split(*sweep, ",") {
 				r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 				exitOn(err)
 				g.Rates = append(g.Rates, r)
 			}
-		} else {
-			for _, p := range strings.Split(*specSweep, ",") {
-				if p = strings.TrimSpace(p); p == "" {
-					continue
-				}
-				s, err := workloads.LoadSpec(p)
-				exitOn(err)
-				if explicit["seed"] {
-					s.Seed = *seed
-				}
-				g.Specs = append(g.Specs, s)
+		}
+		for _, p := range strings.Split(*specSweep, ",") {
+			if p = strings.TrimSpace(p); p == "" {
+				continue
 			}
+			s, err := workloads.LoadSpec(p)
+			exitOn(err)
+			if explicit["seed"] {
+				s.Seed = *seed
+			}
+			g.Specs = append(g.Specs, s)
 		}
 		d, err := g.Run(cfg)
 		exitOn(err)
 		fmt.Println(d.Render())
-		writeJSON(*jsonOut, gridJSON{Scale: cfg.Scale, Events: lifecycle.events, MTBF: lifecycle.mtbf, GridData: d})
+		writeJSON(*jsonOut, gridJSON{Scale: cfg.Scale, Events: lc.Events, MTBF: lc.MTBF, GridData: d})
 		return
 	}
 
@@ -467,47 +380,63 @@ func main() {
 	// stream the run is about to face.
 	var scn *scenario.Open
 	scnSeed := *seed
-	if sources > 0 {
-		switch {
-		case *replayTrace != "":
-			tr, err := workloads.ReadTraceFile(*replayTrace)
-			exitOn(err)
-			if explicit["scale"] && *scale != tr.Scale {
-				fail(fmt.Errorf("-scale %d conflicts with the trace's recorded scale %d (traces bake their scale into the specs)", *scale, tr.Scale))
-			}
-			cfg.Scale = tr.Scale
-			scn, err = tr.Scenario()
-			exitOn(err)
-			scnSeed = 0 // a replayed trace is not reseedable
-			w.Name = scn.Name()
-		case *workloadSpec != "":
-			s, err := workloads.LoadSpec(*workloadSpec)
-			exitOn(err)
-			if explicit["seed"] {
-				s.Seed = *seed
-			}
-			scn, err = s.Scenario(cfg.Scale)
-			exitOn(err)
-			scnSeed = s.Seed
-			w.Name = scn.Name()
-		default:
-			scn, scnSeed = openScenario(cfg, w, *arrivals, *duration, *seed)
-		}
-		if *recordTrace != "" {
-			tr := &workloads.Trace{Name: scn.Name(), Scale: cfg.Scale, Arrivals: scn.Arrivals()}
-			exitOn(workloads.WriteTraceFile(*recordTrace, tr))
-			fmt.Fprintln(os.Stderr, "lfoc-sim: recorded", *recordTrace)
-		}
-	}
-
 	switch {
-	case clustered:
-		runCluster(cfg, w, *polName, *placement, fleetSize, *mix, scn, scnSeed, *jsonOut, lifecycle, *recordAssign, ckf)
-	case scn != nil:
-		runOpen(cfg, w, *polName, scn, scnSeed, *jsonOut)
+	case *replayTrace != "":
+		tr, err := workloads.ReadTraceFile(*replayTrace)
+		exitOn(err)
+		if explicit["scale"] && *scale != tr.Scale {
+			fail(fmt.Errorf("-scale %d conflicts with the trace's recorded scale %d (traces bake their scale into the specs)", *scale, tr.Scale))
+		}
+		cfg.Scale = tr.Scale
+		scn, err = tr.Scenario()
+		exitOn(err)
+		scnSeed = 0 // a replayed trace is not reseedable
+		w.Name = scn.Name()
+	case *workloadSpec != "":
+		s, err := workloads.LoadSpec(*workloadSpec)
+		exitOn(err)
+		if explicit["seed"] {
+			s.Seed = *seed
+		}
+		scn, err = s.Scenario(cfg.Scale)
+		exitOn(err)
+		scnSeed = s.Seed
+		w.Name = scn.Name()
+	case *arrivals != "":
+		scn, scnSeed = openScenario(cfg, w, *arrivals, *duration, *seed)
 	default:
 		runClosed(cfg, w, *polName, *jsonOut)
+		return
 	}
+	if *recordTrace != "" {
+		tr := &workloads.Trace{Name: scn.Name(), Scale: cfg.Scale, Arrivals: scn.Arrivals()}
+		exitOn(workloads.WriteTraceFile(*recordTrace, tr))
+		fmt.Fprintln(os.Stderr, "lfoc-sim: recorded", *recordTrace)
+	}
+	if !fleet {
+		runOpen(cfg, w, *polName, scn, scnSeed, *jsonOut)
+		return
+	}
+
+	if *placement == "" {
+		*placement = "rr"
+	}
+	ccfg := cluster.Config{Sim: cfg.SimConfig(), Machines: fleetSize, Lifecycle: lc,
+		RecordAssignments: *recordAssign, StopAfter: *stopAfter}
+	ccfg.Placement, err = cluster.NewPlacement(*placement, cfg.Plat)
+	exitOn(err)
+	if *checkpoint != "" {
+		ccfg.Checkpoint = &cluster.CheckpointConfig{Path: *checkpoint, Every: *ckptEvery}
+	}
+	if *resume != "" {
+		ccfg.Resume, err = cluster.ReadCheckpoint(*resume)
+		exitOn(err)
+	}
+	if *mix != "" {
+		ccfg.Fleet, err = cluster.ParseMachineMix(*mix, ccfg.Sim)
+		exitOn(err)
+	}
+	runCluster(cfg, w, *polName, *mix, ccfg, scn, scnSeed, *jsonOut)
 }
 
 func runClosed(cfg harness.Config, w workloads.Workload, polName, jsonOut string) {
@@ -614,19 +543,7 @@ func runOpen(cfg harness.Config, w workloads.Workload, polName string, scn *scen
 	writeJSON(jsonOut, openJSON{Workload: w.Name, Policy: polName, Scale: cfg.Scale, Seed: seed, OpenResult: res})
 }
 
-func runCluster(cfg harness.Config, w workloads.Workload, polName, placement string, machines int, mix string, scn *scenario.Open, seed int64, jsonOut string, lc lifecycleConfig, recordAssignments bool, ckf checkpointFlags) {
-	pl, err := cluster.NewPlacement(placement, cfg.Plat)
-	exitOn(err)
-	ccfg := cluster.Config{Sim: cfg.SimConfig(), Machines: machines, Placement: pl,
-		RecordAssignments: recordAssignments, StopAfter: ckf.stopAfter}
-	if ckf.path != "" {
-		ccfg.Checkpoint = &cluster.CheckpointConfig{Path: ckf.path, Every: ckf.every}
-	}
-	if ckf.resume != "" {
-		ck, err := cluster.ReadCheckpoint(ckf.resume)
-		exitOn(err)
-		ccfg.Resume = ck
-	}
+func runCluster(cfg harness.Config, w workloads.Workload, polName, mix string, ccfg cluster.Config, scn *scenario.Open, seed int64, jsonOut string) {
 	// SIGINT/SIGTERM interrupt the run cooperatively: the fleet pauses at
 	// the next arrival boundary, the final checkpoint (if configured) is
 	// written, and the partial result is emitted. A second signal kills
@@ -645,20 +562,12 @@ func runCluster(cfg harness.Config, w workloads.Workload, polName, placement str
 		<-sigc
 		os.Exit(130)
 	}()
-	if mix != "" {
-		ccfg.Fleet, err = cluster.ParseMachineMix(mix, ccfg.Sim)
-		exitOn(err)
-	}
 	sims, err := ccfg.MachineConfigs()
 	exitOn(err)
-	ccfg.Lifecycle, err = lc.template()
-	exitOn(err)
-	if ccfg.Lifecycle != nil {
-		ccfg.Lifecycle.FailureSeed = seed
-		ccfg.Lifecycle.JoinPolicy = func(i int, mc sim.Config) (sim.Dynamic, error) {
-			pol, _, err := cfg.NewDynamicPolicyFor(polName, mc.Plat)
-			return pol, err
-		}
+	ccfg.Lifecycle.FailureSeed = seed
+	ccfg.Lifecycle.JoinPolicy = func(i int, mc sim.Config) (sim.Dynamic, error) {
+		pol, _, err := cfg.NewDynamicPolicyFor(polName, mc.Plat)
+		return pol, err
 	}
 	res, err := cluster.Run(ccfg,
 		scn, func(i int) (sim.Dynamic, error) {
@@ -709,14 +618,14 @@ func runCluster(cfg harness.Config, w workloads.Workload, polName, placement str
 
 	if res.Interrupted {
 		fmt.Printf("\ninterrupted at %.1fs simulated", res.SimSeconds)
-		if ckf.path != "" {
-			fmt.Printf("; resume with -resume %s", ckf.path)
+		if ccfg.Checkpoint != nil {
+			fmt.Printf("; resume with -resume %s", ccfg.Checkpoint.Path)
 		}
 		fmt.Println()
 	}
 
 	writeJSON(jsonOut, clusterJSON{Workload: w.Name, Policy: polName, Scale: cfg.Scale, Seed: seed, Mix: mix,
-		Events: lc.events, MTBF: lc.mtbf, Result: res})
+		Events: ccfg.Lifecycle.Events, MTBF: ccfg.Lifecycle.MTBF, Result: res})
 
 	// A signal-interrupted run exits like an interrupted shell command
 	// (130), after the partial result and checkpoint are safely out. An

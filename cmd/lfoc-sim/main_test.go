@@ -264,23 +264,54 @@ func TestRecordAssignmentsNeedsClusterRun(t *testing.T) {
 }
 
 // Each input below was once accepted and then ignored (-scale 0 was
-// half-applied: unscaled specs under the default scale's quota); each
-// is now a usage error.
+// half-applied: unscaled specs under the default scale's quota), or
+// sets a flag in a run its applicability-table row excludes; each is
+// now a usage error, caught before any simulation starts. With
+// TestRecordAssignmentsNeedsClusterRun, every row has a case.
 func TestIgnoredInputsAreUsageErrors(t *testing.T) {
 	open := func(extra ...string) []string {
 		return append([]string{"-workload", "S3", "-arrivals", "poisson:2", "-duration", "3", "-scale", "200"}, extra...)
 	}
+	closed := func(extra ...string) []string {
+		return append([]string{"-workload", "S3", "-scale", "200"}, extra...)
+	}
+	sweep := func(extra ...string) []string {
+		return append([]string{"-workload", "S3", "-sweep", "2", "-policy", "stock", "-duration", "3", "-scale", "200"}, extra...)
+	}
+	spec := filepath.Join("..", "..", "examples", "specs", "diurnal-bursty.yaml")
+	missing := filepath.Join(t.TempDir(), "missing")
 	for _, c := range []struct {
 		name string
 		args []string
 	}{
 		{"scale 0", []string{"-workload", "P1", "-scale", "0"}},
-		{"closed run duration", []string{"-workload", "S3", "-scale", "200", "-duration", "3"}},
-		{"closed run seed", []string{"-workload", "S3", "-scale", "200", "-seed", "2"}},
+		{"closed run duration", closed("-duration", "3")},
+		{"closed run seed", closed("-seed", "2")},
 		{"max-retries on a cluster run", open("-machines", "2", "-max-retries", "2")},
 		{"retry-backoff on an open run", open("-retry-backoff", "0.5")},
-		{"migration-cost on a sweep", []string{"-workload", "S3", "-sweep", "2", "-policy", "stock",
-			"-duration", "3", "-scale", "200", "-migration-cost", "0.1"}},
+		{"migration-cost on a sweep", sweep("-migration-cost", "0.1")},
+		{"apps next to workload", closed("-apps", "lbm06,povray06")},
+		{"seed on uniform arrivals", []string{"-workload", "S3", "-arrivals", "uniform:0.5", "-duration", "3",
+			"-scale", "200", "-seed", "5"}},
+		{"machines 1 on a closed run", closed("-machines", "1")},
+		{"checkpoint-every without checkpoint", open("-machines", "2", "-checkpoint-every", "0")},
+		{"workload on a spec run", []string{"-workload-spec", spec, "-workload", "S3"}},
+		{"apps on a spec sweep", []string{"-spec-sweep", spec, "-apps", "lbm06"}},
+		{"duration on a replay", []string{"-replay-trace", missing, "-duration", "3"}},
+		{"seed on a replay", []string{"-replay-trace", missing, "-seed", "3"}},
+		{"record-trace on a sweep", sweep("-record-trace", missing)},
+		{"machine-mix on a closed run", closed("-machine-mix", "2x11way")},
+		{"placement on a closed run", closed("-placement", "least")},
+		{"events on a closed run", closed("-events", "fail:t=1,m=0")},
+		{"mtbf on a closed run", closed("-mtbf", "3")},
+		{"autoscale on a closed run", closed("-autoscale", "i=1")},
+		{"checkpoint on a sweep", sweep("-checkpoint", missing)},
+		{"resume on a closed run", closed("-resume", missing)},
+		{"stop-after on a sweep", sweep("-stop-after", "1")},
+		{"mtbf NaN", open("-machines", "2", "-mtbf", "NaN")},
+		{"stop-after NaN", open("-machines", "2", "-stop-after", "NaN")},
+		{"duration NaN", open("-duration", "NaN")},
+		{"negative mtbf", open("-mtbf", "-1")},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if code, _ := runSweep(t, c.args...); code != 2 {

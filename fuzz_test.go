@@ -1,11 +1,12 @@
 // Native fuzz targets for every format the CLIs read from user input:
 // workload specs (YAML and JSON), arrival traces, fleet event
-// schedules, machine-mix strings and checkpoint files. The contract
-// under fuzzing is uniform — a parser either succeeds or returns an
-// error; it never panics — and successful parses must satisfy the
-// format's own invariants (a reparse of a successful parse cannot
-// fail). Seed corpora come from the shipped example specs, the flag
-// syntax the documentation advertises and a small real checkpoint.
+// schedules, autoscale rules, machine-mix strings and checkpoint files.
+// The contract under fuzzing is uniform — a parser either succeeds or
+// returns an error; it never panics — and successful parses must
+// satisfy the format's own invariants (a reparse of a successful parse
+// cannot fail; parsed numbers are finite). Seed corpora come from the
+// shipped example specs, the flag syntax the documentation advertises
+// and a small real checkpoint.
 //
 // CI runs these with a short -fuzztime as a smoke test; run them longer
 // locally with e.g.:
@@ -18,6 +19,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -84,14 +86,34 @@ func FuzzParseFleetEvents(f *testing.F) {
 	f.Add("fail:t=1.5,m=2")
 	f.Add("")
 	f.Add("drain:t=;fail")
+	f.Add("drain:t=NaN,m=1")
 	f.Fuzz(func(t *testing.T, s string) {
 		evs, err := lfoc.ParseFleetEvents(s)
 		if err != nil {
 			return
 		}
 		for _, ev := range evs {
-			if ev.Time < 0 {
-				t.Fatalf("accepted event with negative time: %+v", ev)
+			if !(ev.Time >= 0) || math.IsInf(ev.Time, 1) {
+				t.Fatalf("accepted event with a time that is not finite and nonnegative: %+v", ev)
+			}
+		}
+	})
+}
+
+func FuzzParseAutoscale(f *testing.F) {
+	f.Add("i=0.5,up=0.9,down=0.1")
+	f.Add("interval=1,min=2,max=6")
+	f.Add("")
+	f.Add("i=,up")
+	f.Add("i=NaN")
+	f.Fuzz(func(t *testing.T, s string) {
+		as, err := cluster.ParseAutoscale(s)
+		if err != nil || as == nil {
+			return
+		}
+		for _, v := range []float64{as.Interval, as.Up, as.Down} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("accepted a rule with a non-finite value: %+v", *as)
 			}
 		}
 	})

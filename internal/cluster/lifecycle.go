@@ -46,6 +46,12 @@ const (
 	// progress and are requeued with bounded retry plus exponential
 	// backoff, dead-lettered when the retry budget is exhausted.
 	MachineFail
+
+	// eventRetry and eventScale are the engine's own timeline events: a
+	// requeued application's retry and an autoscale check. They are not
+	// valid in Lifecycle.Events.
+	eventRetry
+	eventScale
 )
 
 func (k EventKind) String() string {
@@ -61,17 +67,20 @@ func (k EventKind) String() string {
 	}
 }
 
+// MarshalText encodes the kind by name, as ParseEvents reads it.
+func (k EventKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
 // Event is one scheduled machine lifecycle event. A joining machine
 // runs machine 0's simulator configuration.
 type Event struct {
 	// Time is the event instant in simulated seconds.
-	Time float64
-	Kind EventKind
+	Time float64   `json:"t"`
+	Kind EventKind `json:"kind"`
 	// Machine is the drain/fail target (a MachineState.Index; joined
 	// machines extend the index space). A drain or fail whose target is
 	// already down is skipped — with MTBF failures in play a scheduled
 	// event can race a random one, and losing the race is not an error.
-	Machine int
+	Machine int `json:"machine,omitempty"`
 }
 
 // Autoscale configures load-triggered fleet scaling, evaluated at a
@@ -176,23 +185,11 @@ type LifecycleSummary struct {
 	Series metrics.LifecycleSeries `json:"series"`
 }
 
-// timelineKind is the internal event vocabulary: the public Event kinds
-// plus the engine's own retry and autoscale-check events.
-type timelineKind int
-
-const (
-	tlJoin timelineKind = iota
-	tlDrain
-	tlFail
-	tlRetry
-	tlScale
-)
-
 // timelineEvent is one heap entry of the event timeline.
 type timelineEvent struct {
 	time    float64
 	seq     int
-	kind    timelineKind
+	kind    EventKind
 	machine int          // drain/fail target; -1 = draw an MTBF victim
 	res     sim.Resident // retry payload
 	delay   float64      // the retry's scheduled backoff
@@ -337,24 +334,18 @@ func newEngine(cfg *Config, scn *scenario.Open, joinCfg sim.Config, pool *fleetP
 // process and the autoscale checks, all fixed before the run starts.
 func (e *engine) schedule(arrivals []scenario.Arrival) error {
 	for i, ev := range e.lc.Events {
-		if ev.Time < 0 {
-			return fmt.Errorf("cluster: lifecycle event %d at negative time %v", i, ev.Time)
+		if !(ev.Time >= 0) || math.IsInf(ev.Time, 1) {
+			return fmt.Errorf("cluster: lifecycle event %d at time %v (want finite and nonnegative)", i, ev.Time)
 		}
-		var kind timelineKind
 		switch ev.Kind {
-		case MachineJoin:
-			kind = tlJoin
-		case MachineDrain:
-			kind = tlDrain
-		case MachineFail:
-			kind = tlFail
+		case MachineJoin, MachineDrain, MachineFail:
 		default:
 			return fmt.Errorf("cluster: lifecycle event %d has unknown kind %v", i, ev.Kind)
 		}
-		if kind != tlJoin && ev.Machine < 0 {
+		if ev.Kind != MachineJoin && ev.Machine < 0 {
 			return fmt.Errorf("cluster: lifecycle event %d (%v) targets machine %d", i, ev.Kind, ev.Machine)
 		}
-		e.push(&timelineEvent{time: ev.Time, kind: kind, machine: ev.Machine})
+		e.push(&timelineEvent{time: ev.Time, kind: ev.Kind, machine: ev.Machine})
 	}
 	end := 0.0
 	if n := len(arrivals); n > 0 {
@@ -363,18 +354,18 @@ func (e *engine) schedule(arrivals []scenario.Arrival) error {
 	if e.lc.MTBF > 0 {
 		rng := rand.New(rand.NewSource(e.lc.FailureSeed))
 		for t := rng.ExpFloat64() * e.lc.MTBF; t < end; t += rng.ExpFloat64() * e.lc.MTBF {
-			e.push(&timelineEvent{time: t, kind: tlFail, machine: -1})
+			e.push(&timelineEvent{time: t, kind: MachineFail, machine: -1})
 		}
 	}
 	if as := e.lc.Autoscale; as != nil {
-		if as.Interval <= 0 {
+		if !(as.Interval > 0) {
 			return fmt.Errorf("cluster: autoscale interval must be positive, got %v", as.Interval)
 		}
 		if as.Max > 0 && as.Min > as.Max {
 			return fmt.Errorf("cluster: autoscale Min %d exceeds Max %d", as.Min, as.Max)
 		}
 		for t := as.Interval; t < end; t += as.Interval {
-			e.push(&timelineEvent{time: t, kind: tlScale})
+			e.push(&timelineEvent{time: t, kind: eventScale})
 		}
 	}
 	return nil
@@ -429,7 +420,7 @@ func (e *engine) run(arrivals []scenario.Arrival) error {
 		}
 		if evNext {
 			ev := heap.Pop(&e.evq).(*timelineEvent)
-			if ev.kind != tlRetry {
+			if ev.kind != eventRetry {
 				e.staticFired++
 			}
 			e.cfg.Cancel.Mask()
@@ -497,11 +488,11 @@ func (e *engine) assignmentLog() []int {
 
 func (e *engine) handle(ev *timelineEvent) error {
 	switch ev.kind {
-	case tlJoin:
+	case MachineJoin:
 		return e.join(ev.time, false)
-	case tlDrain:
+	case MachineDrain:
 		return e.drainMachine(ev.time, ev.machine, false)
-	case tlFail:
+	case MachineFail:
 		idx := ev.machine
 		if idx < 0 { // MTBF failure: draw the victim now
 			ups := e.upIndices()
@@ -512,10 +503,10 @@ func (e *engine) handle(ev *timelineEvent) error {
 			e.victimCount++
 		}
 		return e.failMachine(ev.time, idx)
-	case tlRetry:
+	case eventRetry:
 		e.sum.Retries++
 		return e.place(scenario.Arrival{Time: ev.time, Spec: ev.res.Spec, Tag: ev.res.Attempts}, -1)
-	case tlScale:
+	case eventScale:
 		return e.autoscaleCheck(ev.time)
 	default:
 		return fmt.Errorf("cluster: unknown timeline event kind %d", ev.kind)
@@ -731,7 +722,7 @@ func (e *engine) failMachine(t float64, idx int) error {
 		e.trk.requeue(delay)
 		e.push(&timelineEvent{
 			time:  t + delay,
-			kind:  tlRetry,
+			kind:  eventRetry,
 			res:   sim.Resident{Spec: r.Spec, Attempts: attempts},
 			delay: delay,
 		})

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -198,6 +199,28 @@ func TestLifecycleAllMachinesFailedDegradesGracefully(t *testing.T) {
 	}
 	if lc.Availability >= 0.2 {
 		t.Errorf("availability %v for a fleet down from t=0.3", lc.Availability)
+	}
+}
+
+// A NaN event time passes a "< 0" test and a NaN autoscale interval a
+// "<= 0" one; an infinite event time would advance the fleet to +Inf.
+// Each is rejected before the run starts.
+func TestLifecycleRejectsNonFiniteTimes(t *testing.T) {
+	plat := machine.Small(8, 2)
+	scn, err := scenario.NewPoisson("nonfinite", pool("lbm06"), 2, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lc := range []*cluster.Lifecycle{
+		{Events: []cluster.Event{{Time: math.NaN(), Kind: cluster.MachineFail}}},
+		{Events: []cluster.Event{{Time: math.Inf(1), Kind: cluster.MachineDrain}}},
+		{Autoscale: &cluster.Autoscale{Interval: math.NaN(), Up: 1}},
+	} {
+		_, err := cluster.Run(cluster.Config{Sim: clusterSimConfig(plat), Machines: 2,
+			Placement: cluster.NewRoundRobin(), Lifecycle: lc}, scn, stockFactory(plat))
+		if err == nil {
+			t.Errorf("lifecycle %+v accepted", *lc)
+		}
 	}
 }
 

@@ -96,7 +96,7 @@ func (e *engine) snapshot() *engineSnapshot {
 		Sum:         e.sum,
 	}
 	for _, ev := range e.evq {
-		if ev.kind != tlRetry {
+		if ev.kind != eventRetry {
 			continue
 		}
 		snap.Retries = append(snap.Retries, retrySnapshot{
@@ -174,7 +174,7 @@ func (e *engine) restore(snap *engineSnapshot) error {
 		heap.Push(&e.evq, &timelineEvent{
 			time:  r.Time,
 			seq:   r.Seq,
-			kind:  tlRetry,
+			kind:  eventRetry,
 			res:   sim.Resident{Spec: r.Spec, Attempts: r.Attempts},
 			delay: r.Delay,
 		})

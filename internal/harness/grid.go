@@ -18,28 +18,6 @@ var ChurnPolicies = []string{"stock", "dunn", "lfoc"}
 // than one machine.
 var ClusterPlacements = []string{"rr", "least", "fair"}
 
-// ClusterEvents converts a workload event schedule to the cluster
-// layer's lifecycle events. Joining machines run machine 0's
-// configuration.
-func ClusterEvents(events []workloads.FleetEvent) ([]cluster.Event, error) {
-	out := make([]cluster.Event, 0, len(events))
-	for _, e := range events {
-		var kind cluster.EventKind
-		switch e.Kind {
-		case "join":
-			kind = cluster.MachineJoin
-		case "drain":
-			kind = cluster.MachineDrain
-		case "fail":
-			kind = cluster.MachineFail
-		default:
-			return nil, fmt.Errorf("harness: fleet event at t=%g: unknown kind %q", e.Time, e.Kind)
-		}
-		out = append(out, cluster.Event{Time: e.Time, Kind: kind, Machine: e.Machine})
-	}
-	return out, nil
-}
-
 // Grid is the paper's §5 comparison run as an open-system sweep: every
 // arrival trace × every placement × every partitioning policy, each
 // cell over the same fleet. All cells of one trace face the identical

@@ -92,11 +92,7 @@ func TestGridMatchesSweepGolden(t *testing.T) {
 	if err := json.Unmarshal(data, &golden); err != nil {
 		t.Fatal(err)
 	}
-	events, err := workloads.ParseFleetEvents("drain:t=1.5,m=1;fail:t=2.5,m=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cevents, err := ClusterEvents(events)
+	events, err := cluster.ParseEvents("drain:t=1.5,m=1;fail:t=2.5,m=2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +101,7 @@ func TestGridMatchesSweepGolden(t *testing.T) {
 		"churn":   {Workload: mustWorkload(t, "S3"), Rates: []float64{2, 8}, Window: 3, Seed: 7},
 		"cluster": {Workload: mustWorkload(t, "S1"), Rates: []float64{4}, Window: 3, Seed: 7, Mix: "2x11way,2x7way"},
 		"chaos": {Workload: mustWorkload(t, "S1"), Rates: []float64{4}, Window: 5, Seed: 7, Machines: 4,
-			Lifecycle: &cluster.Lifecycle{Events: cevents, MTBF: 3, MigrationCost: 0.05}},
+			Lifecycle: &cluster.Lifecycle{Events: events, MTBF: 3, MigrationCost: 0.05}},
 		"spec":       {Specs: specs},
 		"spec_least": {Specs: specs, Machines: 3, Placements: []string{"least"}},
 	}
@@ -278,10 +274,7 @@ func TestSpecSweepClusterDeterministic(t *testing.T) {
 // configuration, so under -race this checks they share nothing mutable;
 // the result must equal the serial run's.
 func TestGridLifecycleWorkersDeterministic(t *testing.T) {
-	events, err := ClusterEvents([]workloads.FleetEvent{{Time: 1.5, Kind: "drain", Machine: 1}, {Time: 2.5, Kind: "fail", Machine: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := []cluster.Event{{Time: 1.5, Kind: cluster.MachineDrain, Machine: 1}, {Time: 2.5, Kind: cluster.MachineFail, Machine: 0}}
 	g := Grid{Workload: mustWorkload(t, "S1"), Rates: []float64{4}, Window: 3, Seed: 7, Mix: "1x11way,1x7way",
 		Lifecycle: &cluster.Lifecycle{Events: events, MTBF: 3, MigrationCost: 0.05,
 			Autoscale: &cluster.Autoscale{Interval: 0.5, Up: 0.1, Down: 0.05, Min: 1, Max: 4}}}

@@ -25,6 +25,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -110,11 +111,13 @@ func NewPoisson(name string, pool []*appmodel.Spec, rate, window float64, seed i
 	if len(pool) == 0 {
 		return nil, fmt.Errorf("scenario: empty application pool")
 	}
-	if rate <= 0 {
-		return nil, fmt.Errorf("scenario: arrival rate must be positive, got %v", rate)
+	// A NaN fails every comparison, and an infinite rate or window never
+	// ends the draw loop below.
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return nil, fmt.Errorf("scenario: arrival rate must be positive and finite, got %v", rate)
 	}
-	if window <= 0 {
-		return nil, fmt.Errorf("scenario: arrival window must be positive, got %v", window)
+	if !(window > 0) || math.IsInf(window, 1) {
+		return nil, fmt.Errorf("scenario: arrival window must be positive and finite, got %v", window)
 	}
 	if name == "" {
 		name = fmt.Sprintf("poisson(%g/s)", rate)

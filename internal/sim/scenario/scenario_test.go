@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"testing"
 
 	"github.com/faircache/lfoc/internal/appmodel"
@@ -82,6 +83,15 @@ func TestPoissonValidation(t *testing.T) {
 	}
 	if _, err := NewPoisson("", p, 1, 0, 0); err == nil {
 		t.Error("zero window accepted")
+	}
+	// strconv and flag parse "NaN" and "Inf": a NaN draws no arrivals,
+	// and an infinite rate or window never ends the draw.
+	for _, c := range []struct{ rate, window float64 }{
+		{math.NaN(), 1}, {math.Inf(1), 1}, {1, math.NaN()}, {1, math.Inf(1)},
+	} {
+		if _, err := NewPoisson("", p, c.rate, c.window, 0); err == nil {
+			t.Errorf("rate %v, window %v accepted", c.rate, c.window)
+		}
 	}
 }
 

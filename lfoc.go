@@ -466,13 +466,10 @@ type ClusterRunPanicError = cluster.RunPanicError
 // does not support snapshots; test with errors.As.
 type SnapshotUnsupportedError = sim.SnapshotUnsupportedError
 
-// FleetEvent is the declarative (JSON/CLI) form of a lifecycle event.
-type FleetEvent = workloads.FleetEvent
-
-// ParseFleetEvents parses a compact lifecycle schedule, e.g.
-// "drain:t=5,m=1;fail:t=7,m=0;join:t=9".
-func ParseFleetEvents(s string) ([]FleetEvent, error) {
-	return workloads.ParseFleetEvents(s)
+// ParseFleetEvents parses a compact lifecycle schedule for
+// ClusterLifecycle.Events, e.g. "drain:t=5,m=1;fail:t=7,m=0;join:t=9".
+func ParseFleetEvents(s string) ([]ClusterEvent, error) {
+	return cluster.ParseEvents(s)
 }
 
 // SplitArrivals partitions an arrival trace across machines by an
