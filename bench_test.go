@@ -417,21 +417,70 @@ func BenchmarkLookahead(b *testing.B) {
 // inside a measured run.
 const wholeRunAllocSlack = 16
 
-// TestWholeRunAllocations holds six deterministic whole runs to their
-// allocation budgets. Four run under the LFOC policy: the paper's closed
+// cluster1k returns one whole run of a 1024-machine heterogeneous fleet
+// (512 11-way and 512 7-way machines, LFOC on each, least-loaded
+// placement) under Poisson churn of the S1 mix, with the fleet advanced
+// by the given number of workers. Each call of the returned function
+// builds its own policies, placement and scenario.
+func cluster1k(tb testing.TB, workers int) func() error {
+	cfg := harness.DefaultConfig()
+	w, err := workloads.Get("S1")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fleet, err := cluster.ParseMachineMix("512x11way,512x7way", cfg.SimConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() error {
+		scn, err := w.OpenScenario(128, 4, 7, cfg.Scale)
+		if err != nil {
+			return err
+		}
+		ccfg := cluster.Config{Fleet: fleet, Placement: cluster.NewLeastLoaded(), Workers: workers}
+		_, err = cluster.Run(ccfg, scn, func(i int) (sim.Dynamic, error) {
+			pol, _, err := cfg.NewDynamicPolicyFor("lfoc", fleet[i].Plat)
+			return pol, err
+		})
+		return err
+	}
+}
+
+// BenchmarkClusterFleet1k times TestWholeRunAllocations' 1024-machine
+// fleet run with the fleet advanced inline (workers=1) and on a
+// two-worker pool (workers=2), so the pool's cost shows without the
+// benchmark module.
+func BenchmarkClusterFleet1k(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			run := cluster1k(b, workers)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestWholeRunAllocations holds seven deterministic whole runs to their
+// allocation budgets. Five run under the LFOC policy: the paper's closed
 // batch on the S1 mix, an open-system churn run (seeded Poisson
 // arrivals), a 4-machine cluster behind one arrival stream
 // (fairness-aware placement, serial advancement so counts stay
 // machine-independent), and a 1024-machine heterogeneous fleet under
-// Poisson churn. Two cover the Fig. 7 policies' decision paths: the
-// closed S1 batch under Dunn, which re-clusters at every activation,
-// and the closed batch of the Fig. 7 mix P1 under LFOC, whose sampling
-// episodes repeat. The simulator is deterministic, so its allocation
-// count moves only when the code does. When a change grows a count on
-// purpose, refresh its budget from this test's -v log.
+// Poisson churn, advanced inline and on a two-worker pool. Two cover
+// the Fig. 7 policies' decision paths: the closed S1 batch under Dunn,
+// which re-clusters at every activation, and the closed batch of the
+// Fig. 7 mix P1 under LFOC, whose sampling episodes repeat. The
+// simulator is deterministic, so its allocation count moves only when
+// the code does. When a change grows a count on purpose, refresh its
+// budget from this test's -v log.
 func TestWholeRunAllocations(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs six whole simulations, one of them over 1024 machines")
+		t.Skip("runs seven whole simulations, two of them over 1024 machines")
 	}
 	// Allocation counts shift between Go releases; the budgets were
 	// recorded with go1.24.
@@ -451,10 +500,6 @@ func TestWholeRunAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	simCfg := cfg.SimConfig()
-	fleet, err := cluster.ParseMachineMix("512x11way,512x7way", simCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// Policies, placements and scenarios are built inside each run:
 	// AllocsPerRun calls a run twice (a warm-up, then the measured
@@ -497,19 +542,6 @@ func TestWholeRunAllocations(t *testing.T) {
 		})
 		return err
 	}
-	cluster1k := func() error {
-		scn, err := w.OpenScenario(128, 4, 7, cfg.Scale)
-		if err != nil {
-			return err
-		}
-		ccfg := cluster.Config{Fleet: fleet, Placement: cluster.NewLeastLoaded(), Workers: 1}
-		_, err = cluster.Run(ccfg, scn, func(i int) (sim.Dynamic, error) {
-			pol, _, err := cfg.NewDynamicPolicyFor("lfoc", fleet[i].Plat)
-			return pol, err
-		})
-		return err
-	}
-
 	for _, c := range []struct {
 		name   string
 		budget float64 // allocations per run
@@ -518,9 +550,12 @@ func TestWholeRunAllocations(t *testing.T) {
 		{"closed-batch", 336, closed(w, "lfoc")},
 		{"open-churn", 330, openChurn},
 		{"cluster-4", 972, cluster4},
-		{"cluster-1k", 37197, cluster1k},
+		{"cluster-1k", 37197, cluster1k(t, 1)},
 		{"closed-dunn", 225, closed(w, "dunn")},
 		{"closed-p1", 534, closed(p1, "lfoc")},
+		// The batched fleet pool allocates nothing per batch: at two
+		// workers the fleet run stays within the serial run's budget.
+		{"cluster-1k-w2", 37197, cluster1k(t, 2)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var err error

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -316,6 +317,42 @@ func TestIgnoredInputsAreUsageErrors(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			if code, _ := runSweep(t, c.args...); code != 2 {
 				t.Errorf("exit %d, want the usage error 2", code)
+			}
+		})
+	}
+}
+
+// A negative -retry-backoff once failed mid-run, once the fleet reached
+// a retry scheduled before the failure that caused it, and a negative
+// -max-retries ran to completion with every displaced application
+// dead-lettered at its first failure. The cluster now rejects both
+// before the run: exit 1, and nothing on stdout.
+func TestBadRetryPolicyFailsBeforeTheRun(t *testing.T) {
+	fleet := func(extra ...string) []string {
+		return append([]string{"-workload", "S3", "-arrivals", "poisson:8", "-duration", "3", "-scale", "200",
+			"-machines", "2", "-placement", "least", "-events", "fail:t=1,m=0"}, extra...)
+	}
+	for _, c := range []struct {
+		name string
+		args []string
+		want string // in the error message
+	}{
+		{"negative retry-backoff", fleet("-retry-backoff", "-0.5"), "retry backoff -0.5"},
+		{"negative max-retries", fleet("-max-retries", "-1"), "max retries -1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			cmd := exec.Command(simBinary(t), c.args...)
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+				t.Errorf("exit %v, want exit status 1", err)
+			}
+			if stdout.Len() > 0 {
+				t.Errorf("stdout not empty:\n%s", stdout.Bytes())
+			}
+			if !bytes.Contains(stderr.Bytes(), []byte(c.want)) {
+				t.Errorf("stderr %q does not name %q", stderr.Bytes(), c.want)
 			}
 		})
 	}

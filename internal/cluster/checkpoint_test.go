@@ -454,10 +454,11 @@ func (p *panicPolicy) OnWindow(id int, w pmc.Sample) bool {
 
 // A panicking policy must not crash the process or deadlock the worker
 // pool: the run fails with the typed *RunPanicError naming the machine,
-// at any worker count.
+// at any worker count. The calling goroutine claims jobs too, so the
+// panicking job may run on the caller or on a helper.
 func TestWorkerPanicIsolated(t *testing.T) {
 	plat := machine.Small(8, 4)
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 3, 4} {
 		factory := func(i int) (sim.Dynamic, error) {
 			if i == 1 {
 				// Dunn monitors every window, so OnWindow fires often.

@@ -29,11 +29,12 @@
 // every-machine-every-arrival loop (the kernel's pause-point invariance
 // makes coarser pause points unobservable; pinned by a randomized
 // differential test). Machines share nothing between placement points,
-// so the advancement fans out over a bounded worker pool
-// (Config.Workers); placement itself stays serial — it is the only
-// synchronization point — and results are bit-identical for every
-// worker count and GOMAXPROCS setting. When the trace is exhausted the
-// machines drain through the same pool.
+// so each instant's due machines form one batch, which the calling
+// goroutine and up to Config.Workers−1 helper goroutines claim machine
+// by machine from a shared cursor; placement itself stays serial — it
+// is the only synchronization point — and results are bit-identical for
+// every worker count and GOMAXPROCS setting. When the trace is
+// exhausted the machines drain through the same batches.
 //
 // There is one arrival loop: the lifecycle engine's (lifecycle.go). A
 // run without lifecycle events is that engine with an empty timeline,
@@ -77,9 +78,10 @@ type Config struct {
 	// Placement decides which machine admits each arrival. The instance
 	// must be fresh for this run (policies may keep internal state).
 	Placement Policy
-	// Workers bounds the fleet-advancement worker pool (0 = GOMAXPROCS,
-	// 1 = serial). Machines are independent between placement points, so
-	// the setting affects wall-clock time only, never results.
+	// Workers bounds the goroutines that advance the fleet, the caller
+	// included (0 = GOMAXPROCS, 1 = serial). Machines are independent
+	// between placement points, so the setting affects wall-clock time
+	// only, never results.
 	Workers int
 	// Lifecycle, when set and carrying events (scheduled, MTBF or
 	// autoscale), runs the machine lifecycle layer: a deterministic
@@ -130,8 +132,9 @@ type Config struct {
 // reference on sparse fleets). Internal: reachable only through
 // Config.statsSink.
 type fleetStats struct {
-	// Advances counts machine advancement calls (AdvanceTo jobs
-	// executed, whether or not the machine had anything to do).
+	// Advances counts machine advancement calls (AdvanceTo jobs handed
+	// out by advanceDue and advanceOne, whether or not the machine had
+	// anything to do).
 	Advances int64
 	// Syncs counts synchronization instants (arrivals plus lifecycle
 	// events) — Advances/Syncs is the machine-steps-per-arrival figure.
@@ -477,43 +480,53 @@ func placeInitial(p Policy, initial []*appmodel.Spec, states []MachineState) ([]
 }
 
 // fleetJob is one unit of fleet-pool work: advance machine idx to time t,
-// or drain it. silent advances are excluded from the advancement
-// statistics (the end-of-run clock alignment, not per-arrival work).
+// or drain it.
 type fleetJob struct {
-	idx    int
-	t      float64
-	drain  bool
-	silent bool
+	idx   int
+	t     float64
+	drain bool
 }
 
-// fleetPool advances a fleet over a persistent bounded worker pool (the
-// harness mapRows pattern, kept alive across arrivals so the per-arrival
-// fan-out does not re-spawn goroutines). Worker i only ever touches
-// machines[j], states[j], errs[j] and next[j] for the jobs it receives,
-// and jobs within a batch have distinct indices, so the fan-out is
-// race-free and cannot perturb any machine's trajectory: results are
-// bit-identical to the serial loop for every worker count.
+// fleetPool advances a fleet in batches. The serial caller publishes a
+// batch — one job's time and flags, and the machines it applies to —
+// wakes at most one helper goroutine per job beyond the first, then
+// claims jobs from an atomic cursor alongside the helpers until none is
+// left, and waits for them. The cursor is the only shared write on the
+// job path; a job touches only machines[i], states[i], errs[i] and
+// next[i] of its own machine i, and a batch's machines are distinct, so
+// the fan-out is race-free and cannot perturb any machine's trajectory:
+// results are bit-identical to the serial loop for every worker count.
 type fleetPool struct {
 	machines []*sim.OpenMachine
 	states   []MachineState
 	errs     []error
-	jobs     chan fleetJob
-	batch    sync.WaitGroup // in-flight jobs of the current batch
-	workers  sync.WaitGroup // worker lifetimes, for close()
+	// The published batch: job applied to due[k] (machine k when due is
+	// nil) for every k < n; cursor is the next unclaimed k.
+	job    fleetJob
+	due    []int
+	n      int
+	cursor atomic.Int64
+	// wake carries one token per woken helper. Its buffer holds a
+	// batch's most tokens, one per helper, so waking never blocks the
+	// caller on a helper that has not yet returned to its receive.
+	wake  chan struct{}
+	woken sync.WaitGroup // helpers woken for the current batch
+	alive sync.WaitGroup // helper lifetimes, for close()
 	// q is the fleet event queue: it decides which machines each
 	// synchronization instant advances. next is its side slice: every
 	// job stores its machine's recomputed NextEventHorizon there, and
 	// the serial caller applies the batch to q afterwards.
 	q        *fleetQueue
 	next     []float64
-	dueBuf   []int        // collectDue scratch, reused across instants
-	advances atomic.Int64 // advance jobs executed (lazy-savings metric)
-	syncs    int64        // synchronization instants served (serial)
+	dueBuf   []int // collectDue scratch, reused across instants
+	advances int64 // advance jobs handed out (lazy-savings metric; serial)
+	syncs    int64 // synchronization instants served (serial)
 }
 
 // newFleetPool sizes the pool: workers caps at the fleet size, 0 means
 // GOMAXPROCS, and ≤ 1 degrades to inline serial execution (no
-// goroutines at all).
+// goroutines at all). The caller is one of the workers, so the pool
+// starts workers−1 helpers.
 func newFleetPool(machines []*sim.OpenMachine, states []MachineState, workers int) *fleetPool {
 	p := &fleetPool{
 		machines: machines,
@@ -531,32 +544,65 @@ func newFleetPool(machines []*sim.OpenMachine, states []MachineState, workers in
 	if workers <= 1 {
 		return p
 	}
-	p.jobs = make(chan fleetJob)
-	for w := 0; w < workers; w++ {
-		p.workers.Add(1)
+	p.wake = make(chan struct{}, workers-1)
+	p.alive.Add(workers - 1)
+	for range workers - 1 {
 		go func() {
-			defer p.workers.Done()
-			for j := range p.jobs {
-				p.run(j)
-				p.batch.Done()
+			defer p.alive.Done()
+			for range p.wake {
+				p.work()
+				p.woken.Done()
 			}
 		}()
 	}
 	return p
 }
 
+// runBatch runs job j on every machine in due (every machine when due
+// is nil) and returns batchErr(due). It wakes one helper per job beyond
+// the first, up to the pool's helper count, so a batch of 0 or 1 jobs —
+// and every batch of a serial pool — runs inline on the caller.
+func (p *fleetPool) runBatch(due []int, j fleetJob) error {
+	p.job, p.due, p.n = j, due, len(due)
+	if due == nil {
+		p.n = len(p.machines)
+	}
+	p.cursor.Store(0)
+	for range min(p.n-1, cap(p.wake)) {
+		p.woken.Add(1)
+		p.wake <- struct{}{}
+	}
+	p.work()
+	p.woken.Wait()
+	return p.batchErr(due)
+}
+
+// work claims jobs of the published batch until the cursor passes its
+// end. The caller and every woken helper run it.
+func (p *fleetPool) work() {
+	for k := int(p.cursor.Add(1)) - 1; k < p.n; k = int(p.cursor.Add(1)) - 1 {
+		j := p.job
+		j.idx = k
+		if p.due != nil {
+			j.idx = p.due[k]
+		}
+		p.run(j)
+	}
+}
+
 // run executes one job; the error (if any) lands in the job's slot so
-// dispatch can report the lowest-indexed failure deterministically.
+// batchErr can report the lowest-indexed failure deterministically.
 // Halted machines are skipped entirely — halts only happen serially
-// between batches (lifecycle events are placement-layer work), and the
-// pool's channel handoff orders them before any later job, so the check
+// between batches (lifecycle events are placement-layer work), and a
+// batch's publication orders them before any of its jobs, so the check
 // is race-free at every worker count.
 //
 // A panic inside the job — a kernel or policy bug — is confined to the
-// job's machine: it is recovered into a typed *RunPanicError in the
-// job's error slot and run returns normally, so the worker loop still
-// reaches batch.Done() and the pool unwinds without deadlock. The run
-// then fails with that error through the ordinary dispatch path.
+// job's machine, whichever goroutine runs it: it is recovered into a
+// typed *RunPanicError in the job's error slot and run returns
+// normally, so the claiming loop goes on, every woken helper reports
+// back and the pool unwinds without deadlock. The run then fails with
+// that error through batchErr.
 //
 // A job that ends in an error leaves its machine's horizon at -Inf —
 // due at every instant. A horizon may be stale low, never stale high.
@@ -576,9 +622,6 @@ func (p *fleetPool) run(j fleetJob) {
 			return
 		}
 	default:
-		if !j.silent {
-			p.advances.Add(1)
-		}
 		if err := m.AdvanceTo(j.t); err != nil {
 			p.errs[j.idx] = err
 			return
@@ -602,7 +645,7 @@ func (p *fleetPool) refreshState(idx int) {
 
 // grow appends a joining machine to the pool and its fleet queue.
 // Serial-only, like halts: the lifecycle engine grows the fleet between
-// batches, and the next dispatch picks the new machine up. The joiner
+// batches, and the next batch picks the new machine up. The joiner
 // must already be at the current instant, so its horizon is current.
 func (p *fleetPool) grow(m *sim.OpenMachine, state MachineState) {
 	p.machines = append(p.machines, m)
@@ -610,23 +653,6 @@ func (p *fleetPool) grow(m *sim.OpenMachine, state MachineState) {
 	p.errs = append(p.errs, nil)
 	p.next = append(p.next, 0)
 	p.q.grow(m.NextEventHorizon())
-}
-
-// dispatch runs one job per machine (inline when the pool is serial) and
-// returns the lowest-indexed error.
-func (p *fleetPool) dispatch(mk func(i int) fleetJob) error {
-	if p.jobs == nil {
-		for i := range p.machines {
-			p.run(mk(i))
-		}
-	} else {
-		p.batch.Add(len(p.machines))
-		for i := range p.machines {
-			p.jobs <- mk(i)
-		}
-		p.batch.Wait()
-	}
-	return p.batchErr(nil)
 }
 
 // batchErr reports a batch's authoritative error: the lowest-indexed
@@ -695,19 +721,10 @@ func (p *fleetPool) advanceDue(t float64) error {
 	if len(due) == 0 {
 		return nil
 	}
-	if p.jobs == nil {
-		for _, i := range due {
-			p.run(fleetJob{idx: i, t: t})
-		}
-	} else {
-		p.batch.Add(len(due))
-		for _, i := range due {
-			p.jobs <- fleetJob{idx: i, t: t}
-		}
-		p.batch.Wait()
-	}
+	p.advances += int64(len(due))
+	err := p.runBatch(due, fleetJob{t: t})
 	p.q.updateAll(due, p.next)
-	return p.batchErr(due)
+	return err
 }
 
 // advanceOne forces one machine to time t regardless of its horizon — a
@@ -716,6 +733,7 @@ func (p *fleetPool) advanceDue(t float64) error {
 // destinations before resident injection). Extra pause points are free:
 // the kernel's pause-point invariance keeps the trajectory identical.
 func (p *fleetPool) advanceOne(idx int, t float64) error {
+	p.advances++
 	p.run(fleetJob{idx: idx, t: t})
 	p.q.update(idx, p.next[idx])
 	return p.batchErr([]int{idx})
@@ -727,7 +745,7 @@ func (p *fleetPool) reportStats(sink *fleetStats) {
 	if sink == nil {
 		return
 	}
-	sink.Advances = p.advances.Load()
+	sink.Advances = p.advances
 	sink.Syncs = p.syncs
 }
 
@@ -740,20 +758,20 @@ func (p *fleetPool) reportStats(sink *fleetStats) {
 // per-arrival advancement statistics; the recomputed horizons are
 // never applied, since only the drain follows.
 func (p *fleetPool) alignClocks(t float64) error {
-	return p.dispatch(func(i int) fleetJob { return fleetJob{idx: i, t: t, silent: true} })
+	return p.runBatch(nil, fleetJob{t: t})
 }
 
 // drain marks every machine's arrival stream exhausted and runs it to
 // completion.
 func (p *fleetPool) drain() error {
-	return p.dispatch(func(i int) fleetJob { return fleetJob{idx: i, drain: true} })
+	return p.runBatch(nil, fleetJob{drain: true})
 }
 
-// close shuts the workers down. Safe on a serial pool.
+// close shuts the helpers down. Safe on a serial pool.
 func (p *fleetPool) close() {
-	if p.jobs != nil {
-		close(p.jobs)
-		p.workers.Wait()
+	if p.wake != nil {
+		close(p.wake)
+		p.alive.Wait()
 	}
 }
 

@@ -269,8 +269,9 @@ func TestClusterHeterogeneousSplitTraceEquivalence(t *testing.T) {
 
 // Parallel fleet advancement must be bit-identical to the serial loop:
 // machines share nothing between placement points, so neither the
-// worker-pool size nor GOMAXPROCS may perturb any result. CI runs this
-// under -race, which also exercises the pool itself.
+// worker-pool size nor GOMAXPROCS may perturb any result. Eight workers
+// exceed the 4-machine fleet, so the pool caps them at the fleet size.
+// CI runs this under -race, which also exercises the pool itself.
 func TestClusterParallelAdvanceDeterminism(t *testing.T) {
 	base := clusterSimConfig(machine.Small(8, 4))
 	fleet, err := cluster.ParseMachineMix("2x8way4c,2x5way4c", base)
@@ -293,7 +294,7 @@ func TestClusterParallelAdvanceDeterminism(t *testing.T) {
 		return res
 	}
 	serial := run(1)
-	for _, workers := range []int{2, 4} {
+	for _, workers := range []int{2, 3, 4, 8} {
 		if got := run(workers); !reflect.DeepEqual(got, serial) {
 			t.Errorf("workers=%d: parallel advancement diverges from serial:\n parallel %s\n serial   %s",
 				workers, got.Series.Fingerprint(), serial.Series.Fingerprint())

@@ -2,12 +2,13 @@ package cluster
 
 import "fmt"
 
-// RunPanicError reports a panic recovered inside a fleet-pool worker: a
+// RunPanicError reports a panic recovered inside a fleet-pool job: a
 // machine kernel (or the policy it hosts) panicked while advancing. The
-// panic is confined to the offending machine's job — the worker pool
-// unwinds cleanly and the run fails with this error instead of crashing
-// the process — so callers can distinguish a modeling bug (errors.As)
-// from an ordinary simulation failure and still flush partial output.
+// panic is confined to the offending machine's job, whichever goroutine
+// runs it — the pool unwinds cleanly and the run fails with this error
+// instead of crashing the process — so callers can distinguish a
+// modeling bug (errors.As) from an ordinary simulation failure and still
+// flush partial output.
 type RunPanicError struct {
 	// Machine is the index of the machine whose job panicked.
 	Machine int

@@ -25,7 +25,7 @@ import "math"
 //     followed by touch/update before the next collectDue.
 //
 // All heap operations are serial; only the horizon recomputation after
-// an advance happens on the worker pool, into a side slice the serial
+// an advance happens on the fleet pool, into a side slice the serial
 // caller then applies one key at a time (updateAll), so the structure
 // is deterministic at any worker count.
 type fleetQueue struct {

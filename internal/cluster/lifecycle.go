@@ -120,6 +120,8 @@ type Lifecycle struct {
 	// is dead-lettered. RetryBackoff is the base delay of the
 	// exponential backoff (0 defaults to 0.25 simulated seconds): the
 	// n-th retry is scheduled RetryBackoff·2^(n-1) after the failure.
+	// Run rejects a negative MaxRetries and a negative, NaN or infinite
+	// RetryBackoff before the run starts.
 	MaxRetries   int
 	RetryBackoff float64
 	// MigrationCost is the modeled cost of one live migration in
@@ -331,8 +333,17 @@ func newEngine(cfg *Config, scn *scenario.Open, joinCfg sim.Config, pool *fleetP
 }
 
 // schedule seeds the timeline: the declared events, the MTBF failure
-// process and the autoscale checks, all fixed before the run starts.
+// process and the autoscale checks, all fixed before the run starts. It
+// also rejects a retry policy that could not run: a negative retry
+// budget, or a backoff that would schedule a retry before, or never
+// after, the failure that caused it.
 func (e *engine) schedule(arrivals []scenario.Arrival) error {
+	if b := e.lc.RetryBackoff; !(b >= 0) || math.IsInf(b, 1) {
+		return fmt.Errorf("cluster: retry backoff %v (want finite and nonnegative)", b)
+	}
+	if e.lc.MaxRetries < 0 {
+		return fmt.Errorf("cluster: max retries %d (want nonnegative)", e.lc.MaxRetries)
+	}
 	for i, ev := range e.lc.Events {
 		if !(ev.Time >= 0) || math.IsInf(ev.Time, 1) {
 			return fmt.Errorf("cluster: lifecycle event %d at time %v (want finite and nonnegative)", i, ev.Time)

@@ -204,17 +204,24 @@ func TestLifecycleAllMachinesFailedDegradesGracefully(t *testing.T) {
 
 // A NaN event time passes a "< 0" test and a NaN autoscale interval a
 // "<= 0" one; an infinite event time would advance the fleet to +Inf.
-// Each is rejected before the run starts.
+// A negative retry backoff schedules each retry before the failure that
+// caused it, and a negative retry budget dead-letters every displaced
+// application at once. Each is rejected before the run starts.
 func TestLifecycleRejectsNonFiniteTimes(t *testing.T) {
 	plat := machine.Small(8, 2)
 	scn, err := scenario.NewPoisson("nonfinite", pool("lbm06"), 2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fail := []cluster.Event{{Time: 0.5, Kind: cluster.MachineFail}}
 	for _, lc := range []*cluster.Lifecycle{
 		{Events: []cluster.Event{{Time: math.NaN(), Kind: cluster.MachineFail}}},
 		{Events: []cluster.Event{{Time: math.Inf(1), Kind: cluster.MachineDrain}}},
 		{Autoscale: &cluster.Autoscale{Interval: math.NaN(), Up: 1}},
+		{Events: fail, RetryBackoff: -0.5},
+		{Events: fail, RetryBackoff: math.NaN()},
+		{Events: fail, RetryBackoff: math.Inf(1)},
+		{Events: fail, MaxRetries: -1},
 	} {
 		_, err := cluster.Run(cluster.Config{Sim: clusterSimConfig(plat), Machines: 2,
 			Placement: cluster.NewRoundRobin(), Lifecycle: lc}, scn, stockFactory(plat))

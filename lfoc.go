@@ -456,9 +456,10 @@ type CancelFlag = sim.CancelFlag
 var ErrCanceled = sim.ErrCanceled
 
 // ClusterRunPanicError is the typed error a cluster run returns when a
-// machine's kernel panics (a buggy policy, for instance): the worker
-// pool recovers the panic, winds down cleanly, and reports the machine
-// index, recovered value and stack; test with errors.As.
+// machine's kernel panics (a buggy policy, for instance): the machine's
+// job recovers the panic on whichever goroutine runs it, the fleet pool
+// winds down cleanly, and the error reports the machine index,
+// recovered value and stack; test with errors.As.
 type ClusterRunPanicError = cluster.RunPanicError
 
 // SnapshotUnsupportedError is the typed error reported up-front when
