@@ -547,15 +547,15 @@ func TestWholeRunAllocations(t *testing.T) {
 		budget float64 // allocations per run
 		run    func() error
 	}{
-		{"closed-batch", 336, closed(w, "lfoc")},
-		{"open-churn", 330, openChurn},
-		{"cluster-4", 972, cluster4},
-		{"cluster-1k", 37197, cluster1k(t, 1)},
-		{"closed-dunn", 225, closed(w, "dunn")},
-		{"closed-p1", 534, closed(p1, "lfoc")},
+		{"closed-batch", 292, closed(w, "lfoc")},
+		{"open-churn", 268, openChurn},
+		{"cluster-4", 875, cluster4},
+		{"cluster-1k", 32977, cluster1k(t, 1)},
+		{"closed-dunn", 223, closed(w, "dunn")},
+		{"closed-p1", 328, closed(p1, "lfoc")},
 		// The batched fleet pool allocates nothing per batch: at two
 		// workers the fleet run stays within the serial run's budget.
-		{"cluster-1k-w2", 37197, cluster1k(t, 2)},
+		{"cluster-1k-w2", 32977, cluster1k(t, 2)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var err error

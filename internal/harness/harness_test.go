@@ -210,22 +210,35 @@ func TestFig7SubsetShape(t *testing.T) {
 	}
 }
 
+// TestTable2Gap checks the paper's headline on each row's fastest of
+// three Table 2 calls: a load spike on a shared host slows one call's
+// timing loop, but seldom all three.
 func TestTable2Gap(t *testing.T) {
-	d, err := Table2(fastConfig(), 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Rows) != 8 {
-		t.Fatalf("rows = %d", len(d.Rows))
-	}
-	for _, r := range d.Rows {
-		if r.LFOCms <= 0 || r.KPartms <= 0 {
-			t.Fatalf("non-positive timing: %+v", r)
+	var d Table2Data
+	var lfoc, kpart []float64
+	for call := 0; call < 3; call++ {
+		var err error
+		if d, err = Table2(fastConfig(), 20); err != nil {
+			t.Fatal(err)
 		}
+		if len(d.Rows) != 8 {
+			t.Fatalf("rows = %d", len(d.Rows))
+		}
+		for i, r := range d.Rows {
+			if r.LFOCms <= 0 || r.KPartms <= 0 {
+				t.Fatalf("non-positive timing: %+v", r)
+			}
+			if call == 0 {
+				lfoc, kpart = append(lfoc, r.LFOCms), append(kpart, r.KPartms)
+			}
+			lfoc[i], kpart[i] = min(lfoc[i], r.LFOCms), min(kpart[i], r.KPartms)
+		}
+	}
+	for i, r := range d.Rows {
 		// The paper's headline: LFOC orders of magnitude faster.
-		if r.KPartms < r.LFOCms*5 {
-			t.Errorf("n=%d: KPart %.4fms not clearly slower than LFOC %.4fms",
-				r.Apps, r.KPartms, r.LFOCms)
+		if kpart[i] < lfoc[i]*5 {
+			t.Errorf("n=%d: KPart %.4fms not clearly slower than LFOC %.4fms (fastest of three calls each)",
+				r.Apps, kpart[i], lfoc[i])
 		}
 	}
 	if !strings.Contains(d.Render(), "KPart/LFOC") {

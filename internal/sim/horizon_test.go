@@ -337,64 +337,6 @@ func TestLazyAppAdvanceSavings(t *testing.T) {
 	}
 }
 
-// equilStats runs an open churn scenario through a kernel with the
-// given equilibrium-cache capacity and returns the result plus the
-// cache hit rate.
-func equilStats(t *testing.T, max int) (*OpenResult, float64) {
-	t.Helper()
-	pool := specsOf("xalancbmk06", "lbm06", "povray06", "soplex06")
-	scn, err := scenario.NewPoisson("equil", pool, 6, 12, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Plat:         machine.Small(7, 4),
-		TargetInsns:  300_000_000,
-		PolicyPeriod: 10 * time.Millisecond,
-	}
-	m, err := NewOpenMachine(cfg, horizonPolicy(t, "lfoc", cfg.Plat), scn.Name(), nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := m.k
-	k.equilMax = max
-	for _, arr := range scn.Arrivals() {
-		if err := m.Inject(arr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if k.equilHits+k.equilMiss == 0 {
-		t.Fatal("no equilibrium lookups")
-	}
-	return m.Result(), float64(k.equilHits) / float64(k.equilHits+k.equilMiss)
-}
-
-// TestEquilCacheRotationKeepsWorkingSet pins the two-generation
-// eviction: even under absurd pressure (capacity 2, so the cache
-// rotates on almost every distinct configuration) the current working
-// set keeps hitting, because rotation moves the hot generation to the
-// cold one and a touch promotes it back — unlike the wholesale clear
-// this replaced, which dumped the live configuration and forced
-// periodic full re-solve storms. Results must be identical regardless
-// of eviction, since memoized fixed points are deterministic.
-func TestEquilCacheRotationKeepsWorkingSet(t *testing.T) {
-	unboundedRes, unboundedRate := equilStats(t, 1<<30)
-	pressuredRes, pressuredRate := equilStats(t, 2)
-	if !reflect.DeepEqual(unboundedRes, pressuredRes) {
-		t.Error("eviction changed simulation results")
-	}
-	if unboundedRate < 0.5 {
-		t.Errorf("churn run should be memo-friendly, hit rate %.3f", unboundedRate)
-	}
-	if pressuredRate < unboundedRate-0.03 {
-		t.Errorf("eviction dumped the working set: hit rate %.3f under pressure vs %.3f unbounded",
-			pressuredRate, unboundedRate)
-	}
-}
-
 // legacyInsnsChain is advanceTick's instruction and alone-clock chain,
 // one float tick at a time, stopping after maxTicks ticks or at the
 // first tick whose cumulative retirement reaches winLeft — the contract

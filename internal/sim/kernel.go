@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -19,6 +18,7 @@ import (
 	"github.com/faircache/lfoc/internal/pmc"
 	"github.com/faircache/lfoc/internal/sharing"
 	"github.com/faircache/lfoc/internal/sim/binade"
+	"github.com/faircache/lfoc/internal/sim/equil"
 	"github.com/faircache/lfoc/internal/sim/scenario"
 )
 
@@ -43,8 +43,7 @@ type kernelApp struct {
 	fracCycles float64
 	fracMiss   float64
 	fracStall  float64
-	perf       appmodel.Perf
-	share      uint64
+	rate       equil.Rate
 	// mask is the app's CAT mask, copied from the policy's assignment
 	// by refreshMasks (0 = not assigned: the full LLC).
 	mask cat.WayMask
@@ -64,11 +63,11 @@ type kernelApp struct {
 	alonePhase *appmodel.PhaseSpec
 	aloneIPS   float64
 
-	// Rate-invariant advancement state, derived from perf (and the
+	// Rate-invariant advancement state, derived from rate (and the
 	// kernel's fixed freq/dt) by refreshSteps when stepsDirty: the
 	// per-tick rate products, their integer carry grids, and the
 	// reciprocal rate the horizon bound divides by. Refreshed only when
-	// setRate installs a different perf or share.
+	// setRate installs a different rate.
 	stepsDirty bool
 	insnStep   float64
 	cycleStep  float64
@@ -97,16 +96,6 @@ type kernelApp struct {
 	due    uint64
 	dueOK  bool
 }
-
-// equilEntry is one app's part of a memoized contention-model fixed
-// point. A memo value holds one entry per active app, in slot order, in
-// a single slice: a miss allocates that slice and the key string.
-type equilEntry struct {
-	perf  appmodel.Perf
-	share uint64
-}
-
-const equilCacheMax = 4096
 
 const (
 	// maxBatchTicks caps one event-horizon batch. Far beyond any real
@@ -160,16 +149,8 @@ type kernel struct {
 	eval   *sharing.Evaluator
 	shApps []sharing.App
 	shRes  []sharing.Result
-	// Equilibrium memo, two generations: lookups hit equil (hot) then
-	// equilPrev (cold, promoted back on touch); a full hot map rotates
-	// into the cold slot instead of being cleared, so eviction never
-	// dumps the working set (see storeEquil).
-	equil     map[string][]equilEntry
-	equilPrev map[string][]equilEntry
-	equilMax  int
-	equilHits uint64
-	equilMiss uint64
-	keyBuf    []byte
+	memo   equil.Memo
+	key    []uint32 // refreshPerf's memo key
 	// Lazy-advancement statistics (testing): syncs that moved an app at
 	// least one tick, and the active apps summed over batches — what an
 	// eager batch loop advancing every app would have done.
@@ -237,8 +218,7 @@ func newKernel(cfg Config, pol Dynamic, initial []*appmodel.Spec, closed *scenar
 		cfg:           cfg,
 		pol:           pol,
 		eval:          sharing.NewEvaluator(sharing.NewModel(cfg.Plat)),
-		equil:         make(map[string][]equilEntry),
-		equilMax:      equilCacheMax,
+		memo:          equil.New(equil.Records),
 		aloneIPSCache: map[*appmodel.PhaseSpec]float64{},
 		freq:          float64(cfg.Plat.FreqHz),
 		dt:            cfg.PolicyPeriod.Seconds() / float64(cfg.TicksPerPeriod),
@@ -384,7 +364,7 @@ func (k *kernel) refreshIdentity(a *kernelApp) error {
 // until its next call. A passive policy may still hold deferred windows
 // of lagging apps, and Assignment may read every app's history (Dunn
 // re-clusters after AddApp/RemoveApp), so every app is brought up to
-// date first.
+// date first. Only a mask that changed marks the equilibrium stale.
 func (k *kernel) refreshMasks() error {
 	if k.passiveWin {
 		k.syncAll()
@@ -394,10 +374,12 @@ func (k *kernel) refreshMasks() error {
 		return err
 	}
 	for _, a := range k.actives {
-		a.mask = m[a.monID]
+		if mask := m[a.monID]; mask != a.mask {
+			a.mask = mask
+			k.perfDirty = true
+		}
 	}
 	k.maskRefresh = false
-	k.perfDirty = true
 	return nil
 }
 
@@ -405,11 +387,11 @@ func (k *kernel) refreshMasks() error {
 // active applications. The equilibrium is a pure function of (per-app
 // spec, phase index, mask): restarted applications revisit identical
 // configurations constantly and the policy cycles through a small set
-// of plans, so memoizing the fixed point pays for itself within a few
-// runs; the slot stands in for the spec in the key since a slot's spec
-// never changes.
+// of plans, so memoizing the fixed point (internal/sim/equil) pays for
+// itself within a few runs.
 func (k *kernel) refreshPerf() {
 	k.shApps = k.shApps[:0]
+	k.key = k.key[:0]
 	for _, a := range k.actives {
 		if !a.active {
 			continue
@@ -419,95 +401,54 @@ func (k *kernel) refreshPerf() {
 			mask = cat.FullMask(k.cfg.Plat.Ways)
 		}
 		k.shApps = append(k.shApps, sharing.App{ID: a.monID, Phase: a.inst.Phase(), Mask: mask})
+		k.key = equil.AppendKey(k.key, a.slot, a.inst.PhaseIndex(), uint32(mask))
 	}
 	k.perfDirty = false
 	if len(k.shApps) == 0 {
 		return
 	}
-	if !k.cfg.noEquilCache {
-		k.keyBuf = k.keyBuf[:0]
+	if st, ok := k.memo.Lookup(k.key); ok {
 		idx := 0
 		for _, a := range k.actives {
-			if !a.active {
-				continue
-			}
-			k.keyBuf = binary.LittleEndian.AppendUint32(k.keyBuf, uint32(a.slot))
-			k.keyBuf = binary.LittleEndian.AppendUint32(k.keyBuf, uint32(a.inst.PhaseIndex()))
-			k.keyBuf = binary.LittleEndian.AppendUint32(k.keyBuf, uint32(k.shApps[idx].Mask))
-			idx++
-		}
-		// Inline []byte→string conversions in map lookups do not
-		// allocate; the key string is only materialized on a promote or
-		// an insert.
-		st, ok := k.equil[string(k.keyBuf)]
-		if !ok {
-			if st, ok = k.equilPrev[string(k.keyBuf)]; ok {
-				k.storeEquil(string(k.keyBuf), st) // touched: promote to the hot generation
-			}
-		}
-		if ok {
-			k.equilHits++
-			idx = 0
-			for _, a := range k.actives {
-				if !a.active {
-					continue
-				}
-				k.setRate(a, st[idx].perf, st[idx].share)
+			if a.active {
+				k.setRate(a, st[idx])
 				idx++
 			}
-			return
 		}
-		k.equilMiss++
+		return
 	}
 	k.shRes = k.eval.EvaluateInto(k.shRes, k.shApps)
+	st := k.memo.Store(k.key)
 	idx := 0
 	for _, a := range k.actives {
 		if !a.active {
 			continue
 		}
-		k.setRate(a, k.shRes[idx].Perf, k.shRes[idx].ShareBytes)
-		idx++
-	}
-	if !k.cfg.noEquilCache {
-		st := make([]equilEntry, 0, len(k.shApps))
-		for _, a := range k.actives {
-			if a.active {
-				st = append(st, equilEntry{a.perf, a.share})
-			}
+		res := &k.shRes[idx]
+		r := equil.Rate{IPC: res.Perf.IPC, MPKC: res.Perf.MPKC, StallFrac: res.Perf.StallFrac, Share: res.ShareBytes}
+		if st != nil {
+			st[idx] = r
 		}
-		k.storeEquil(string(k.keyBuf), st)
+		k.setRate(a, r)
+		idx++
 	}
 }
 
-// setRate installs one app's equilibrium rate. A different perf or
-// share first brings the app up to date under its old steps — its
-// lagging ticks ran at the old rate — and then marks the steps for
-// rederivation; an unchanged rate keeps the app's steps, due tick and
-// lag. (Float == differs from bitwise equality only on NaN, which is
-// simply reinstalled, and on ±0, whose steps advance identically.)
+// setRate installs one app's equilibrium rate. A different rate first
+// brings the app up to date under its old steps — its lagging ticks ran
+// at the old rate — and then marks the steps for rederivation; an
+// unchanged rate keeps the app's steps, due tick and lag. (Float ==
+// differs from bitwise equality only on NaN, which is simply
+// reinstalled, and on ±0, whose steps advance identically.)
 //
 //lfoc:hotpath
-func (k *kernel) setRate(a *kernelApp, perf appmodel.Perf, share uint64) {
-	if perf == a.perf && share == a.share {
+func (k *kernel) setRate(a *kernelApp, r equil.Rate) {
+	if r == a.rate {
 		return
 	}
 	k.sync(a)
-	a.perf, a.share = perf, share
+	a.rate = r
 	a.stepsDirty = true
-}
-
-// storeEquil inserts one fixed point into the hot generation, rotating
-// generations when it is full: the hot map becomes the cold one and only
-// entries untouched for a whole generation fall off the far end. Unlike
-// the wholesale clear this replaces, the rotation can never dump the
-// working set — live configurations are promoted back on first touch —
-// so a long churn run keeps its hit rate through evictions.
-func (k *kernel) storeEquil(key string, st []equilEntry) {
-	if len(k.equil) >= k.equilMax {
-		k.equilPrev = k.equil
-		k.equil = make(map[string][]equilEntry, k.equilMax)
-	}
-	k.equil[key] = st
 }
 
 // alonePhaseIPS returns the solo instruction rate (insns/second, full
@@ -762,11 +703,11 @@ func (k *kernel) appEvents(a *kernelApp) (bool, error) {
 //
 //lfoc:hotpath
 func (k *kernel) refreshSteps(a *kernelApp) {
-	ips := a.perf.IPC * k.freq
+	ips := a.rate.IPC * k.freq
 	a.insnStep = float64(ips * k.dt)
 	a.cycleStep = float64(k.freq * k.dt)
-	a.missStep = float64(a.perf.MPKC / 1000 * k.freq * k.dt)
-	a.stallStep = float64(a.perf.StallFrac * k.freq * k.dt)
+	a.missStep = float64(a.rate.MPKC / 1000 * k.freq * k.dt)
+	a.stallStep = float64(a.rate.StallFrac * k.freq * k.dt)
 	a.insnGrid = binade.CarryGrid(a.insnStep)
 	a.cycleGrid = binade.CarryGrid(a.cycleStep)
 	a.missGrid = binade.CarryGrid(a.missStep)
@@ -1017,7 +958,7 @@ func (k *kernel) sync(a *kernelApp) {
 			LLCMisses:      missSum,
 			LLCAccesses:    missSum * 2,
 			StallsL2Miss:   binade.CarryBatch(&a.fracStall, a.stallStep, &a.stallGrid, seg),
-			OccupancyBytes: a.share,
+			OccupancyBytes: a.rate.Share,
 		})
 		remaining -= seg
 		if remaining == 0 && !k.passiveWin {

@@ -32,7 +32,7 @@ func (k *kernel) advanceTick(_, _ float64) (bool, error) {
 			continue
 		}
 		// Progress.
-		ips := a.perf.IPC * k.freq
+		ips := a.rate.IPC * k.freq
 		a.fracInsns += float64(ips * k.dt)
 		insns := uint64(a.fracInsns)
 		a.fracInsns -= float64(insns)
@@ -55,10 +55,10 @@ func (k *kernel) advanceTick(_, _ float64) (bool, error) {
 		a.fracCycles += float64(k.freq * k.dt)
 		cycles := uint64(a.fracCycles)
 		a.fracCycles -= float64(cycles)
-		a.fracMiss += float64(a.perf.MPKC / 1000 * k.freq * k.dt)
+		a.fracMiss += float64(a.rate.MPKC / 1000 * k.freq * k.dt)
 		miss := uint64(a.fracMiss)
 		a.fracMiss -= float64(miss)
-		a.fracStall += float64(a.perf.StallFrac * k.freq * k.dt)
+		a.fracStall += float64(a.rate.StallFrac * k.freq * k.dt)
 		stall := uint64(a.fracStall)
 		a.fracStall -= float64(stall)
 		a.counter.Add(pmc.Sample{
@@ -67,7 +67,7 @@ func (k *kernel) advanceTick(_, _ float64) (bool, error) {
 			LLCMisses:      miss,
 			LLCAccesses:    miss * 2,
 			StallsL2Miss:   stall,
-			OccupancyBytes: a.share,
+			OccupancyBytes: a.rate.Share,
 		})
 		a.runInsns += insns
 		changed, err := k.appEvents(a)

@@ -135,10 +135,6 @@ type Config struct {
 	// fires, the advance stops at the current deterministic coordinate
 	// and returns ErrCanceled. The machine stays valid and resumable.
 	Cancel *CancelFlag
-
-	// noEquilCache disables the equilibrium memoization (testing knob:
-	// the memoized and direct paths must agree exactly).
-	noEquilCache bool
 }
 
 // Validate applies defaults and checks consistency.

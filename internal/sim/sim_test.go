@@ -2,10 +2,14 @@ package sim
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"maps"
 	"math"
+	"os"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,6 +21,7 @@ import (
 	"github.com/faircache/lfoc/internal/pmc"
 	"github.com/faircache/lfoc/internal/policy"
 	"github.com/faircache/lfoc/internal/profiles"
+	"github.com/faircache/lfoc/internal/sim/equil"
 	"github.com/faircache/lfoc/internal/sim/scenario"
 )
 
@@ -529,21 +534,27 @@ func TestEquilCacheExactness(t *testing.T) {
 	// bit-for-bit: same completion times, slowdowns and summary.
 	cfg := testConfig()
 	specs := specsOf("xalancbmk06", "lbm06", "povray06", "soplex06")
-	run := func(disable bool) *Result {
-		c := cfg
-		c.noEquilCache = disable
-		ctrl, err := core.NewController(core.DefaultParams(c.Plat.Ways), c.Plat.WayBytes)
+	run := func(records int) *Result {
+		ctrl, err := core.NewController(core.DefaultParams(cfg.Plat.Ways), cfg.Plat.WayBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunDynamic(c, specs, ctrl)
+		k, err := newKernel(cfg, ctrl, specs, scenario.NewClosed(specs, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.memo = equil.New(records)
+		if err := k.run(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := buildResult(k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	cached := run(false)
-	direct := run(true)
+	cached := run(equil.Records)
+	direct := run(0)
 	if cached.SimSeconds != direct.SimSeconds {
 		t.Errorf("SimSeconds diverge: cached %v direct %v", cached.SimSeconds, direct.SimSeconds)
 	}
@@ -559,40 +570,141 @@ func TestEquilCacheExactness(t *testing.T) {
 
 // The equilibrium memo must stay exact under churn too: the cache key
 // now spans a varying active set, and a collision between different
-// populations would silently corrupt an open run.
+// populations would silently corrupt an open run. Eviction must not
+// matter either: a memo of two records rotates on almost every store.
 func TestOpenEquilCacheExactness(t *testing.T) {
 	cfg := testConfig()
 	cfg.TargetInsns = 500_000_000
 	pool := specsOf("xalancbmk06", "lbm06", "povray06", "soplex06")
-	run := func(disable bool) *OpenResult {
-		c := cfg
-		c.noEquilCache = disable
+	run := func(records int) *OpenResult {
 		scn, err := scenario.NewPoisson("exact", pool, 8, 2, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctrl, err := core.NewController(core.DefaultParams(c.Plat.Ways), c.Plat.WayBytes)
+		ctrl, err := core.NewController(core.DefaultParams(cfg.Plat.Ways), cfg.Plat.WayBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunOpen(c, scn, ctrl)
+		m, err := NewOpenMachine(cfg, ctrl, scn.Name(), scn.Initial(), scn.Horizon())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
-	}
-	cached := run(false)
-	direct := run(true)
-	if cached.Series.Fingerprint() != direct.Series.Fingerprint() {
-		t.Error("windowed series diverge between memoized and direct equilibrium paths")
-	}
-	if len(cached.Apps) != len(direct.Apps) {
-		t.Fatalf("populations diverge: %d vs %d", len(cached.Apps), len(direct.Apps))
-	}
-	for i := range cached.Apps {
-		if cached.Apps[i] != direct.Apps[i] {
-			t.Errorf("app %d diverges: %+v vs %+v", i, cached.Apps[i], direct.Apps[i])
+		m.k.memo = equil.New(records)
+		for _, arr := range scn.Arrivals() {
+			if err := m.Inject(arr); err != nil {
+				t.Fatal(err)
+			}
 		}
+		if err := m.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		return m.Result()
+	}
+	direct := run(0)
+	for _, records := range []int{equil.Records, 2} {
+		cached := run(records)
+		if cached.Series.Fingerprint() != direct.Series.Fingerprint() {
+			t.Errorf("%d records: windowed series diverge between memoized and direct equilibrium paths", records)
+		}
+		if len(cached.Apps) != len(direct.Apps) {
+			t.Fatalf("%d records: populations diverge: %d vs %d", records, len(cached.Apps), len(direct.Apps))
+		}
+		for i := range cached.Apps {
+			if cached.Apps[i] != direct.Apps[i] {
+				t.Errorf("%d records: app %d diverges: %+v vs %+v", records, i, cached.Apps[i], direct.Apps[i])
+			}
+		}
+	}
+}
+
+var updateChurn = flag.Bool("update", false, "rewrite "+churnKeys+" with this build's memo lookups")
+
+// churnKeys holds the memo keys that TestEquilChurnLookups' churn run
+// looks up, in order, one per line. The equil package replays them
+// (TestRotationKeepsWorkingSet).
+const churnKeys = "equil/testdata/churn.txt"
+
+// equilChurn runs an open LFOC churn run whose memo holds records fixed
+// points per generation. It returns the result and the keys of the
+// run's memo lookups, one line of words per lookup.
+func equilChurn(t *testing.T, records int) (*OpenResult, string) {
+	t.Helper()
+	pool := specsOf("xalancbmk06", "lbm06", "povray06", "soplex06")
+	scn, err := scenario.NewPoisson("equil", pool, 6, 12, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Plat:         machine.Small(7, 4),
+		TargetInsns:  300_000_000,
+		PolicyPeriod: 10 * time.Millisecond,
+	}
+	m, err := NewOpenMachine(cfg, horizonPolicy(t, "lfoc", cfg.Plat), scn.Name(), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.k.memo = equil.New(records)
+	for _, arr := range scn.Arrivals() {
+		if err := m.Inject(arr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A loop top that refreshes the equilibrium advances next, so the
+	// advance hook sees the key of every lookup.
+	var keys strings.Builder
+	var lookups uint64
+	advance = func(k *kernel, until, maxTime float64) (bool, error) {
+		hits, misses := k.memo.Counts()
+		if n := hits + misses - lookups; n > 1 {
+			t.Fatalf("%d memo lookups between two advances", n)
+		} else if n == 1 {
+			for i, w := range k.key {
+				if i > 0 {
+					keys.WriteByte(' ')
+				}
+				keys.WriteString(strconv.FormatUint(uint64(w), 10))
+			}
+			keys.WriteByte('\n')
+			lookups++
+		}
+		return k.advanceHorizon(until, maxTime)
+	}
+	defer func() { advance = (*kernel).advanceHorizon }()
+	if err := m.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	return m.Result(), keys.String()
+}
+
+// TestEquilChurnLookups pins the equilibrium memo's lookups on an open
+// churn run. Eviction changes neither the result nor the lookups, even
+// at two records per generation, and the lookups are those recorded in
+// churnKeys: one per change of the equilibrium's inputs, with none for
+// a mask refresh that changed no mask. A change that moves them on
+// purpose rewrites the file with -update.
+func TestEquilChurnLookups(t *testing.T) {
+	res, keys := equilChurn(t, 1<<30)
+	for _, records := range []int{16, 8, 2} {
+		r, k := equilChurn(t, records)
+		if !reflect.DeepEqual(r, res) {
+			t.Errorf("%d records: eviction changed the result", records)
+		}
+		if k != keys {
+			t.Errorf("%d records: eviction changed the lookups", records)
+		}
+	}
+	if *updateChurn {
+		if err := os.WriteFile(churnKeys, []byte(keys), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(churnKeys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := keys; got != string(want) {
+		t.Errorf("the churn run made %d memo lookups that differ from the %d in %s",
+			strings.Count(got, "\n"), bytes.Count(want, []byte("\n")), churnKeys)
 	}
 }
 
